@@ -43,7 +43,7 @@ void BM_BatchExtraction(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BatchExtraction)->Arg(4)->Arg(16)->Arg(48)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Fixed training-set fixture for the evaluate_mse micro-benchmarks: a
 /// paint-scale set (hundreds of samples) on a shell-sized network.

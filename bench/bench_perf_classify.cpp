@@ -76,7 +76,7 @@ void BM_ClassifyVolume(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ClassifyVolume)->Arg(16)->Arg(32)->Arg(48)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Scalar baseline: one Mlp forward per voxel (the pre-flat-engine path,
 /// kept as classify_scalar). The ratio against BM_ClassifyVolume is the
@@ -100,7 +100,7 @@ void BM_ClassifyVolumeScalar(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ClassifyVolumeScalar)->Arg(16)->Arg(32)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Shell-size ablation of the classification cost (Sec 6: fewer properties
 /// -> smaller network -> faster extraction).

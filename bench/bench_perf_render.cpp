@@ -102,7 +102,7 @@ void BM_RenderShadedWithIatfRecalc(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_RenderShadedWithIatfRecalc)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// The same frame without the per-frame IATF evaluation: the difference is
 /// the cost of the paper's "adaptive transfer function recalculated every
@@ -121,7 +121,7 @@ void BM_RenderShadedStaticTf(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_RenderShadedStaticTf)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Paper Sec 7 paragraph 3: the feature-tracking overlay pass (region-
 /// growing texture consulted per sample, tracked voxels drawn red).
@@ -141,7 +141,7 @@ void BM_RenderWithTrackingOverlay(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_RenderWithTrackingOverlay)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// IATF evaluation alone (the "sub-seconds per step" claim of Sec 5):
 /// synthesizing the 256-entry TF for a step whose cumulative histogram is

@@ -68,6 +68,9 @@ MultiClassClassifier::MultiClassClassifier(int num_classes, int num_steps,
       network_(),
       trainer_(network_, config.backprop, config.seed ^ 0x1357ULL) {
   IFET_REQUIRE(num_classes_ >= 2, "MultiClassClassifier: need >= 2 classes");
+  // label_volume stores the argmax as a uint8; more classes would wrap.
+  IFET_REQUIRE(num_classes_ <= 256,
+               "MultiClassClassifier: at most 256 classes");
   IFET_REQUIRE(num_steps_ > 0, "MultiClassClassifier: need steps");
   IFET_REQUIRE(value_hi_ > value_lo_,
                "MultiClassClassifier: degenerate value range");
@@ -92,6 +95,8 @@ void MultiClassClassifier::add_samples(
                  "MultiClassClassifier: painted voxel outside the volume");
     IFET_REQUIRE(sample.class_id >= 0 && sample.class_id < num_classes_,
                  "MultiClassClassifier: class id out of range");
+    IFET_REQUIRE(sample.step == step,
+                 "MultiClassClassifier: painted step does not match volume");
     std::vector<double> target(static_cast<std::size_t>(num_classes_), 0.0);
     target[static_cast<std::size_t>(sample.class_id)] = 1.0;
     training_set_.add(

@@ -131,6 +131,8 @@ MultivariateClassifier::MultivariateClassifier(
       network_(),
       trainer_(network_, config.backprop, config.seed ^ 0x2468ULL) {
   IFET_REQUIRE(num_steps_ > 0, "MultivariateClassifier: need steps");
+  IFET_REQUIRE(config_.spec.num_variables >= 1,
+               "MultivariateClassifier: need at least one variable");
   IFET_REQUIRE(static_cast<int>(ranges_.size()) ==
                    config_.spec.num_variables,
                "MultivariateClassifier: one range per variable required");
@@ -163,6 +165,8 @@ void MultivariateClassifier::add_samples(
   for (const PaintedVoxel& p : painted) {
     IFET_REQUIRE(variables.front()->dims().contains(p.voxel),
                  "MultivariateClassifier: painted voxel out of range");
+    IFET_REQUIRE(p.step == step,
+                 "MultivariateClassifier: painted step does not match volume");
     training_set_.add(assemble_multivariate_vector(config_.spec, ctx,
                                                    p.voxel.x, p.voxel.y,
                                                    p.voxel.z),

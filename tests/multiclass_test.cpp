@@ -47,6 +47,9 @@ TEST(MultiClass, ConstructionValidated) {
   EXPECT_THROW(MultiClassClassifier(1, 1, 0.0, 1.0), Error);
   EXPECT_THROW(MultiClassClassifier(3, 0, 0.0, 1.0), Error);
   EXPECT_THROW(MultiClassClassifier(3, 1, 1.0, 1.0), Error);
+  // Labels are stored as uint8: a 257th class would wrap.
+  EXPECT_THROW(MultiClassClassifier(257, 1, 0.0, 1.0), Error);
+  EXPECT_NO_THROW(MultiClassClassifier(256, 1, 0.0, 1.0, simple_config()));
   MultiClassClassifier clf(3, 1, 0.0, 1.0, simple_config());
   EXPECT_EQ(clf.num_classes(), 3);
 }
@@ -135,6 +138,7 @@ TEST(MultiClass, ValidatesSamples) {
   EXPECT_THROW(clf.add_samples(v, 5, {{Index3{0, 0, 0}, 5, 0}}), Error);
   EXPECT_THROW(clf.add_samples(v, 0, {{Index3{9, 0, 0}, 0, 0}}), Error);
   EXPECT_THROW(clf.add_samples(v, 0, {{Index3{0, 0, 0}, 0, 3}}), Error);
+  EXPECT_THROW(clf.add_samples(v, 0, {{Index3{0, 0, 0}, 1, 0}}), Error);
   EXPECT_THROW(clf.class_certainty(v, 0, 7), Error);
 }
 

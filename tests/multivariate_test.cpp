@@ -124,6 +124,10 @@ TEST(MultivariateClassifier, ValidatesInputs) {
   EXPECT_THROW(MultivariateClassifier(0, {{0.0, 1.0}, {0.0, 1.0}}), Error);
   EXPECT_THROW(MultivariateClassifier(1, {{0.0, 1.0}}), Error);  // 1 != 2
   EXPECT_THROW(MultivariateClassifier(1, {{0.0, 1.0}, {1.0, 1.0}}), Error);
+  // No variables: an empty range list must not pass as a match.
+  MultivariateConfig none;
+  none.spec.num_variables = 0;
+  EXPECT_THROW(MultivariateClassifier(1, {}, none), Error);
 
   TwoVarFixture fx;
   MultivariateClassifier clf(1, {{0.0, 1.0}, {0.0, 1.0}}, simple_config());
@@ -133,6 +137,10 @@ TEST(MultivariateClassifier, ValidatesInputs) {
   VolumeF misaligned(Dims{8, 8, 8});
   std::vector<const VolumeF*> mismatched{&fx.var1, &misaligned};
   EXPECT_THROW(clf.add_samples(mismatched, 0, {}), Error);
+  // The painted step must be the key frame's step.
+  EXPECT_THROW(
+      clf.add_samples(fx.variables(), 0, {{Index3{0, 0, 0}, 1, 1.0}}),
+      Error);
 }
 
 TEST(MultivariateClassifier, JointVorticityFuelOnRealJet) {
