@@ -54,7 +54,7 @@ int main() {
 
   FeatureVectorSpec spec;
   spec.use_time = false;
-  FeatureContext ctx{&volume, t, cfg.num_steps, 0.0, 1.0};
+  FeatureContext ctx{volume, {{0.0, 1.0}}, t, cfg.num_steps};
 
   // The shared painted training set.
   TrainingSet train;

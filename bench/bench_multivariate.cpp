@@ -13,7 +13,6 @@
 
 #include "bench_util.hpp"
 #include "core/dataspace.hpp"
-#include "core/multivariate.hpp"
 #include "flowsim/datasets.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
@@ -109,13 +108,16 @@ int main() {
   double f1_uni = report("learned, vorticity only",
                          univariate.classify_mask(vorticity, step, 0.5));
 
-  // (d) Multivariate learned classifier on both variables.
-  MultivariateConfig mcfg;
+  // (d) The same classifier over both variables (V = 2).
+  DataSpaceConfig mcfg;
+  mcfg.spec.variables = 2;
   mcfg.spec.use_position = false;
   mcfg.spec.use_time = false;
   mcfg.spec.shell_samples = 6;
-  MultivariateClassifier multivariate(cfg.num_steps,
-                                      {{vlo, vhi}, {0.0, 1.0}}, mcfg);
+  mcfg.hidden_units = 14;
+  mcfg.seed = 24680;
+  DataSpaceClassifier multivariate(cfg.num_steps, {{vlo, vhi}, {0.0, 1.0}},
+                                   mcfg);
   multivariate.add_samples(vars, step, painted);
   multivariate.train(400);
   double f1_multi =

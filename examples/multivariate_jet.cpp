@@ -8,7 +8,7 @@
 #include <filesystem>
 #include <iostream>
 
-#include "core/multivariate.hpp"
+#include "core/dataspace.hpp"
 #include "eval/metrics.hpp"
 #include "flowsim/datasets.hpp"
 #include "io/image_io.hpp"
@@ -61,12 +61,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  MultivariateConfig mcfg;
+  // One classifier over both variables: V = 2 aligned fields per step.
+  DataSpaceConfig mcfg;
+  mcfg.spec.variables = 2;
   mcfg.spec.use_position = false;
   mcfg.spec.use_time = false;
   mcfg.spec.shell_samples = 6;
-  MultivariateClassifier classifier(cfg.num_steps, {{vlo, vhi}, {0.0, 1.0}},
-                                    mcfg);
+  mcfg.hidden_units = 14;
+  mcfg.seed = 24680;
+  DataSpaceClassifier classifier(cfg.num_steps, {{vlo, vhi}, {0.0, 1.0}},
+                                 mcfg);
   classifier.add_samples(vars, step, painted);
   double mse = classifier.train(500);
   std::cout << "trained on " << classifier.training_samples()

@@ -7,77 +7,125 @@
 
 namespace ifet {
 
+namespace {
+
+// Row r of a whole-volume sweep is the x-row (j, k) = (r % d.y, r / d.y),
+// so visiting rows in order visits the volume's linear indices in order.
+struct VolumeRows {
+  int dy;
+  Index3 operator()(std::size_t r) const {
+    return {0, static_cast<int>(r % static_cast<std::size_t>(dy)),
+            static_cast<int>(r / static_cast<std::size_t>(dy))};
+  }
+};
+
+}  // namespace
+
 DataSpaceClassifier::DataSpaceClassifier(int num_steps, double value_lo,
                                          double value_hi,
                                          const DataSpaceConfig& config)
+    : DataSpaceClassifier(
+          num_steps,
+          std::vector<std::pair<double, double>>{{value_lo, value_hi}},
+          config) {}
+
+DataSpaceClassifier::DataSpaceClassifier(
+    int num_steps, std::vector<std::pair<double, double>> ranges,
+    const DataSpaceConfig& config)
     : config_(config),
       num_steps_(num_steps),
-      value_lo_(value_lo),
-      value_hi_(value_hi),
+      ranges_(std::move(ranges)),
       network_(),
       trainer_(network_, config.backprop, config.seed ^ 0xabcdULL) {
   IFET_REQUIRE(num_steps_ > 0, "DataSpaceClassifier: need at least one step");
-  IFET_REQUIRE(value_hi_ > value_lo_,
-               "DataSpaceClassifier: degenerate value range");
+  IFET_REQUIRE(config_.spec.variables >= 1,
+               "DataSpaceClassifier: need at least one variable");
+  IFET_REQUIRE(static_cast<int>(ranges_.size()) == config_.spec.variables,
+               "DataSpaceClassifier: need one value range per variable");
+  for (const auto& [lo, hi] : ranges_) {
+    IFET_REQUIRE(hi > lo, "DataSpaceClassifier: degenerate value range");
+  }
+  // label_volume stores the argmax as a uint8; more outputs would wrap.
+  IFET_REQUIRE(config_.outputs >= 1 && config_.outputs <= 256,
+               "DataSpaceClassifier: outputs must be in [1, 256]");
   Rng rng(config_.seed);
-  network_ = Mlp({config_.spec.width(), config_.hidden_units, 1}, rng);
+  network_ = Mlp({config_.spec.width(), config_.hidden_units, config_.outputs},
+                 rng);
 }
 
-FeatureContext DataSpaceClassifier::context_for(const VolumeF& volume,
+FeatureContext DataSpaceClassifier::context_for(const StepFields& fields,
                                                 int step) const {
-  FeatureContext ctx;
-  ctx.volume = &volume;
-  ctx.step = step;
-  ctx.num_steps = num_steps_;
-  ctx.value_lo = value_lo_;
-  ctx.value_hi = value_hi_;
+  FeatureContext ctx{fields, ranges_, step, num_steps_};
+  ctx.require_shape(config_.spec);
   return ctx;
 }
 
+std::vector<double> DataSpaceClassifier::target_of(
+    const PaintedVoxel& painted) const {
+  std::vector<double> target(static_cast<std::size_t>(config_.outputs), 0.0);
+  target[static_cast<std::size_t>(painted.class_id)] = painted.certainty;
+  return target;
+}
+
+void DataSpaceClassifier::require_univariate() const {
+  IFET_REQUIRE(config_.spec.variables == 1,
+               "DataSpaceClassifier: sequence overloads need V = 1");
+}
+
 void DataSpaceClassifier::add_samples_impl(
-    const VolumeF& volume, int step, const std::vector<PaintedVoxel>& painted,
+    const StepFields& fields, int step,
+    const std::vector<PaintedVoxel>& painted,
     const VolumeSequence* sequence) {
   IFET_REQUIRE(step >= 0 && step < num_steps_,
                "DataSpaceClassifier: step out of range");
-  FeatureContext ctx = context_for(volume, step);
+  const FeatureContext ctx = context_for(fields, step);
+  const Dims d = fields[0].dims();
   for (const PaintedVoxel& p : painted) {
-    IFET_REQUIRE(volume.dims().contains(p.voxel),
+    IFET_REQUIRE(d.contains(p.voxel),
                  "DataSpaceClassifier: painted voxel outside the volume");
     IFET_REQUIRE(p.step == step,
                  "DataSpaceClassifier: painted step does not match volume");
+    IFET_REQUIRE(p.class_id >= 0 && p.class_id < config_.outputs,
+                 "DataSpaceClassifier: class id out of range");
     RawSample raw;
     raw.painted = p;
     raw.input = assemble_feature_vector(config_.spec, ctx, p.voxel.x,
                                         p.voxel.y, p.voxel.z);
-    training_set_.add(raw.input, {p.certainty});
+    training_set_.add(raw.input, target_of(p));
     raw_samples_.push_back(std::move(raw));
   }
   // Keep the key frame for later re-assembly (one record per step).
-  bool seen = false;
   for (const auto& sv : sample_volumes_) {
-    if (sv.step == step) {
-      seen = true;
-      break;
-    }
+    if (sv.step == step) return;
   }
-  if (seen) return;
   StepVolume sv;
   sv.step = step;
   sv.sequence = sequence;
-  if (sequence == nullptr) sv.volume = volume;
+  if (sequence == nullptr) {
+    for (int v = 0; v < fields.size(); ++v) sv.fields.push_back(fields[v]);
+  }
   sample_volumes_.push_back(std::move(sv));
 }
 
 void DataSpaceClassifier::add_samples(
-    const VolumeF& volume, int step,
+    const StepFields& fields, int step,
     const std::vector<PaintedVoxel>& painted) {
-  add_samples_impl(volume, step, painted, nullptr);
+  add_samples_impl(fields, step, painted, nullptr);
 }
 
 void DataSpaceClassifier::add_samples(
     const VolumeSequence& sequence, int step,
     const std::vector<PaintedVoxel>& painted) {
+  require_univariate();
   add_samples_impl(sequence.step(step), step, painted, &sequence);
+}
+
+StepFields DataSpaceClassifier::StepVolume::get() const {
+  if (sequence != nullptr) return sequence->step(step);
+  std::vector<const VolumeF*> out;
+  out.reserve(fields.size());
+  for (const VolumeF& field : fields) out.push_back(&field);
+  return out;
 }
 
 void DataSpaceClassifier::rebuild_training_set() {
@@ -85,8 +133,7 @@ void DataSpaceClassifier::rebuild_training_set() {
   // Group by step so each key frame is fetched once even when it has to be
   // re-read through an out-of-core sequence.
   for (const auto& sv : sample_volumes_) {
-    const VolumeF& volume = sv.get();
-    FeatureContext ctx = context_for(volume, sv.step);
+    const FeatureContext ctx = context_for(sv.get(), sv.step);
     for (auto& raw : raw_samples_) {
       if (raw.painted.step != sv.step) continue;
       raw.input =
@@ -95,7 +142,7 @@ void DataSpaceClassifier::rebuild_training_set() {
     }
   }
   for (const auto& raw : raw_samples_) {
-    training_set_.add(raw.input, {raw.painted.certainty});
+    training_set_.add(raw.input, target_of(raw.painted));
   }
 }
 
@@ -126,73 +173,92 @@ double DataSpaceClassifier::train_for(double budget_ms) {
   return trainer_.run_for(training_set_, budget_ms);
 }
 
-double DataSpaceClassifier::classify_voxel(const VolumeF& volume, int step,
-                                           int i, int j, int k) const {
-  FeatureContext ctx = context_for(volume, step);
-  return network_.forward_scalar(
-      assemble_feature_vector(config_.spec, ctx, i, j, k));
+double DataSpaceClassifier::classify_voxel(const StepFields& fields, int step,
+                                           int i, int j, int k,
+                                           int output) const {
+  IFET_REQUIRE(output >= 0 && output < config_.outputs,
+               "DataSpaceClassifier: output out of range");
+  const auto scores = network_.forward(
+      assemble_feature_vector(config_.spec, context_for(fields, step), i, j, k));
+  return scores[static_cast<std::size_t>(output)];
 }
 
-VolumeF DataSpaceClassifier::classify(const VolumeF& volume, int step) const {
-  const Dims d = volume.dims();
-  VolumeF out(d);
-  const FeatureContext ctx = context_for(volume, step);
+template <typename RowStart, typename Emit>
+void DataSpaceClassifier::sweep(const FeatureContext& ctx, std::size_t rows,
+                                int row_len, Index3 col_step,
+                                RowStart row_start, Emit emit) const {
   const FeatureBlockAssembler assembler(config_.spec, ctx);
   const std::shared_ptr<const FlatMlp> flat = flat_cache_.get(network_);
   const int width = assembler.width();
-  parallel_for_ranges(
-      0, static_cast<std::size_t>(d.z), [&](std::size_t k0, std::size_t k1) {
-        // Per-worker batch buffers: allocated once per range and reused for
-        // every batch in it — zero heap traffic per voxel.
-        FlatMlp::Scratch scratch;
-        std::vector<Index3> coords(kClassifyBatchSize);
-        std::vector<double> features(
-            static_cast<std::size_t>(kClassifyBatchSize) * width);
-        std::vector<double> certainty(kClassifyBatchSize);
-        int pending = 0;
-        // The k,j,i sweep below visits consecutive linear indices (the
-        // volume is x-fastest), so each flush writes one contiguous span.
-        std::size_t flush_base = out.linear_index(0, 0, static_cast<int>(k0));
-        auto flush = [&] {
-          if (pending == 0) return;
-          // Column-major batch: assembler writes feature columns, the
-          // engine reads them in place — no per-tile transpose.
-          assembler.assemble_feature_cols(coords.data(), pending,
-                                          features.data(), kClassifyBatchSize);
-          flat->forward_batch_cols(features.data(), kClassifyBatchSize,
-                                   pending, certainty.data(), scratch);
-          for (int r = 0; r < pending; ++r) {
-            out[flush_base + static_cast<std::size_t>(r)] =
-                static_cast<float>(certainty[r]);
+  const int outputs = config_.outputs;
+  parallel_for_ranges(0, rows, [&](std::size_t r0, std::size_t r1) {
+    // Per-worker batch buffers: allocated once per range and reused for
+    // every batch in it — zero heap traffic per voxel.
+    FlatMlp::Scratch scratch;
+    std::vector<Index3> coords(kClassifyBatchSize);
+    std::vector<double> features(static_cast<std::size_t>(kClassifyBatchSize) *
+                                 width);
+    std::vector<double> scores(static_cast<std::size_t>(kClassifyBatchSize) *
+                               outputs);
+    int pending = 0;
+    // Rows are visited in order and voxels along each row, so each flush
+    // covers one contiguous span of output indices.
+    std::size_t flush_base = r0 * static_cast<std::size_t>(row_len);
+    auto flush = [&] {
+      if (pending == 0) return;
+      // Column-major batch: the assembler writes feature columns, the
+      // engine reads them in place — no per-tile transpose.
+      assembler.assemble_feature_cols(coords.data(), pending, features.data(),
+                                      kClassifyBatchSize);
+      flat->forward_batch_cols(features.data(), kClassifyBatchSize, pending,
+                               scores.data(), scratch);
+      emit(flush_base, pending, scores.data());
+      flush_base += static_cast<std::size_t>(pending);
+      pending = 0;
+    };
+    for (std::size_t r = r0; r < r1; ++r) {
+      const Index3 start = row_start(r);
+      for (int c = 0; c < row_len; ++c) {
+        coords[pending] = {start.x + c * col_step.x, start.y + c * col_step.y,
+                           start.z + c * col_step.z};
+        if (++pending == kClassifyBatchSize) flush();
+      }
+    }
+    flush();
+  });
+}
+
+VolumeF DataSpaceClassifier::classify(const StepFields& fields, int step,
+                                      int output) const {
+  IFET_REQUIRE(output >= 0 && output < config_.outputs,
+               "DataSpaceClassifier: output out of range");
+  const FeatureContext ctx = context_for(fields, step);
+  const Dims d = fields[0].dims();
+  VolumeF out(d);
+  const int outputs = config_.outputs;
+  sweep(ctx, static_cast<std::size_t>(d.y) * static_cast<std::size_t>(d.z),
+        d.x, Index3{1, 0, 0}, VolumeRows{d.y},
+        [&](std::size_t first, int count, const double* scores) {
+          for (int r = 0; r < count; ++r) {
+            out[first + static_cast<std::size_t>(r)] =
+                static_cast<float>(scores[r * outputs + output]);
           }
-          flush_base += static_cast<std::size_t>(pending);
-          pending = 0;
-        };
-        for (int k = static_cast<int>(k0); k < static_cast<int>(k1); ++k) {
-          for (int j = 0; j < d.y; ++j) {
-            for (int i = 0; i < d.x; ++i) {
-              coords[pending] = {i, j, k};
-              if (++pending == kClassifyBatchSize) flush();
-            }
-          }
-        }
-        flush();
-      });
+        });
   return out;
 }
 
-VolumeF DataSpaceClassifier::classify_scalar(const VolumeF& volume,
+VolumeF DataSpaceClassifier::classify_scalar(const StepFields& fields,
                                              int step) const {
-  const Dims d = volume.dims();
+  const FeatureContext ctx = context_for(fields, step);
+  const Dims d = fields[0].dims();
   VolumeF out(d);
-  FeatureContext ctx = context_for(volume, step);
   parallel_for(0, static_cast<std::size_t>(d.z), [&](std::size_t kz) {
     int k = static_cast<int>(kz);
     for (int j = 0; j < d.y; ++j) {
       for (int i = 0; i < d.x; ++i) {
         out[out.linear_index(i, j, k)] =
-            static_cast<float>(network_.forward_scalar(  // ifet-lint: allow(scalar-forward-in-hot-loop)
-                assemble_feature_vector(config_.spec, ctx, i, j, k)));
+            static_cast<float>(network_.forward(  // ifet-lint: allow(scalar-forward-in-hot-loop)
+                assemble_feature_vector(config_.spec, ctx, i, j, k))[0]);
       }
     }
   });
@@ -201,16 +267,17 @@ VolumeF DataSpaceClassifier::classify_scalar(const VolumeF& volume,
 
 VolumeF DataSpaceClassifier::classify(const VolumeSequence& sequence,
                                       int step) const {
+  require_univariate();
   // Overlap the next step's decode with this step's classification — the
   // common access pattern is a forward sweep over the sequence.
   sequence.prefetch_hint(step + 1);
   return classify(sequence.step(step), step);
 }
 
-Mask DataSpaceClassifier::classify_mask(const VolumeF& volume, int step,
+Mask DataSpaceClassifier::classify_mask(const StepFields& fields, int step,
                                         double cut) const {
-  VolumeF certainty = classify(volume, step);
-  Mask out(volume.dims());
+  VolumeF certainty = classify(fields, step);
+  Mask out(certainty.dims());
   for (std::size_t i = 0; i < certainty.size(); ++i) {
     out[i] = certainty[i] >= cut ? 1 : 0;
   }
@@ -219,16 +286,17 @@ Mask DataSpaceClassifier::classify_mask(const VolumeF& volume, int step,
 
 Mask DataSpaceClassifier::classify_mask(const VolumeSequence& sequence,
                                         int step, double cut) const {
+  require_univariate();
   sequence.prefetch_hint(step + 1);
   return classify_mask(sequence.step(step), step, cut);
 }
 
-std::vector<float> DataSpaceClassifier::classify_slice(const VolumeF& volume,
+std::vector<float> DataSpaceClassifier::classify_slice(const StepFields& fields,
                                                        int step, int axis,
                                                        int slice) const {
   IFET_REQUIRE(axis >= 0 && axis <= 2, "classify_slice: axis must be 0..2");
-  const Dims d = volume.dims();
-  const FeatureContext ctx = context_for(volume, step);
+  const FeatureContext ctx = context_for(fields, step);
+  const Dims d = fields[0].dims();
   int width = 0, height = 0, extent = 0;
   switch (axis) {
     case 0: width = d.y; height = d.z; extent = d.x; break;
@@ -241,61 +309,77 @@ std::vector<float> DataSpaceClassifier::classify_slice(const VolumeF& volume,
                "classify_slice: slice out of range");
   std::vector<float> out(static_cast<std::size_t>(width) *
                          static_cast<std::size_t>(height));
-  const FeatureBlockAssembler assembler(config_.spec, ctx);
-  const std::shared_ptr<const FlatMlp> flat = flat_cache_.get(network_);
-  const int feat_width = assembler.width();
-  parallel_for_ranges(
-      0, static_cast<std::size_t>(height),
-      [&](std::size_t row0, std::size_t row1) {
-        FlatMlp::Scratch scratch;
-        std::vector<Index3> coords(kClassifyBatchSize);
-        std::vector<double> features(
-            static_cast<std::size_t>(kClassifyBatchSize) * feat_width);
-        std::vector<double> certainty(kClassifyBatchSize);
-        int pending = 0;
-        // Row-major sweep over the slice image: consecutive output indices.
-        std::size_t flush_base = row0 * static_cast<std::size_t>(width);
-        auto flush = [&] {
-          if (pending == 0) return;
-          assembler.assemble_feature_cols(coords.data(), pending,
-                                          features.data(), kClassifyBatchSize);
-          flat->forward_batch_cols(features.data(), kClassifyBatchSize,
-                                   pending, certainty.data(), scratch);
-          for (int r = 0; r < pending; ++r) {
-            out[flush_base + static_cast<std::size_t>(r)] =
-                static_cast<float>(certainty[r]);
+  // Image row r, column c is voxel (slice, c, r) on axis 0, (c, slice, r)
+  // on axis 1 and (c, r, slice) on axis 2.
+  auto row_start = [axis, slice](std::size_t row) {
+    const int r = static_cast<int>(row);
+    switch (axis) {
+      case 0: return Index3{slice, 0, r};
+      case 1: return Index3{0, slice, r};
+      default: return Index3{0, r, slice};
+    }
+  };
+  const int outputs = config_.outputs;
+  sweep(ctx, static_cast<std::size_t>(height), width,
+        axis == 0 ? Index3{0, 1, 0} : Index3{1, 0, 0}, row_start,
+        [&](std::size_t first, int count, const double* scores) {
+          for (int r = 0; r < count; ++r) {
+            out[first + static_cast<std::size_t>(r)] =
+                static_cast<float>(scores[r * outputs]);
           }
-          flush_base += static_cast<std::size_t>(pending);
-          pending = 0;
-        };
-        for (std::size_t row = row0; row < row1; ++row) {
-          for (int col = 0; col < width; ++col) {
-            int i = 0, j = 0, k = 0;
-            switch (axis) {
-              case 0: i = slice; j = col; k = static_cast<int>(row); break;
-              case 1: i = col; j = slice; k = static_cast<int>(row); break;
-              default: i = col; j = static_cast<int>(row); k = slice; break;
-            }
-            coords[pending] = {i, j, k};
-            if (++pending == kClassifyBatchSize) flush();
-          }
-        }
-        flush();
-      });
+        });
   return out;
 }
 
 std::vector<float> DataSpaceClassifier::classify_slice(
     const VolumeSequence& sequence, int step, int axis, int slice) const {
+  require_univariate();
   return classify_slice(sequence.step(step), step, axis, slice);
+}
+
+Volume<std::uint8_t> DataSpaceClassifier::label_volume(
+    const StepFields& fields, int step) const {
+  IFET_REQUIRE(config_.outputs >= 2,
+               "DataSpaceClassifier::label_volume: needs K >= 2 outputs");
+  const FeatureContext ctx = context_for(fields, step);
+  const Dims d = fields[0].dims();
+  Volume<std::uint8_t> out(d);
+  const int outputs = config_.outputs;
+  sweep(ctx, static_cast<std::size_t>(d.y) * static_cast<std::size_t>(d.z),
+        d.x, Index3{1, 0, 0}, VolumeRows{d.y},
+        [&](std::size_t first, int count, const double* scores) {
+          for (int r = 0; r < count; ++r) {
+            const double* row = scores + static_cast<std::size_t>(r) * outputs;
+            // Strict > keeps the first of equal maxima.
+            int best = 0;
+            for (int c = 1; c < outputs; ++c) {
+              if (row[c] > row[best]) best = c;
+            }
+            out[first + static_cast<std::size_t>(r)] =
+                static_cast<std::uint8_t>(best);
+          }
+        });
+  return out;
+}
+
+Mask DataSpaceClassifier::class_mask(const StepFields& fields, int step,
+                                     int class_id) const {
+  IFET_REQUIRE(class_id >= 0 && class_id < config_.outputs,
+               "DataSpaceClassifier::class_mask: class id out of range");
+  const Volume<std::uint8_t> labels = label_volume(fields, step);
+  Mask out(labels.dims());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    out[i] = labels[i] == static_cast<std::uint8_t>(class_id) ? 1 : 0;
+  }
+  return out;
 }
 
 std::unique_ptr<DataSpaceClassifier> DataSpaceClassifier::with_spec(
     const FeatureVectorSpec& new_spec) const {
   DataSpaceConfig new_config = config_;
   new_config.spec = new_spec;
-  auto out = std::make_unique<DataSpaceClassifier>(num_steps_, value_lo_,
-                                                   value_hi_, new_config);
+  auto out =
+      std::make_unique<DataSpaceClassifier>(num_steps_, ranges_, new_config);
 
   // Build the old-index mapping for components both specs share, by name.
   auto old_names = config_.spec.component_names();

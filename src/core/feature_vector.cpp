@@ -10,21 +10,27 @@
 namespace ifet {
 
 int FeatureVectorSpec::width() const {
-  int n = 0;
-  if (use_value) ++n;
-  if (use_shell) n += shell_samples;
+  int per_variable = 0;
+  if (use_value) ++per_variable;
+  if (use_shell) per_variable += shell_samples;
+  if (use_gradient) ++per_variable;
+  int n = variables * per_variable;
   if (use_position) n += 3;
   if (use_time) ++n;
-  if (use_gradient) ++n;
   return n;
 }
 
 std::vector<std::string> FeatureVectorSpec::component_names() const {
+  auto prefix = [&](int v) {
+    return variables == 1 ? std::string() : "var" + std::to_string(v) + ".";
+  };
   std::vector<std::string> names;
-  if (use_value) names.push_back("value");
-  if (use_shell) {
-    for (int s = 0; s < shell_samples; ++s) {
-      names.push_back("shell" + std::to_string(s));
+  for (int v = 0; v < variables; ++v) {
+    if (use_value) names.push_back(prefix(v) + "value");
+    if (use_shell) {
+      for (int s = 0; s < shell_samples; ++s) {
+        names.push_back(prefix(v) + "shell" + std::to_string(s));
+      }
     }
   }
   if (use_position) {
@@ -33,9 +39,39 @@ std::vector<std::string> FeatureVectorSpec::component_names() const {
     names.push_back("pos_z");
   }
   if (use_time) names.push_back("time");
-  if (use_gradient) names.push_back("gradient");
+  if (use_gradient) {
+    for (int v = 0; v < variables; ++v) names.push_back(prefix(v) + "gradient");
+  }
   return names;
 }
+
+StepFields::StepFields(std::vector<const VolumeF*> fields)
+    : fields_(std::move(fields)) {
+  for (const VolumeF* field : fields_) {
+    IFET_REQUIRE(field != nullptr, "StepFields: null field");
+  }
+}
+
+Dims FeatureContext::require_shape(const FeatureVectorSpec& spec) const {
+  IFET_REQUIRE(spec.variables >= 1 && fields.size() == spec.variables,
+               "FeatureContext: need one field per variable");
+  IFET_REQUIRE(static_cast<int>(ranges.size()) == spec.variables,
+               "FeatureContext: need one value range per variable");
+  const Dims d = fields[0].dims();
+  for (int v = 1; v < fields.size(); ++v) {
+    IFET_REQUIRE(fields[v].dims() == d,
+                 "FeatureContext: variables must be aligned");
+  }
+  return d;
+}
+
+namespace {
+
+double span_of(const std::pair<double, double>& range) {
+  return std::max(1e-12, range.second - range.first);
+}
+
+}  // namespace
 
 std::vector<Vec3> shell_directions(int count) {
   static const std::vector<Vec3> kAll = [] {
@@ -93,27 +129,25 @@ std::vector<Vec3> shell_offsets(double radius, int count) {
 std::vector<double> assemble_feature_vector(const FeatureVectorSpec& spec,
                                             const FeatureContext& context,
                                             int i, int j, int k) {
-  IFET_REQUIRE(context.volume != nullptr,
-               "assemble_feature_vector: null volume");
-  const VolumeF& vol = *context.volume;
-  const double span = std::max(1e-12, context.value_hi - context.value_lo);
-  auto norm_value = [&](double v) {
-    return clamp((v - context.value_lo) / span, 0.0, 1.0);
-  };
-
+  const Dims d = context.require_shape(spec);
+  const auto offsets =
+      spec.use_shell ? shell_offsets(spec.shell_radius, spec.shell_samples)
+                     : std::vector<Vec3>{};
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(spec.width()));
-  if (spec.use_value) {
-    out.push_back(norm_value(vol.clamped(i, j, k)));
-  }
-  if (spec.use_shell) {
-    const auto offsets = shell_offsets(spec.shell_radius, spec.shell_samples);
-    for (const Vec3& off : offsets) {
-      out.push_back(norm_value(vol.sample(i + off.x, j + off.y, k + off.z)));
+  for (int v = 0; v < spec.variables; ++v) {
+    const VolumeF& field = context.fields[v];
+    const double lo = context.ranges[static_cast<std::size_t>(v)].first;
+    const double span = span_of(context.ranges[static_cast<std::size_t>(v)]);
+    auto norm = [&](double raw) { return clamp((raw - lo) / span, 0.0, 1.0); };
+    if (spec.use_value) out.push_back(norm(field.clamped(i, j, k)));
+    if (spec.use_shell) {
+      for (const Vec3& off : offsets) {
+        out.push_back(norm(field.sample(i + off.x, j + off.y, k + off.z)));
+      }
     }
   }
   if (spec.use_position) {
-    const Dims d = vol.dims();
     out.push_back(static_cast<double>(i) / std::max(1, d.x - 1));
     out.push_back(static_cast<double>(j) / std::max(1, d.y - 1));
     out.push_back(static_cast<double>(k) / std::max(1, d.z - 1));
@@ -124,17 +158,26 @@ std::vector<double> assemble_feature_vector(const FeatureVectorSpec& spec,
   }
   if (spec.use_gradient) {
     // Normalize by the value span; central differences are bounded by it.
-    out.push_back(clamp(gradient_at(vol, i, j, k).norm() / span, 0.0, 1.0));
+    for (int v = 0; v < spec.variables; ++v) {
+      const double span = span_of(context.ranges[static_cast<std::size_t>(v)]);
+      out.push_back(clamp(
+          gradient_at(context.fields[v], i, j, k).norm() / span, 0.0, 1.0));
+    }
   }
   return out;
 }
 
 FeatureBlockAssembler::FeatureBlockAssembler(const FeatureVectorSpec& spec,
                                              const FeatureContext& context)
-    : spec_(spec), context_(context), width_(spec.width()) {
-  IFET_REQUIRE(context_.volume != nullptr, "FeatureBlockAssembler: null volume");
-  span_ = std::max(1e-12, context_.value_hi - context_.value_lo);
-  const Dims d = context_.volume->dims();
+    : spec_(spec), width_(spec.width()) {
+  const Dims d = context.require_shape(spec_);
+  vars_.resize(static_cast<std::size_t>(spec_.variables));
+  for (int v = 0; v < spec_.variables; ++v) {
+    Variable& var = vars_[static_cast<std::size_t>(v)];
+    var.field = &context.fields[v];
+    var.lo = context.ranges[static_cast<std::size_t>(v)].first;
+    var.span = span_of(context.ranges[static_cast<std::size_t>(v)]);
+  }
   if (spec_.use_shell) {
     const auto offsets = shell_offsets(spec_.shell_radius, spec_.shell_samples);
     // Per-axis padding so every tap's floor corner and its +1 neighbour
@@ -168,13 +211,14 @@ FeatureBlockAssembler::FeatureBlockAssembler(const FeatureVectorSpec& spec,
     const int pz = d.z + plz + phz;
     pdx_ = px;
     pdxy_ = static_cast<std::ptrdiff_t>(px) * py;
-    padded_.resize(pdxy_ * static_cast<std::ptrdiff_t>(pz));
-    const VolumeF& vol = *context_.volume;
-    std::ptrdiff_t w = 0;
-    for (int c = 0; c < pz; ++c) {
-      for (int b = 0; b < py; ++b) {
-        for (int a = 0; a < px; ++a) {
-          padded_[w++] = vol.clamped(a - plx, b - ply, c - plz);
+    for (Variable& var : vars_) {
+      var.padded.resize(pdxy_ * static_cast<std::ptrdiff_t>(pz));
+      std::ptrdiff_t w = 0;
+      for (int c = 0; c < pz; ++c) {
+        for (int b = 0; b < py; ++b) {
+          for (int a = 0; a < px; ++a) {
+            var.padded[w++] = var.field->clamped(a - plx, b - ply, c - plz);
+          }
         }
       }
     }
@@ -191,60 +235,8 @@ FeatureBlockAssembler::FeatureBlockAssembler(const FeatureVectorSpec& spec,
   den_x_ = static_cast<double>(std::max(1, d.x - 1));
   den_y_ = static_cast<double>(std::max(1, d.y - 1));
   den_z_ = static_cast<double>(std::max(1, d.z - 1));
-  time_value_ = static_cast<double>(context_.step) /
-                std::max(1, context_.num_steps - 1);
-}
-
-void FeatureBlockAssembler::assemble_feature_block(const Index3* voxels,
-                                                   int count,
-                                                   double* out) const {
-  IFET_REQUIRE(count == 0 || (voxels != nullptr && out != nullptr),
-               "assemble_feature_block: null block buffer");
-  const VolumeF& vol = *context_.volume;
-  const double lo = context_.value_lo;
-  const double span = span_;
-  const float* pad = padded_.data();
-  const std::ptrdiff_t pdx = pdx_;
-  const std::ptrdiff_t pdxy = pdxy_;
-  for (int v = 0; v < count; ++v) {
-    const int i = voxels[v].x;
-    const int j = voxels[v].y;
-    const int k = voxels[v].z;
-    double* row = out + static_cast<std::size_t>(v) * width_;
-    if (spec_.use_value) {
-      *row++ = clamp((vol.clamped(i, j, k) - lo) / span, 0.0, 1.0);
-    }
-    if (spec_.use_shell) {
-      // Clamp-free trilinear taps on the padded grid: the same lerp chain
-      // as Volume::sample with the per-direction constant weights.
-      const std::ptrdiff_t vbase = i + pdx * j + pdxy * k;
-      for (const ShellTap& tap : taps_) {
-        const float* c = pad + vbase + tap.base;
-        const double c000 = c[0], c100 = c[1];
-        const double c010 = c[pdx], c110 = c[pdx + 1];
-        const double c001 = c[pdxy], c101 = c[pdxy + 1];
-        const double c011 = c[pdxy + pdx], c111 = c[pdxy + pdx + 1];
-        const double c00 = lerp(c000, c100, tap.fx);
-        const double c10 = lerp(c010, c110, tap.fx);
-        const double c01 = lerp(c001, c101, tap.fx);
-        const double c11 = lerp(c011, c111, tap.fx);
-        const double s =
-            lerp(lerp(c00, c10, tap.fy), lerp(c01, c11, tap.fy), tap.fz);
-        *row++ = clamp((s - lo) / span, 0.0, 1.0);
-      }
-    }
-    if (spec_.use_position) {
-      *row++ = static_cast<double>(i) / den_x_;
-      *row++ = static_cast<double>(j) / den_y_;
-      *row++ = static_cast<double>(k) / den_z_;
-    }
-    if (spec_.use_time) {
-      *row++ = time_value_;
-    }
-    if (spec_.use_gradient) {
-      *row++ = clamp(gradient_at(vol, i, j, k).norm() / span, 0.0, 1.0);
-    }
-  }
+  time_value_ = static_cast<double>(context.step) /
+                std::max(1, context.num_steps - 1);
 }
 
 void FeatureBlockAssembler::assemble_feature_cols(const Index3* voxels,
@@ -253,45 +245,27 @@ void FeatureBlockAssembler::assemble_feature_cols(const Index3* voxels,
   IFET_REQUIRE(count == 0 || (voxels != nullptr && out != nullptr),
                "assemble_feature_cols: null block buffer");
   IFET_REQUIRE(ld >= count, "assemble_feature_cols: ld shorter than batch");
-  const VolumeF& vol = *context_.volume;
-  const double lo = context_.value_lo;
-  const double span = span_;
-  const float* pad = padded_.data();
   const std::ptrdiff_t pdx = pdx_;
   const std::ptrdiff_t pdxy = pdxy_;
   // Chunk so the hoisted per-voxel base offsets live on the stack; within
   // a chunk every column write is one tight loop over voxels.
   constexpr int kChunk = 256;
   std::ptrdiff_t vb[kChunk];
+  int run_start[kChunk];
+  int run_len[kChunk];
   for (int v0 = 0; v0 < count; v0 += kChunk) {
     const int n = std::min(kChunk, count - v0);
     const Index3* vx = voxels + v0;
+    int nruns = 0;
     if (spec_.use_shell) {
       for (int v = 0; v < n; ++v) {
         vb[v] = vx[v].x + pdx * vx[v].y + pdxy * vx[v].z;
       }
-    }
-    int comp = 0;
-    auto col_at = [&](int c) {
-      return out + static_cast<std::size_t>(c) * ld + v0;
-    };
-    if (spec_.use_value) {
-      double* col = col_at(comp++);
-      for (int v = 0; v < n; ++v) {
-        col[v] =
-            clamp((vol.clamped(vx[v].x, vx[v].y, vx[v].z) - lo) / span, 0.0,
-                  1.0);
-      }
-    }
-    if (spec_.use_shell) {
       // The classify sweeps feed x-fastest voxel lists, so a chunk is a
       // handful of maximal unit-stride runs (whole x-rows). Splitting the
       // chunk into those runs turns every tap's eight corner loads into
       // contiguous float loads (c[u], c[u+1], c[u+pdx], ...), which the
       // vectorizer handles — the indirect vb[v] gather it cannot.
-      int run_start[kChunk];
-      int run_len[kChunk];
-      int nruns = 0;
       for (int v = 0; v < n;) {
         const int s = v++;
         while (v < n && vb[v] == vb[v - 1] + 1) ++v;
@@ -299,9 +273,27 @@ void FeatureBlockAssembler::assemble_feature_cols(const Index3* voxels,
         run_len[nruns] = v - s;
         ++nruns;
       }
+    }
+    int comp = 0;
+    auto col_at = [&](int c) {
+      return out + static_cast<std::size_t>(c) * ld + v0;
+    };
+    for (const Variable& var : vars_) {
+      const VolumeF& field = *var.field;
+      const double lo = var.lo;
+      const double span = var.span;
+      if (spec_.use_value) {
+        double* col = col_at(comp++);
+        for (int v = 0; v < n; ++v) {
+          col[v] = clamp((field.clamped(vx[v].x, vx[v].y, vx[v].z) - lo) / span,
+                         0.0, 1.0);
+        }
+      }
+      if (!spec_.use_shell) continue;
       // Direction-outer: one tap's constant base offset and trilinear
       // weights stay in registers while the loop streams voxels. Same
-      // arithmetic per (voxel, tap) as assemble_feature_block.
+      // arithmetic per (voxel, tap) as the lerp chain of Volume::sample.
+      const float* pad = var.padded.data();
       for (const ShellTap& tap : taps_) {
         double* col = col_at(comp++);
         const std::ptrdiff_t tb = tap.base;
@@ -341,11 +333,14 @@ void FeatureBlockAssembler::assemble_feature_cols(const Index3* voxels,
       for (int v = 0; v < n; ++v) col[v] = time_value_;
     }
     if (spec_.use_gradient) {
-      double* col = col_at(comp++);
-      for (int v = 0; v < n; ++v) {
-        col[v] = clamp(
-            gradient_at(vol, vx[v].x, vx[v].y, vx[v].z).norm() / span, 0.0,
-            1.0);
+      for (const Variable& var : vars_) {
+        double* col = col_at(comp++);
+        for (int v = 0; v < n; ++v) {
+          col[v] = clamp(
+              gradient_at(*var.field, vx[v].x, vx[v].y, vx[v].z).norm() /
+                  var.span,
+              0.0, 1.0);
+        }
       }
     }
   }

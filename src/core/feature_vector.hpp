@@ -11,9 +11,19 @@
 // FeatureVectorSpec makes every component optional so the user can drop
 // properties they judge unimportant (Sec 6); the classifier then shrinks
 // its network while transferring the surviving weights.
+//
+// A step may carry several aligned variables (Sec 8: "the system can take
+// multivariate data as input"). The vector then repeats the per-variable
+// components for each of the V variables:
+//
+//   [value, shell...] x V, position, time, gradient x V
+//
+// which for V = 1 is the classic [value, shell..., position, time,
+// gradient] layout.
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "volume/volume.hpp"
@@ -21,11 +31,12 @@
 namespace ifet {
 
 struct FeatureVectorSpec {
-  bool use_value = true;       ///< The voxel's own scalar value.
-  bool use_shell = true;       ///< Shell of neighborhood samples.
-  bool use_position = true;    ///< Normalized (x, y, z).
-  bool use_time = true;        ///< Normalized time step.
-  bool use_gradient = false;   ///< Gradient magnitude (optional extra).
+  int variables = 1;           ///< Aligned scalar fields per step (V).
+  bool use_value = true;       ///< Each variable's own scalar value.
+  bool use_shell = true;       ///< Each variable's shell of neighbor samples.
+  bool use_position = true;    ///< Normalized (x, y, z), shared.
+  bool use_time = true;        ///< Normalized time step, shared.
+  bool use_gradient = false;   ///< Each variable's gradient magnitude.
   double shell_radius = 3.0;   ///< Shell distance in voxels.
   int shell_samples = 14;      ///< 6 axis + 8 diagonal directions by default.
 
@@ -33,18 +44,40 @@ struct FeatureVectorSpec {
   int width() const;
 
   /// Human-readable component names, index-aligned with assemble()'s output
-  /// (used by the session UI when the user toggles properties).
+  /// (used by the session UI when the user toggles properties). With V >= 2
+  /// the per-variable names carry a "var<v>." prefix.
   std::vector<std::string> component_names() const;
 };
 
-/// Context needed to assemble a vector: the step's volume, its index, the
-/// sequence length (for time normalization) and the global value range.
+/// The aligned scalar fields of one time step, one per variable. A single
+/// volume converts implicitly, so univariate callers pass a VolumeF where a
+/// StepFields is expected. Borrows the volumes.
+class StepFields {
+ public:
+  StepFields(const VolumeF& field) : fields_{&field} {}
+  StepFields(std::vector<const VolumeF*> fields);  ///< Throws on a null.
+
+  int size() const { return static_cast<int>(fields_.size()); }
+  const VolumeF& operator[](int v) const {
+    return *fields_[static_cast<std::size_t>(v)];
+  }
+
+ private:
+  std::vector<const VolumeF*> fields_;
+};
+
+/// Context needed to assemble a vector: the step's fields and their global
+/// value ranges (one lo/hi per variable), the step index and the sequence
+/// length (for time normalization).
 struct FeatureContext {
-  const VolumeF* volume = nullptr;
+  StepFields fields;
+  std::vector<std::pair<double, double>> ranges;
   int step = 0;
   int num_steps = 1;
-  double value_lo = 0.0;
-  double value_hi = 1.0;
+
+  /// Throws unless there are spec.variables non-null fields of one shape
+  /// and as many ranges; returns that shape.
+  Dims require_shape(const FeatureVectorSpec& spec) const;
 };
 
 /// Assemble the (already normalized to ~[0,1]) feature vector of voxel
@@ -71,25 +104,24 @@ std::vector<Vec3> shell_offsets(double radius, int count);
 /// Batched feature assembly for the flat inference engine.
 ///
 /// Construction hoists everything assemble_feature_vector recomputes per
-/// voxel out of the voxel loop: the value span, position denominators and
-/// normalized time, and — for the shell — the per-direction interpolation
-/// weights plus an edge-replicated padded copy of the volume. Because the
-/// quantized shell_offsets() make `voxel + offset` exact, each direction's
-/// trilinear weights are voxel-independent constants and every sample
-/// reduces to eight direct loads from the padded grid and the same lerp
-/// chain Volume::sample runs — no coordinate clamping, flooring, or bounds
-/// logic left per voxel. assemble_feature_block then writes feature rows
-/// straight into the caller's batch matrix with no per-voxel allocations.
+/// voxel out of the voxel loop: each variable's value span, the position
+/// denominators and normalized time, and — for the shell — the
+/// per-direction interpolation weights plus one edge-replicated padded copy
+/// of each variable's field. Because the quantized shell_offsets() make
+/// `voxel + offset` exact, each direction's trilinear weights are
+/// voxel-independent constants and every sample reduces to eight direct
+/// loads from a padded grid and the same lerp chain Volume::sample runs —
+/// no coordinate clamping, flooring, or bounds logic left per voxel.
 ///
-/// Numerical contract: each written row is bitwise identical to
+/// Numerical contract: every assembled vector is bitwise identical to
 /// assemble_feature_vector(spec, context, v.x, v.y, v.z) for the same
 /// voxel. Out-of-range samples hit edge-replicated padding, where both
 /// trilinear operands are equal and lerp(a, a, t) == a exactly — the same
 /// value the scalar path's clamp-to-edge produces.
 ///
-/// The assembler borrows `context.volume`; it must outlive the assembler.
-/// Safe to share across threads (assemble_feature_block is const and
-/// touches no mutable state).
+/// The assembler borrows the context's fields; they must outlive it. Safe
+/// to share across threads (assemble_feature_cols is const and touches no
+/// mutable state).
 class FeatureBlockAssembler {
  public:
   FeatureBlockAssembler(const FeatureVectorSpec& spec,
@@ -97,37 +129,36 @@ class FeatureBlockAssembler {
 
   int width() const { return width_; }
 
-  /// Assemble `count` voxels into `out`, a count x width() row-major
-  /// block (the inference batch matrix).
-  void assemble_feature_block(const Index3* voxels, int count,
-                              double* out) const;
-
-  /// Column-major variant for FlatMlp::forward_batch_cols: component c of
-  /// voxel v lands at out[c*ld + v] (ld >= count). Shell directions become
-  /// the OUTER loop, so each inner loop runs one fixed tap across many
-  /// voxels — constant weights in registers, contiguous stores — and the
-  /// inference engine consumes the columns without a transpose. Values are
-  /// bitwise identical to assemble_feature_block's (same expressions, just
-  /// reordered across independent voxels).
+  /// Assemble `count` voxels column-major for FlatMlp::forward_batch_cols:
+  /// component c of voxel v lands at out[c*ld + v] (ld >= count). Shell
+  /// directions are the OUTER loop, so each inner loop runs one fixed tap
+  /// across many voxels — constant weights in registers, contiguous
+  /// stores — and the inference engine consumes the columns without a
+  /// transpose.
   void assemble_feature_cols(const Index3* voxels, int count, double* out,
                              int ld) const;
 
  private:
   /// One shell direction, resolved against the padded grid: the linear
   /// offset of its (floor) corner for voxel (0,0,0) plus the constant
-  /// trilinear weights.
+  /// trilinear weights. The grid geometry is shared by every variable.
   struct ShellTap {
     std::ptrdiff_t base = 0;
     double fx = 0.0, fy = 0.0, fz = 0.0;
   };
 
+  /// Per-variable hoisted state.
+  struct Variable {
+    const VolumeF* field = nullptr;
+    double lo = 0.0, span = 1.0;
+    std::vector<float> padded;  ///< edge-replicated field copy (shell only)
+  };
+
   FeatureVectorSpec spec_;
-  FeatureContext context_;
+  std::vector<Variable> vars_;
   std::vector<ShellTap> taps_;    ///< hoisted per-direction sample plan
-  std::vector<float> padded_;     ///< edge-replicated volume copy
   std::ptrdiff_t pdx_ = 0, pdxy_ = 0;  ///< padded row/slab strides
   int width_ = 0;
-  double span_ = 1.0;
   double den_x_ = 1.0, den_y_ = 1.0, den_z_ = 1.0;
   double time_value_ = 0.0;
 };

@@ -120,8 +120,8 @@ class CombustionJetSource final : public LabeledSource {
   /// The simulation's second variable: the advected fuel (mixture
   /// fraction) field of a snapshot, in [0, 1]. The paper's DNS data is
   /// multivariate; the reacting mixing layer is where fuel meets strong
-  /// vorticity — a joint condition only a multivariate classifier can
-  /// express (see core/multivariate.hpp).
+  /// vorticity — a joint condition only a classifier over both variables
+  /// can express (FeatureVectorSpec::variables, core/feature_vector.hpp).
   const VolumeF& fuel_snapshot(int step) const;
 
  private:

@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "core/dataspace.hpp"
-#include "core/multiclass.hpp"
-#include "core/multivariate.hpp"
 #include "test_helpers.hpp"
 #include "util/determinism.hpp"
 
@@ -73,15 +71,17 @@ TEST(ClassifierDigest, BinaryTrained) {
 TEST(ClassifierDigest, ThreeClassUntrained) {
   const Dims d{9, 10, 11};
   const VolumeF v = testing::random_volume(d, 33);
-  MultiClassConfig cfg;
+  DataSpaceConfig cfg;
   cfg.spec.shell_samples = 6;
+  cfg.hidden_units = 14;
   cfg.seed = 7;  // an initialisation whose argmax is not one class everywhere
-  MultiClassClassifier clf(3, 2, 0.0, 1.0, cfg);
+  cfg.outputs = 3;
+  DataSpaceClassifier clf(2, 0.0, 1.0, cfg);
 
   const std::uint64_t expected[3] = {
       0xf7e59a0cc29fb4f0ull, 0x5bf23cae3daac484ull, 0xa8314e9220cb74ffull};
   for (int c = 0; c < 3; ++c) {
-    EXPECT_EQ(digest(clf.class_certainty(v, 1, c)), expected[c])
+    EXPECT_EQ(digest(clf.classify(v, 1, c)), expected[c])
         << "class " << c;
   }
   const Volume<std::uint8_t> labels = clf.label_volume(v, 1);
@@ -99,9 +99,12 @@ TEST(ClassifierDigest, TwoVariableUntrained) {
   const VolumeF a = testing::random_volume(d, 41);
   const VolumeF b = testing::random_volume(d, 42, -1.0, 2.0);
   const std::vector<const VolumeF*> vars{&a, &b};
-  MultivariateConfig cfg;
-  cfg.spec.num_variables = 2;
-  MultivariateClassifier clf(4, {{0.0, 1.0}, {-1.0, 2.0}}, cfg);
+  DataSpaceConfig cfg;
+  cfg.spec.variables = 2;
+  cfg.spec.shell_samples = 6;
+  cfg.hidden_units = 14;
+  cfg.seed = 24680;
+  DataSpaceClassifier clf(4, {{0.0, 1.0}, {-1.0, 2.0}}, cfg);
 
   EXPECT_EQ(digest(clf.classify(vars, 2)), 0x9d734cbeef27ae68ull);
 }

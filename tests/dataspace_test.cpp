@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <string>
+
 #include "core/dataspace.hpp"
 #include "core/feature_vector.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "volume/components.hpp"
+#include "volume/sequence.hpp"
 
 namespace ifet {
 namespace {
@@ -32,6 +37,15 @@ TEST(FeatureVectorSpec, ComponentNamesAlignWithWidth) {
   EXPECT_EQ(static_cast<int>(names.size()), spec.width());
   EXPECT_EQ(names.front(), "value");
   EXPECT_EQ(names.back(), "time");
+
+  // Two variables: per-variable names carry a prefix, so every name is
+  // unique and with_spec can map them.
+  spec.variables = 2;
+  spec.use_gradient = true;
+  names = spec.component_names();
+  EXPECT_EQ(static_cast<int>(names.size()), spec.width());
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+            names.size());
 }
 
 TEST(ShellDirections, UnitLengthAndDistinct) {
@@ -51,7 +65,7 @@ TEST(ShellDirections, UnitLengthAndDistinct) {
 
 TEST(AssembleFeatureVector, ValuesNormalizedToUnit) {
   VolumeF v = testing::random_volume(Dims{12, 12, 12}, 5, 0.0, 10.0);
-  FeatureContext ctx{&v, 3, 10, 0.0, 10.0};
+  FeatureContext ctx{v, {{0.0, 10.0}}, 3, 10};
   FeatureVectorSpec spec;
   spec.use_gradient = true;
   auto fv = assemble_feature_vector(spec, ctx, 6, 6, 6);
@@ -67,7 +81,7 @@ TEST(AssembleFeatureVector, ShellSeesNeighborhoodNotCenter) {
   // every shell sample (at radius 3) is low.
   VolumeF v(Dims{16, 16, 16}, 0.0f);
   v.at(8, 8, 8) = 1.0f;
-  FeatureContext ctx{&v, 0, 1, 0.0, 1.0};
+  FeatureContext ctx{v, {{0.0, 1.0}}, 0, 1};
   FeatureVectorSpec spec;
   spec.use_position = false;
   spec.use_time = false;
@@ -84,7 +98,7 @@ TEST(AssembleFeatureVector, TimeComponentNormalized) {
   FeatureVectorSpec spec;
   spec.use_shell = false;
   spec.use_position = false;
-  FeatureContext ctx{&v, 5, 11, 0.0, 1.0};
+  FeatureContext ctx{v, {{0.0, 1.0}}, 5, 11};
   auto fv = assemble_feature_vector(spec, ctx, 0, 0, 0);
   ASSERT_EQ(fv.size(), 2u);  // value + time
   EXPECT_DOUBLE_EQ(fv[1], 0.5);
@@ -235,6 +249,74 @@ TEST(DataSpaceClassifier, ValidatesInputs) {
   EXPECT_THROW(clf.add_samples(v, 0, {{Index3{0, 0, 0}, 1, 1.0}}), Error);
   EXPECT_THROW(DataSpaceClassifier(0, 0.0, 1.0), Error);
   EXPECT_THROW(DataSpaceClassifier(3, 1.0, 1.0), Error);
+}
+
+// Validation of every (variables V, outputs K) shape.
+struct Shape {
+  int variables;
+  int outputs;
+};
+
+std::unique_ptr<DataSpaceClassifier> make_classifier(Shape shape) {
+  DataSpaceConfig cfg;
+  cfg.spec.variables = shape.variables;
+  cfg.outputs = shape.outputs;
+  return std::make_unique<DataSpaceClassifier>(
+      3, std::vector<std::pair<double, double>>(shape.variables, {0.0, 1.0}),
+      cfg);
+}
+
+TEST(DataSpaceClassifier, ValidatesPaintedSamplesForEveryShape) {
+  const Dims d{8, 8, 8};
+  const VolumeF a = testing::random_volume(d, 1);
+  const VolumeF b = testing::random_volume(d, 2);
+  for (Shape shape : {Shape{1, 1}, Shape{1, 3}, Shape{2, 1}}) {
+    auto clf = make_classifier(shape);
+    std::vector<const VolumeF*> fields{&a, &b};
+    fields.resize(static_cast<std::size_t>(shape.variables));
+    const int k = shape.outputs;
+    // class_id must be below K.
+    EXPECT_THROW(clf->add_samples(fields, 1, {{Index3{0, 0, 0}, 1, 1.0, k}}),
+                 Error);
+    EXPECT_THROW(clf->add_samples(fields, 1, {{Index3{0, 0, 0}, 1, 1.0, -1}}),
+                 Error);
+    // The painted step must be the key frame's step.
+    EXPECT_THROW(
+        clf->add_samples(fields, 1, {{Index3{0, 0, 0}, 2, 1.0, k - 1}}),
+        Error);
+    EXPECT_NO_THROW(
+        clf->add_samples(fields, 1, {{Index3{0, 0, 0}, 1, 1.0, k - 1}}));
+    EXPECT_EQ(clf->training_samples(), 1u);
+  }
+}
+
+TEST(DataSpaceClassifier, SequenceOverloadsNeedOneVariable) {
+  const Dims d{6, 6, 6};
+  auto source = std::make_shared<CallbackSource>(
+      d, 3, std::pair<double, double>{0.0, 1.0},
+      [d](int step) { return testing::random_volume(d, 10 + step); });
+  CachedSequence seq(source, 3);
+  auto clf = make_classifier({2, 1});
+  EXPECT_THROW(clf->add_samples(seq, 0, {{Index3{0, 0, 0}, 0, 1.0}}), Error);
+  EXPECT_THROW(clf->classify(seq, 0), Error);
+  EXPECT_THROW(clf->classify_mask(seq, 0), Error);
+  EXPECT_THROW(clf->classify_slice(seq, 0, 2, 0), Error);
+  // The univariate classifier takes the same sequence.
+  auto uni = make_classifier({1, 1});
+  uni->add_samples(seq, 0, {{Index3{0, 0, 0}, 0, 1.0}});
+  EXPECT_EQ(uni->classify(seq, 0).dims(), d);
+}
+
+TEST(DataSpaceClassifier, LabelsNeedSeveralOutputs) {
+  const VolumeF v = testing::random_volume(Dims{6, 6, 6}, 3);
+  auto binary = make_classifier({1, 1});
+  EXPECT_THROW(binary->label_volume(v, 0), Error);
+  EXPECT_THROW(binary->class_mask(v, 0, 0), Error);
+  auto three = make_classifier({1, 3});
+  EXPECT_EQ(three->label_volume(v, 0).dims(), v.dims());
+  EXPECT_THROW(three->class_mask(v, 0, 3), Error);
+  EXPECT_THROW(three->classify(v, 0, 3), Error);
+  EXPECT_THROW(three->classify_voxel(v, 0, 1, 1, 1, -1), Error);
 }
 
 TEST(DataSpaceClassifier, DeriveShellRadiusRebuildsSamples) {

@@ -4,22 +4,24 @@
 //  * FlatMlpCache rebuilds exactly when Mlp::params_hash changes;
 //  * a save/load round-trip of the source Mlp reproduces an identical
 //    flat engine;
-//  * every ported consumer (dataspace, multiclass, multivariate, IATF)
-//    matches its scalar reference path exactly;
+//  * the column assembler matches assemble_feature_vector, and the voxel
+//    classifier in every (variables V, outputs K) shape and the IATF match
+//    their scalar reference paths exactly;
 //  * steady-state inference performs zero heap allocations (shared
 //    AllocGuard interposer, util/alloc_guard.hpp).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dataspace.hpp"
 #include "core/feature_vector.hpp"
 #include "core/iatf.hpp"
-#include "core/multiclass.hpp"
-#include "core/multivariate.hpp"
 #include "flowsim/datasets.hpp"
 #include "nn/flat_mlp.hpp"
 #include "nn/mlp.hpp"
@@ -240,45 +242,59 @@ TEST(FlatMlp, SaveLoadRoundTripReproducesIdenticalEngine) {
 // Consumer parity: every ported per-voxel pass against its scalar reference.
 
 std::vector<PaintedVoxel> paint_box(Index3 lo, Index3 hi, int step,
-                                    double certainty) {
+                                    double certainty, int class_id = 0) {
   std::vector<PaintedVoxel> out;
   for (int k = lo.z; k <= hi.z; ++k) {
     for (int j = lo.y; j <= hi.y; ++j) {
       for (int i = lo.x; i <= hi.x; ++i) {
-        out.push_back(PaintedVoxel{Index3{i, j, k}, step, certainty});
+        out.push_back(PaintedVoxel{Index3{i, j, k}, step, certainty, class_id});
       }
     }
   }
   return out;
 }
 
-TEST(ConsumerParity, AssembleColsMatchesRowBlockBitwise) {
+TEST(ConsumerParity, AssembleColsMatchesFeatureVectorBitwise) {
   const Dims d{13, 11, 9};
-  VolumeF v = testing::random_volume(d, 37);
-  FeatureVectorSpec spec;  // defaults: value + 14-shell + position + time
-  spec.use_gradient = true;
-  FeatureContext ctx{&v, 2, 5, 0.0, 1.0};
-  const FeatureBlockAssembler assembler(spec, ctx);
-  const int w = assembler.width();
-
-  // Voxel list with heavy border coverage (every corner/edge region).
+  const VolumeF a = testing::random_volume(d, 37);
+  const VolumeF b = testing::random_volume(d, 38, -2.0, 3.0);
+  // Voxel list with heavy border coverage (every corner/edge region), in
+  // unit-stride runs on even slabs and strided singletons on odd ones.
   std::vector<Index3> voxels;
   for (int k = 0; k < d.z; ++k) {
     for (int j = 0; j < d.y; j += 2) {
-      for (int i = 0; i < d.x; i += 3) voxels.push_back({i, j, k});
+      for (int i = 0; i < d.x; i += (k % 2 == 0 ? 1 : 3)) {
+        voxels.push_back({i, j, k});
+      }
     }
   }
   const int n = static_cast<int>(voxels.size());
   const int ld = n + 5;
-  std::vector<double> rows(static_cast<std::size_t>(n) * w);
-  std::vector<double> cols(static_cast<std::size_t>(ld) * w, -1.0);
-  assembler.assemble_feature_block(voxels.data(), n, rows.data());
-  assembler.assemble_feature_cols(voxels.data(), n, cols.data(), ld);
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < w; ++c) {
-      ASSERT_EQ(cols[static_cast<std::size_t>(c) * ld + r],
-                rows[static_cast<std::size_t>(r) * w + c])
-          << "voxel " << r << " component " << c;
+  for (int variables : {1, 2}) {
+    FeatureVectorSpec spec;  // defaults: value + 14-shell + position + time
+    spec.variables = variables;
+    spec.use_gradient = true;
+    std::vector<const VolumeF*> fields{&a, &b};
+    // The second range is narrower than b's values: clamping is exercised.
+    std::vector<std::pair<double, double>> ranges{{0.0, 1.0}, {-1.0, 2.0}};
+    fields.resize(static_cast<std::size_t>(variables));
+    ranges.resize(static_cast<std::size_t>(variables));
+    const FeatureContext ctx{fields, ranges, 2, 5};
+    const FeatureBlockAssembler assembler(spec, ctx);
+    const int w = assembler.width();
+    ASSERT_EQ(w, spec.width());
+
+    std::vector<double> cols(static_cast<std::size_t>(ld) * w, -1.0);
+    assembler.assemble_feature_cols(voxels.data(), n, cols.data(), ld);
+    for (int r = 0; r < n; ++r) {
+      const Index3 p = voxels[static_cast<std::size_t>(r)];
+      const auto ref = assemble_feature_vector(spec, ctx, p.x, p.y, p.z);
+      ASSERT_EQ(static_cast<int>(ref.size()), w);
+      for (int c = 0; c < w; ++c) {
+        ASSERT_EQ(cols[static_cast<std::size_t>(c) * ld + r],
+                  ref[static_cast<std::size_t>(c)])
+            << "V=" << variables << " voxel " << r << " component " << c;
+      }
     }
   }
 }
@@ -356,73 +372,84 @@ TEST(ConsumerParity, ClassifySliceValidatesUpFront) {
             static_cast<std::size_t>(d.y) * d.z);
 }
 
-TEST(ConsumerParity, MultiClassMatchesVoxelProbe) {
-  const Dims d{9, 9, 9};
-  VolumeF v = testing::random_volume(d, 33);
-  MultiClassConfig cfg;
+// One test drives every (variables V, outputs K) shape of the voxel
+// classifier through the shared batched sweep: each output's certainty
+// volume and, for K >= 2, the argmax labels must equal the per-voxel
+// scalar probe bit for bit.
+struct ClassifierShape {
+  int variables;
+  int outputs;
+};
+
+class ClassifierShapeParity
+    : public ::testing::TestWithParam<ClassifierShape> {};
+
+TEST_P(ClassifierShapeParity, BatchedMatchesVoxelProbe) {
+  const ClassifierShape shape = GetParam();
+  const Dims d{10, 8, 6};
+  std::vector<VolumeF> volumes;
+  std::vector<const VolumeF*> field_ptrs;
+  for (int v = 0; v < shape.variables; ++v) {
+    volumes.push_back(testing::random_volume(d, 41 + v));
+  }
+  for (const VolumeF& volume : volumes) field_ptrs.push_back(&volume);
+  const StepFields fields(field_ptrs);
+  DataSpaceConfig cfg;
+  cfg.spec.variables = shape.variables;
   cfg.spec.shell_samples = 6;
-  MultiClassClassifier clf(3, 1, 0.0, 1.0, cfg);
-  auto paint_class = [](Index3 lo, Index3 hi, int class_id) {
-    std::vector<ClassSample> out;
-    for (int k = lo.z; k <= hi.z; ++k) {
-      for (int j = lo.y; j <= hi.y; ++j) {
-        for (int i = lo.x; i <= hi.x; ++i) {
-          out.push_back(ClassSample{Index3{i, j, k}, 0, class_id});
-        }
-      }
-    }
-    return out;
-  };
-  clf.add_samples(v, 0, paint_class({0, 0, 0}, {1, 1, 1}, 0));
-  clf.add_samples(v, 0, paint_class({4, 4, 4}, {5, 5, 5}, 1));
-  clf.add_samples(v, 0, paint_class({7, 7, 7}, {8, 8, 8}, 2));
+  cfg.spec.use_gradient = true;
+  cfg.outputs = shape.outputs;
+  DataSpaceClassifier clf(
+      1, std::vector<std::pair<double, double>>(shape.variables, {0.0, 1.0}),
+      cfg);
+  // K = 1 paints a positive and a negative box; K >= 2 one box per class.
+  const Index3 corners[3] = {{1, 1, 1}, {6, 5, 3}, {3, 5, 0}};
+  for (int c = 0; c < std::max(2, shape.outputs); ++c) {
+    const Index3 lo = corners[c];
+    const Index3 hi{lo.x + 1, lo.y + 1, lo.z + 1};
+    clf.add_samples(fields, 0,
+                    shape.outputs == 1 ? paint_box(lo, hi, 0, c == 0 ? 1.0 : 0.0)
+                                       : paint_box(lo, hi, 0, 1.0, c));
+  }
   clf.train(30);
 
   std::vector<VolumeF> certainty;
-  for (int c = 0; c < 3; ++c) certainty.push_back(clf.class_certainty(v, 0, c));
-  const Volume<std::uint8_t> labels = clf.label_volume(v, 0);
-  for (int k = 0; k < d.z; k += 2) {
-    for (int j = 0; j < d.y; j += 2) {
-      for (int i = 0; i < d.x; i += 2) {
-        const auto scores = clf.classify_voxel(v, 0, i, j, k);
+  for (int c = 0; c < shape.outputs; ++c) {
+    certainty.push_back(clf.classify(fields, 0, c));
+  }
+  const Volume<std::uint8_t> labels =
+      shape.outputs >= 2 ? clf.label_volume(fields, 0) : Volume<std::uint8_t>();
+  for (int k = 0; k < d.z; ++k) {
+    for (int j = 0; j < d.y; ++j) {
+      for (int i = 0; i < d.x; ++i) {
         int best = 0;
-        for (int c = 0; c < 3; ++c) {
+        double best_score = 0.0;
+        for (int c = 0; c < shape.outputs; ++c) {
+          const double score = clf.classify_voxel(fields, 0, i, j, k, c);
           EXPECT_EQ(certainty[static_cast<std::size_t>(c)].at(i, j, k),
-                    static_cast<float>(scores[static_cast<std::size_t>(c)]));
-          if (scores[static_cast<std::size_t>(c)] >
-              scores[static_cast<std::size_t>(best)]) {
+                    static_cast<float>(score))
+              << "output " << c << " at (" << i << "," << j << "," << k << ")";
+          if (c == 0 || score > best_score) {
             best = c;
+            best_score = score;
           }
         }
-        EXPECT_EQ(labels.at(i, j, k), static_cast<std::uint8_t>(best));
+        if (shape.outputs >= 2) {
+          EXPECT_EQ(labels.at(i, j, k), static_cast<std::uint8_t>(best));
+        }
       }
     }
   }
 }
 
-TEST(ConsumerParity, MultivariateMatchesVoxelProbe) {
-  const Dims d{10, 8, 6};
-  VolumeF a = testing::random_volume(d, 41);
-  VolumeF b = testing::random_volume(d, 42);
-  std::vector<const VolumeF*> vars{&a, &b};
-  MultivariateConfig cfg;
-  cfg.spec.num_variables = 2;
-  cfg.spec.shell_samples = 6;
-  MultivariateClassifier clf(1, {{0.0, 1.0}, {0.0, 1.0}}, cfg);
-  clf.add_samples(vars, 0, paint_box({1, 1, 1}, {2, 2, 2}, 0, 1.0));
-  clf.add_samples(vars, 0, paint_box({6, 5, 3}, {8, 6, 4}, 0, 0.0));
-  clf.train(30);
-
-  const VolumeF certainty = clf.classify(vars, 0);
-  for (int k = 0; k < d.z; ++k) {
-    for (int j = 0; j < d.y; j += 2) {
-      for (int i = 0; i < d.x; i += 2) {
-        EXPECT_EQ(certainty.at(i, j, k),
-                  static_cast<float>(clf.classify_voxel(vars, 0, i, j, k)));
-      }
-    }
-  }
-}
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ClassifierShapeParity,
+    ::testing::Values(ClassifierShape{1, 1}, ClassifierShape{1, 3},
+                      ClassifierShape{2, 1}),
+    [](const ::testing::TestParamInfo<ClassifierShape>& info) {
+      return "V" + std::to_string(info.param.variables) + "K" +
+             std::to_string(info.param.outputs);
+    });
 
 TEST(ConsumerParity, IatfEvaluateMatchesScalarOpacity) {
   Dims d{12, 12, 12};

@@ -1,6 +1,9 @@
+// Multivariate data-space classification (paper Sec 8: "the system can
+// take multivariate data as input"): the voxel classifier with V = 2
+// aligned fields per step.
 #include <gtest/gtest.h>
 
-#include "core/multivariate.hpp"
+#include "core/dataspace.hpp"
 #include "flowsim/datasets.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -45,29 +48,41 @@ std::vector<PaintedVoxel> paint_box(Index3 lo, Index3 hi, double certainty) {
   return out;
 }
 
-MultivariateConfig simple_config() {
-  MultivariateConfig cfg;
+DataSpaceConfig two_variable_config() {
+  DataSpaceConfig cfg;
+  cfg.spec.variables = 2;
+  cfg.spec.shell_samples = 6;
+  cfg.hidden_units = 14;
+  cfg.seed = 24680;
+  return cfg;
+}
+
+DataSpaceConfig simple_config() {
+  DataSpaceConfig cfg = two_variable_config();
   cfg.spec.use_shell = false;
   cfg.spec.use_position = false;
   cfg.spec.use_time = false;
   return cfg;
 }
 
-TEST(MultivariateSpec, WidthAccounting) {
-  MultivariateSpec spec;
-  spec.num_variables = 2;
+TEST(MultivariateWidth, CountsEachVariable) {
+  FeatureVectorSpec spec;
+  spec.variables = 2;
   spec.shell_samples = 6;
   // 2 * (1 value + 6 shell) + 3 position + 1 time.
   EXPECT_EQ(spec.width(), 18);
   spec.use_shell = false;
   EXPECT_EQ(spec.width(), 6);
-  spec.num_variables = 3;
+  spec.variables = 3;
   EXPECT_EQ(spec.width(), 7);
+  // One gradient per variable.
+  spec.use_gradient = true;
+  EXPECT_EQ(spec.width(), 10);
 }
 
-TEST(MultivariateClassifier, LearnsJointCondition) {
+TEST(Multivariate, LearnsJointCondition) {
   TwoVarFixture fx;
-  MultivariateClassifier clf(1, {{0.0, 1.0}, {0.0, 1.0}}, simple_config());
+  DataSpaceClassifier clf(1, {{0.0, 1.0}, {0.0, 1.0}}, simple_config());
   // Positive: region B (both variables high). Negative: A, C, background.
   clf.add_samples(fx.variables(), 0, paint_box({10, 10, 10}, {14, 14, 14}, 1.0));
   clf.add_samples(fx.variables(), 0, paint_box({3, 3, 3}, {7, 7, 7}, 0.0));
@@ -81,14 +96,14 @@ TEST(MultivariateClassifier, LearnsJointCondition) {
   EXPECT_LT(clf.classify_voxel(fx.variables(), 0, 1, 1, 22), 0.3);    // bg
 }
 
-TEST(MultivariateClassifier, SingleVariableCannotExpressTheJoint) {
+TEST(Multivariate, SingleVariableCannotExpressTheJoint) {
   // Using ONLY var1, regions A and B are identical (both 0.9): no
   // classifier keyed on var1 alone can separate them. This is the
   // univariate control for LearnsJointCondition.
   TwoVarFixture fx;
-  MultivariateConfig cfg = simple_config();
-  cfg.spec.num_variables = 1;
-  MultivariateClassifier clf(1, {{0.0, 1.0}}, cfg);
+  DataSpaceConfig cfg = simple_config();
+  cfg.spec.variables = 1;
+  DataSpaceClassifier clf(1, {{0.0, 1.0}}, cfg);
   std::vector<const VolumeF*> only_var1{&fx.var1};
   clf.add_samples(only_var1, 0, paint_box({10, 10, 10}, {14, 14, 14}, 1.0));
   clf.add_samples(only_var1, 0, paint_box({3, 3, 3}, {7, 7, 7}, 0.0));
@@ -99,9 +114,9 @@ TEST(MultivariateClassifier, SingleVariableCannotExpressTheJoint) {
   EXPECT_NEAR(in_b, in_a, 1e-9);
 }
 
-TEST(MultivariateClassifier, ClassifyVolumeMatchesVoxelPath) {
+TEST(Multivariate, ClassifyVolumeMatchesVoxelPath) {
   TwoVarFixture fx;
-  MultivariateClassifier clf(1, {{0.0, 1.0}, {0.0, 1.0}}, simple_config());
+  DataSpaceClassifier clf(1, {{0.0, 1.0}, {0.0, 1.0}}, simple_config());
   clf.add_samples(fx.variables(), 0, paint_box({10, 10, 10}, {12, 12, 12}, 1.0));
   clf.add_samples(fx.variables(), 0, paint_box({0, 0, 0}, {2, 2, 2}, 0.0));
   clf.train(50);
@@ -120,17 +135,19 @@ TEST(MultivariateClassifier, ClassifyVolumeMatchesVoxelPath) {
   }
 }
 
-TEST(MultivariateClassifier, ValidatesInputs) {
-  EXPECT_THROW(MultivariateClassifier(0, {{0.0, 1.0}, {0.0, 1.0}}), Error);
-  EXPECT_THROW(MultivariateClassifier(1, {{0.0, 1.0}}), Error);  // 1 != 2
-  EXPECT_THROW(MultivariateClassifier(1, {{0.0, 1.0}, {1.0, 1.0}}), Error);
+TEST(Multivariate, ValidatesInputs) {
+  const DataSpaceConfig two = two_variable_config();
+  EXPECT_THROW(DataSpaceClassifier(0, {{0.0, 1.0}, {0.0, 1.0}}, two), Error);
+  EXPECT_THROW(DataSpaceClassifier(1, {{0.0, 1.0}}, two), Error);  // 1 != 2
+  EXPECT_THROW(DataSpaceClassifier(1, 0.0, 1.0, two), Error);      // 1 != 2
+  EXPECT_THROW(DataSpaceClassifier(1, {{0.0, 1.0}, {1.0, 1.0}}, two), Error);
   // No variables: an empty range list must not pass as a match.
-  MultivariateConfig none;
-  none.spec.num_variables = 0;
-  EXPECT_THROW(MultivariateClassifier(1, {}, none), Error);
+  DataSpaceConfig none;
+  none.spec.variables = 0;
+  EXPECT_THROW(DataSpaceClassifier(1, {}, none), Error);
 
   TwoVarFixture fx;
-  MultivariateClassifier clf(1, {{0.0, 1.0}, {0.0, 1.0}}, simple_config());
+  DataSpaceClassifier clf(1, {{0.0, 1.0}, {0.0, 1.0}}, simple_config());
   EXPECT_THROW(clf.train(1), Error);
   std::vector<const VolumeF*> wrong_count{&fx.var1};
   EXPECT_THROW(clf.add_samples(wrong_count, 0, {}), Error);
@@ -143,7 +160,7 @@ TEST(MultivariateClassifier, ValidatesInputs) {
       Error);
 }
 
-TEST(MultivariateClassifier, JointVorticityFuelOnRealJet) {
+TEST(Multivariate, JointVorticityFuelOnRealJet) {
   // The paper's own multivariate scenario: the reacting mixing layer is
   // where fuel meets strong vorticity. Train the joint classifier on the
   // solver's two variables and verify it fires only where BOTH are high.
@@ -179,12 +196,11 @@ TEST(MultivariateClassifier, JointVorticityFuelOnRealJet) {
       ++negatives;
     }
   }
-  MultivariateConfig mcfg;
+  DataSpaceConfig mcfg = two_variable_config();
   mcfg.spec.use_position = false;
   mcfg.spec.use_time = false;
-  mcfg.spec.shell_samples = 6;
   auto [vlo, vhi] = source.value_range();
-  MultivariateClassifier clf(cfg.num_steps, {{vlo, vhi}, {0.0, 1.0}}, mcfg);
+  DataSpaceClassifier clf(cfg.num_steps, {{vlo, vhi}, {0.0, 1.0}}, mcfg);
   clf.add_samples(vars, step, painted);
   clf.train(500);
 

@@ -145,6 +145,8 @@ stage_tsan() {
   # render-equivalence smoke (--equiv-check-only) memcmps the brick
   # empty-space-skipping path against the scalar march across all three
   # compositing variants, with the row pool racing under TSan. The
+  # classifier digest test runs the voxel classifier's one parallel sweep
+  # in all three (variables, outputs) shapes. The
   # multi-tenant server rides along twice: its dedicated stress storm and
   # the deterministic bench_perf_server load generator in --smoke mode
   # (small fleet, bitwise tight-vs-infinite-budget equivalence gate).
@@ -152,10 +154,10 @@ stage_tsan() {
     cmake --build --preset tsan -j "$JOBS" --target \
       stress_cache_manager_test stress_fault_storm_test \
       stress_thread_pool_test stress_server_test flat_mlp_test \
-      bench_perf_classify bench_perf_render bench_perf_stream \
-      bench_perf_server &&
+      classifier_digest_test bench_perf_classify bench_perf_render \
+      bench_perf_stream bench_perf_server &&
     ctest --preset tsan -j "$JOBS" -R \
-      'stress_cache_manager_test|stress_fault_storm_test|stress_thread_pool_test|stress_server_test|flat_mlp_test' &&
+      'stress_cache_manager_test|stress_fault_storm_test|stress_thread_pool_test|stress_server_test|flat_mlp_test|classifier_digest_test' &&
     "$ROOT/build-tsan/bench/bench_perf_classify" --alloc-check-only &&
     "$ROOT/build-tsan/bench/bench_perf_classify" --replay-check-only &&
     "$ROOT/build-tsan/bench/bench_perf_render" --render-check-only &&
