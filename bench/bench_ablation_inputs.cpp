@@ -199,8 +199,8 @@ int main() {
   CsvWriter csv(bench::output_dir() + "/ablation_inputs.csv",
                 {"inputs", "regimeA", "regimeB"});
 
-  CachedSequence seq_a(regime_a_source(), 6, 512);
-  CachedSequence seq_b(regime_b_source(), 6, 512);
+  StreamedSequence seq_a(regime_a_source(), bench::step_budget(kDims, 6, 512));
+  StreamedSequence seq_b(regime_b_source(), bench::step_budget(kDims, 6, 512));
   Mask truth_a = regime_a_truth();
   Mask truth_b = regime_b_truth(eval_step);
 

@@ -89,7 +89,7 @@ int main() {
   cfg.dims = Dims{48, 48, 48};
   cfg.num_steps = 360;
   auto source = std::make_shared<ArgonBubbleSource>(cfg);
-  CachedSequence seq(source, 8, 256);
+  StreamedSequence seq(source, bench::step_budget(source->dims(), 8));
   auto [vlo, vhi] = seq.value_range();
 
   auto ring_tf = [&](int step) {

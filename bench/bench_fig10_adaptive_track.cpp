@@ -24,7 +24,7 @@ int main() {
   cfg.dims = Dims{48, 48, 48};
   cfg.num_steps = 63;
   auto source = std::make_shared<SwirlingFlowSource>(cfg);
-  CachedSequence seq(source, 6, 256);
+  StreamedSequence seq(source, bench::step_budget(source->dims(), 6));
 
   // Key-frame TFs: the user marks the feature's value band at the first and
   // last step — "by decreasing the tracked value range for the last

@@ -23,7 +23,7 @@ int main() {
   cfg.dims = Dims{48, 48, 48};
   cfg.num_steps = 360;
   auto source = std::make_shared<ArgonBubbleSource>(cfg);
-  CachedSequence seq(source, 4, 256);
+  StreamedSequence seq(source, bench::step_budget(source->dims(), 4));
 
   const int steps[] = {200, 250, 300};
   Table table({"t", "ring_value_center", "ring_cumhist", "hist_peak_bin",

@@ -27,7 +27,7 @@ int main() {
   // regime (the key-frame bands are disjoint).
   cfg.drift_per_step = 0.004;
   auto source = std::make_shared<ArgonBubbleSource>(cfg);
-  CachedSequence seq(source, 6, 256);
+  StreamedSequence seq(source, bench::step_budget(source->dims(), 6));
   auto [vlo, vhi] = seq.value_range();
 
   auto ring_tf = [&](int step) {

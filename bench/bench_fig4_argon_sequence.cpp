@@ -28,7 +28,7 @@ int main() {
   // step is unsuitable for the later time steps".
   cfg.drift_per_step = 0.004;
   auto source = std::make_shared<ArgonBubbleSource>(cfg);
-  CachedSequence seq(source, 8, 256);
+  StreamedSequence seq(source, bench::step_budget(source->dims(), 8));
   auto [vlo, vhi] = seq.value_range();
 
   auto ring_tf = [&](int step) {

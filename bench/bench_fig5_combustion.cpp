@@ -27,7 +27,7 @@ int main() {
   cfg.num_steps = 31;  // snapshot s maps to paper t = 8 + 4*s -> 8..128
   cfg.solver_steps_per_snapshot = 3;
   auto source = std::make_shared<CombustionJetSource>(cfg);
-  CachedSequence seq(source, 8, 256);
+  StreamedSequence seq(source, bench::step_budget(source->dims(), 8));
   auto [vlo, vhi] = seq.value_range();
   auto paper_t = [](int snapshot) { return 8 + 4 * snapshot; };
 

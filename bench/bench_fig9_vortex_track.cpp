@@ -26,7 +26,7 @@ int main() {
   cfg.num_steps = 25;
   cfg.split_step = 18;
   auto source = std::make_shared<TurbulentVortexSource>(cfg);
-  CachedSequence seq(source, 6, 256);
+  StreamedSequence seq(source, bench::step_budget(source->dims(), 6));
 
   // 0.48 keeps the band above the background (0.12) and the distractor
   // blobs' bulk (peak 0.5) while giving the tracked masks enough spatial

@@ -24,6 +24,7 @@
 #include "flowsim/datasets.hpp"
 #include "parallel/thread_pool.hpp"
 #include "render/raycaster.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/alloc_guard.hpp"
 #include "util/determinism.hpp"
 #include "util/timer.hpp"
@@ -43,7 +44,13 @@ struct RenderFixture {
     cfg.dims = Dims{64, 64, 64};
     cfg.num_steps = 360;
     source = std::make_shared<ArgonBubbleSource>(cfg);
-    sequence = std::make_unique<CachedSequence>(source, 4, 256);
+    // Synchronous loads: no prefetch decode may still be running (and
+    // allocating) on the pool when the steady-state AllocGuard window
+    // opens.
+    StreamConfig stream;
+    stream.budget_bytes = 4 * cfg.dims.count() * sizeof(float);
+    stream.async_prefetch = false;
+    sequence = std::make_unique<StreamedSequence>(source, stream);
     volume = source->generate(225);
 
     auto [vlo, vhi] = sequence->value_range();
@@ -414,7 +421,9 @@ int write_render_report(const char* path) {
   auto frame_source = std::make_shared<CallbackSource>(
       cfg.dims, 1, source.value_range(),
       [&volume](int) { return volume; });
-  CachedSequence sequence(frame_source, 1);
+  StreamConfig frame_stream;
+  frame_stream.budget_bytes = cfg.dims.count() * sizeof(float);
+  StreamedSequence sequence(frame_source, frame_stream);
   RenderSettings scalar_settings = shaded;
   scalar_settings.empty_space_skipping = false;
   const Raycaster skip_caster(shaded);

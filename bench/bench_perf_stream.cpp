@@ -11,8 +11,7 @@
 //   - with lookahead 2 the prefetcher covers every step after the first,
 //     so the prefetch hit rate is >= 50%;
 //   - IATF transfer functions and 4D region-growing masks are identical
-//     between an unlimited-budget CachedSequence and a tight-budget
-//     StreamedSequence;
+//     between an unlimited-budget and a tight-budget StreamedSequence;
 //   - perturbed replay (util/determinism.hpp): Tracker region growing on
 //     the argon-bubble sequence digests bitwise identically across pool
 //     widths {1, 4, hardware}, cold and warm caches (fresh vs reused
@@ -171,7 +170,7 @@ int main() {
                "prefetch hit rate >= 50% with lookahead 2");
 
   // --- Equivalence: IATF synthesis and 4D tracking, resident vs streamed.
-  CachedSequence resident(reader, cfg.num_steps);
+  StreamedSequence resident(reader);
   StreamConfig tight_cfg;
   tight_cfg.budget_bytes = budget;
   StreamedSequence tight(reader, tight_cfg);

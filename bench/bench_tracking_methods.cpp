@@ -31,7 +31,7 @@ int main() {
   cfg.num_steps = 25;
   cfg.split_step = 18;
   auto source = std::make_shared<TurbulentVortexSource>(cfg);
-  CachedSequence seq(source, 26);  // hold everything: time both fairly
+  StreamedSequence seq(source);  // hold everything: time both fairly
   FixedRangeCriterion criterion(0.48, 1.0);
   Vec3 c = source->lobe_centers(0)[0];
   Index3 seed{static_cast<int>(c.x * 48), static_cast<int>(c.y * 48),

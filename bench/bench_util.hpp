@@ -13,10 +13,21 @@
 #include <string>
 
 #include "eval/metrics.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "tf/transfer_function.hpp"
 #include "volume/volume.hpp"
 
 namespace ifet::bench {
+
+/// Sequence config keeping at most `steps` decoded steps of `dims`
+/// resident, with `bins` histogram bins.
+inline StreamConfig step_budget(Dims dims, std::size_t steps,
+                                int bins = 256) {
+  StreamConfig config;
+  config.budget_bytes = steps * dims.count() * sizeof(float);
+  config.histogram_bins = bins;
+  return config;
+}
 
 /// Directory CSV series are written to (created on demand).
 inline std::string output_dir() {

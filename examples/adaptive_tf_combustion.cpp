@@ -12,6 +12,7 @@
 #include "flowsim/datasets.hpp"
 #include "io/image_io.hpp"
 #include "render/raycaster.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -26,7 +27,10 @@ int main(int argc, char** argv) {
   config.num_steps = 21;
   config.solver_steps_per_snapshot = 3;
   auto source = std::make_shared<CombustionJetSource>(config);
-  CachedSequence sequence(source, 8);
+  // Stream the steps, keeping at most 8 decoded ones resident.
+  StreamConfig stream;
+  stream.budget_bytes = 8 * source->dims().count() * sizeof(float);
+  StreamedSequence sequence(source, stream);
   auto [vlo, vhi] = sequence.value_range();
   std::cout << "vorticity range grows " << source->max_vorticity(0)
             << " -> " << source->max_vorticity(20) << " over the run\n";

@@ -11,6 +11,7 @@
 #include "eval/metrics.hpp"
 #include "flowsim/datasets.hpp"
 #include "session/tf_session.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -30,7 +31,10 @@ int main(int argc, char** argv) {
   auto source = std::make_shared<CallbackSource>(
       argon->dims(), last - first + 1, argon->value_range(),
       [argon, first](int step) { return argon->generate(first + step); });
-  CachedSequence sequence(source, 16);
+  // Stream the steps, keeping at most 16 decoded ones resident.
+  StreamConfig stream;
+  stream.budget_bytes = 16 * source->dims().count() * sizeof(float);
+  StreamedSequence sequence(source, stream);
   auto [vlo, vhi] = sequence.value_range();
 
   auto ring_tf = [&](int step) {

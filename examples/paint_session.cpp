@@ -11,6 +11,7 @@
 
 #include "flowsim/datasets.hpp"
 #include "session/session.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -25,7 +26,10 @@ int main(int argc, char** argv) {
   config.num_steps = 400;
   config.num_small_features = 80;
   auto source = std::make_shared<ReionizationSource>(config);
-  CachedSequence sequence(source, 4);
+  // Stream the steps, keeping at most 4 decoded ones resident.
+  StreamConfig stream;
+  stream.budget_bytes = 4 * source->dims().count() * sizeof(float);
+  StreamedSequence sequence(source, stream);
   PaintingSession session(sequence);
   const int t = 310;
 

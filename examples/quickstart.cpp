@@ -14,6 +14,7 @@
 #include "flowsim/datasets.hpp"
 #include "io/image_io.hpp"
 #include "render/raycaster.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -24,12 +25,15 @@ int main(int argc, char** argv) {
   const int image_size = args.get_int("image", 256);
   std::filesystem::create_directories(out_dir);
 
-  // 1. The data set: 4D scalar field, generated on demand, LRU-cached.
+  // 1. The data set: 4D scalar field, generated on demand and streamed
+  // with at most 6 decoded steps resident.
   ArgonBubbleConfig config;
   config.dims = Dims{size, size, size};
   config.num_steps = 360;
   auto source = std::make_shared<ArgonBubbleSource>(config);
-  CachedSequence sequence(source, 6);
+  StreamConfig stream;
+  stream.budget_bytes = 6 * config.dims.count() * sizeof(float);
+  StreamedSequence sequence(source, stream);
   std::cout << "data set: argon bubble, " << size << "^3 x "
             << sequence.num_steps() << " steps\n";
 

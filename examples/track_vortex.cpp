@@ -12,6 +12,7 @@
 #include "flowsim/datasets.hpp"
 #include "io/image_io.hpp"
 #include "render/raycaster.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -26,7 +27,10 @@ int main(int argc, char** argv) {
   config.num_steps = 25;
   config.split_step = 18;
   auto source = std::make_shared<TurbulentVortexSource>(config);
-  CachedSequence sequence(source, 6);
+  // Stream the steps, keeping at most 6 decoded ones resident.
+  StreamConfig stream;
+  stream.budget_bytes = 6 * source->dims().count() * sizeof(float);
+  StreamedSequence sequence(source, stream);
 
   // Track from a seed inside the vortex at the first step.
   FixedRangeCriterion criterion(0.48, 1.0);

@@ -122,9 +122,4 @@ double ArgonBubbleSource::ring_band_half_width() const {
   return 0.5 * (hi - lo) * 0.95;
 }
 
-CachedSequence make_sequence(std::shared_ptr<const VolumeSource> source,
-                             std::size_t cache_capacity, int histogram_bins) {
-  return CachedSequence(std::move(source), cache_capacity, histogram_bins);
-}
-
 }  // namespace ifet

@@ -254,9 +254,4 @@ class SwirlingFlowSource final : public LabeledSource {
   ValueNoise noise_;
 };
 
-/// Convenience: wrap any source in a cached sequence.
-CachedSequence make_sequence(std::shared_ptr<const VolumeSource> source,
-                             std::size_t cache_capacity = 4,
-                             int histogram_bins = 256);
-
 }  // namespace ifet

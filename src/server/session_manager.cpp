@@ -80,8 +80,8 @@ ShedAction decide_backpressure(BackpressurePolicy policy,
 struct SessionManager::ServerSession {
   int id = -1;
   // Declaration order is the lifetime contract: painting/tf hold
-  // references into *view, so view is declared first (destroyed last).
-  std::unique_ptr<ClientSequenceView> view;
+  // references into *sequence, so it is declared first (destroyed last).
+  std::unique_ptr<StreamedSequence> sequence;
   std::unique_ptr<PaintingSession> painting;
   std::unique_ptr<TfSession> tf;
   /// Params hash this session holds a tf_hash_refs_ reference for.
@@ -141,13 +141,11 @@ SessionManager::~SessionManager() {
 
 int SessionManager::create_session(FailPolicy fail_policy) {
   auto session = std::make_shared<ServerSession>();
-  ClientViewConfig view_config;
-  view_config.pin_radius = config_.pin_radius;
-  view_config.fail_policy = fail_policy;
-  session->view = std::make_unique<ClientSequenceView>(tier_, view_config);
+  session->sequence = std::make_unique<StreamedSequence>(
+      tier_, config_.pin_radius, fail_policy);
   session->painting =
-      std::make_unique<PaintingSession>(*session->view, config_.painting);
-  session->tf = std::make_unique<TfSession>(*session->view, config_.tf);
+      std::make_unique<PaintingSession>(*session->sequence, config_.painting);
+  session->tf = std::make_unique<TfSession>(*session->sequence, config_.tf);
   session->tf_hash = session->tf->iatf().params_hash();
 
   OrderedMutexLock lock(mutex_);
@@ -168,8 +166,8 @@ void SessionManager::close_session(int id) {
     to_invalidate = release_hash_locked(session->tf_hash);
   }
   if (to_invalidate != 0) tier_.derived().invalidate(to_invalidate);
-  // `session` (usually the last reference) dies here; the view destructor
-  // unpins the client's window on the shared cache.
+  // `session` (usually the last reference) dies here; the sequence
+  // destructor unpins the client's window on the shared cache.
 }
 
 std::shared_ptr<SessionManager::ServerSession> SessionManager::find(
@@ -187,11 +185,11 @@ std::size_t SessionManager::session_count() const {
 }
 
 StreamStats SessionManager::session_stats(int id) const {
-  return find(id)->view->stats().snapshot();
+  return find(id)->sequence->client_stats().snapshot();
 }
 
 AdmissionStats SessionManager::session_admission(int id) const {
-  return find(id)->view->admission_stats();
+  return find(id)->sequence->admission_stats();
 }
 
 std::uint64_t SessionManager::release_hash_locked(std::uint64_t hash) {
@@ -247,7 +245,7 @@ ServerResult SessionManager::run_command(ServerSession& s,
       break;
     }
     case CommandKind::kSetKeyFrame: {
-      auto [vlo, vhi] = s.view->value_range();
+      auto [vlo, vhi] = s.sequence->value_range();
       TransferFunction1D key(vlo, vhi);
       const double span = vhi - vlo;
       key.add_band(vlo + command.band_lo * span, vlo + command.band_hi * span,
@@ -261,20 +259,20 @@ ServerResult SessionManager::run_command(ServerSession& s,
       break;
     case CommandKind::kQueryTf: {
       // Through the SHARED DerivedCache: identical network states (same
-      // params hash) dedup across clients; the per-view stats pointer
+      // params hash) dedup across clients; the per-client stats pointer
       // attributes the hit/miss to this client.
       auto tf = tier_.derived().transfer_function(
           command.step, s.tf->iatf().params_hash(),
           [&]() -> TransferFunction1D {
             return s.tf->current_tf(command.step);
           },
-          &s.view->stats());
+          &s.sequence->client_stats());
       result.digest = digest_tf(*tf);
       break;
     }
     case CommandKind::kHistogram: {
       const CumulativeHistogram& ch =
-          s.view->cumulative_histogram(command.step);
+          s.sequence->cumulative_histogram(command.step);
       result.digest = digest_cumhist(ch);
       result.value = static_cast<double>(ch.bins());
       break;
@@ -285,7 +283,7 @@ ServerResult SessionManager::run_command(ServerSession& s,
       TrackerConfig tracker_config;
       tracker_config.min_step = command.track_min_step;
       tracker_config.max_step = command.track_max_step;
-      Tracker tracker(*s.view, criterion, tracker_config);
+      Tracker tracker(*s.sequence, criterion, tracker_config);
       const TrackResult tracked = tracker.track(command.seed, command.step);
       result.digest = digest_track(tracked);
       double voxels = 0.0;
@@ -311,7 +309,7 @@ ServerResult SessionManager::run_command(ServerSession& s,
       break;
     }
     case CommandKind::kHintWindow:
-      s.view->hint_window(command.window_lo, command.window_hi);
+      s.sequence->hint_window(command.window_lo, command.window_hi);
       break;
   }
   return result;
@@ -333,7 +331,7 @@ ServerResult SessionManager::run_command_noexcept(ServerSession& s,
     result.ok = false;
     result.status = ServerStatus::kDeadlineExceeded;
     result.error = e.what();
-    s.view->stats().count_deadline_exceeded();
+    s.sequence->client_stats().count_deadline_exceeded();
     tier_.aggregate().count_deadline_exceeded();
   } catch (const std::exception& e) {
     result = ServerResult{};
@@ -418,7 +416,7 @@ void SessionManager::submit(int id, Command command,
   // that re-submits (a client retrying immediately) must not re-enter the
   // strand mutex.
   if (have_victim) {
-    session->view->stats().count_shed();
+    session->sequence->client_stats().count_shed();
     tier_.aggregate().count_shed();
     if (victim.done) {
       ServerResult shed;
@@ -430,7 +428,7 @@ void SessionManager::submit(int id, Command command,
     }
   }
   if (action == ShedAction::kRejectNew) {
-    session->view->stats().count_rejected();
+    session->sequence->client_stats().count_rejected();
     tier_.aggregate().count_rejected();
     if (item.done) {
       ServerResult refused;

@@ -2,7 +2,7 @@
 //
 // A SessionManager hosts N concurrent client sessions over ONE shared
 // streaming tier. Each session owns the full single-user state — a
-// ClientSequenceView (its window, its FailPolicy, its stats), a
+// StreamedSequence on the tier (its window, its FailPolicy, its stats), a
 // PaintingSession (data-space classifier) and a TfSession (IATF) — while
 // the volumes, the byte budget, and the derived-product memoization are
 // process-wide, so identical requests from different clients deduplicate
@@ -39,11 +39,11 @@
 #include <unordered_map>
 
 #include "parallel/thread_pool.hpp"
-#include "server/client_view.hpp"
 #include "server/command.hpp"
-#include "server/stream_tier.hpp"
 #include "session/session.hpp"
 #include "session/tf_session.hpp"
+#include "stream/stream_tier.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/deadline.hpp"
 #include "util/ordered_mutex.hpp"
 
@@ -169,8 +169,8 @@ class SessionManager {
 
   StreamTier& tier() { return tier_; }
 
-  /// Per-session counter snapshot (the satellite per-session view of
-  /// StreamStats; the process-wide aggregate is tier().stats()).
+  /// Per-session client counters (the session sequence's client_stats();
+  /// the process-wide view is tier().stats()).
   StreamStats session_stats(int id) const;
   AdmissionStats session_admission(int id) const;
   std::size_t session_count() const IFET_EXCLUDES(mutex_);
@@ -206,8 +206,8 @@ class SessionManager {
   void stop_watchdog();
 
   SessionManagerConfig config_;
-  /// Declared before sessions_: views hold tier references, so the tier
-  /// must outlive every session.
+  /// Declared before sessions_: sequences hold tier references, so the
+  /// tier must outlive every session.
   StreamTier tier_;
 
   mutable OrderedMutex mutex_{MutexRank::kSessionManager};

@@ -10,10 +10,6 @@ namespace ifet {
 CacheManager::CacheManager(std::size_t budget_bytes)
     : budget_bytes_(budget_bytes) {}
 
-bool CacheManager::pinned_locked(int step, const Entry& e) const {
-  return e.pin_count > 0 || (step >= window_lo_ && step <= window_hi_);
-}
-
 IFET_HOT std::shared_ptr<const VolumeF> CacheManager::lookup(int step) {
   OrderedMutexLock lock(mutex_);
   auto it = entries_.find(step);
@@ -88,7 +84,7 @@ void CacheManager::evict_over_budget_locked(EvictedPayloads& evicted) {
     const int victim = *it;
     auto e = entries_.find(victim);
     IFET_REQUIRE(e != entries_.end(), "CacheManager: LRU/entry desync");
-    if (pinned_locked(victim, e->second)) continue;  // skip, try next-older
+    if (e->second.pin_count > 0) continue;  // pinned: try next-older
     resident_bytes_ -= e->second.bytes;
     ++stats_.evictions;
     // Hand the payload to the caller's frame: if this was the last
@@ -110,32 +106,22 @@ void CacheManager::pin(int step) {
 }
 
 void CacheManager::unpin(int step) {
+  EvictedPayloads evicted;
   OrderedMutexLock lock(mutex_);
   auto it = entries_.find(step);
   if (it != entries_.end()) {
     IFET_REQUIRE(it->second.pin_count > 0,
                  "CacheManager::unpin: step is not pinned");
     --it->second.pin_count;
+    // The released entry may leave the cache over budget; give the bytes
+    // back now rather than at the next insert.
+    evict_over_budget_locked(evicted);
     return;
   }
   auto pending = pending_pins_.find(step);
   IFET_REQUIRE(pending != pending_pins_.end(),
                "CacheManager::unpin: step is not pinned");
   if (--pending->second == 0) pending_pins_.erase(pending);
-}
-
-void CacheManager::pin_window(int lo, int hi) {
-  EvictedPayloads evicted;
-  OrderedMutexLock lock(mutex_);
-  window_lo_ = lo;
-  window_hi_ = hi;
-  // Entries that just left the window may now push the cache over budget.
-  evict_over_budget_locked(evicted);
-}
-
-std::pair<int, int> CacheManager::pinned_window() const {
-  OrderedMutexLock lock(mutex_);
-  return {window_lo_, window_hi_};
 }
 
 void CacheManager::set_budget(std::size_t budget_bytes) {
@@ -171,7 +157,7 @@ void CacheManager::clear() {
   for (auto it = lru_.begin(); it != lru_.end();) {
     auto e = entries_.find(*it);
     IFET_REQUIRE(e != entries_.end(), "CacheManager: LRU/entry desync");
-    if (pinned_locked(*it, e->second)) {
+    if (e->second.pin_count > 0) {
       ++it;
       continue;
     }
@@ -196,7 +182,7 @@ IFET_DETERMINISTIC StreamStats CacheManager::stats() const {
   std::size_t pinned = 0;
   for (const int step : lru_) {
     const auto e = entries_.find(step);
-    if (e != entries_.end() && pinned_locked(step, e->second)) ++pinned;
+    if (e != entries_.end() && e->second.pin_count > 0) ++pinned;
   }
   out.pinned_steps = pinned;
   return out;

@@ -7,13 +7,10 @@
 // accounting when evicted and are freed when the last reader drops its
 // reference (the StreamedSequence window holds at most a few steps).
 //
-// Pinning has two forms:
-//  * pin(step)/unpin(step)   — explicit, counted; an entry with a nonzero
-//    pin count is never evicted.
-//  * pin_window(lo, hi)      — the sliding window of 4D region growing:
-//    steps in [lo, hi] are protected as a group and the window is replaced
-//    wholesale by the next call, so {t-1, t, t+1} stays put while the rest
-//    of the sequence evicts.
+// Pins are counted: an entry with a nonzero pin count is never evicted,
+// and pins from several clients on one step compose. The sliding window
+// of 4D region growing ({t-1, t, t+1}) is a set of such pins, moved by
+// each StreamedSequence as admission deltas (stream/admission.hpp).
 //
 // Thread safety: every method is internally synchronized; the stress suite
 // (tests/stress/stress_cache_manager_test.cpp) hammers it under TSan, the
@@ -26,7 +23,6 @@
 #include <list>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "stream/stream_stats.hpp"
@@ -67,14 +63,12 @@ class CacheManager {
                                         bool from_prefetch = false)
       IFET_EXCLUDES(mutex_);
 
-  /// Explicit pin: `step` survives eviction until unpinned. Pinning a
+  /// Counted pin: `step` survives eviction until unpinned. Pinning a
   /// non-resident step is remembered (applies when it is inserted).
   void pin(int step) IFET_EXCLUDES(mutex_);
+  /// Drop one pin; when that leaves the cache over budget (pinned entries
+  /// overshoot it by design), evict down to the budget at once.
   void unpin(int step) IFET_EXCLUDES(mutex_);
-
-  /// Replace the pinned window with [lo, hi] (inclusive; lo > hi clears).
-  void pin_window(int lo, int hi) IFET_EXCLUDES(mutex_);
-  std::pair<int, int> pinned_window() const IFET_EXCLUDES(mutex_);
 
   void set_budget(std::size_t budget_bytes) IFET_EXCLUDES(mutex_);
   std::size_t budget_bytes() const IFET_EXCLUDES(mutex_);
@@ -107,16 +101,12 @@ class CacheManager {
   /// concurrent fetch.
   using EvictedPayloads = std::vector<std::shared_ptr<const VolumeF>>;
 
-  bool pinned_locked(int step, const Entry& e) const IFET_REQUIRES(mutex_);
   void evict_over_budget_locked(EvictedPayloads& evicted)
       IFET_REQUIRES(mutex_);
 
   mutable OrderedMutex mutex_{MutexRank::kCacheManager};
   std::size_t budget_bytes_ IFET_GUARDED_BY(mutex_);
   std::size_t resident_bytes_ IFET_GUARDED_BY(mutex_) = 0;
-  // Pinned window [window_lo_, window_hi_]; empty when lo > hi.
-  int window_lo_ IFET_GUARDED_BY(mutex_) = 0;
-  int window_hi_ IFET_GUARDED_BY(mutex_) = -1;
   std::list<int> lru_ IFET_GUARDED_BY(mutex_);  // front = most recent
   std::unordered_map<int, Entry> entries_ IFET_GUARDED_BY(mutex_);
   /// Pins on non-resident steps (applied on insert).

@@ -38,8 +38,8 @@ class DerivedCache {
 
   /// Histogram for (step, params) — `compute` runs once per distinct key.
   /// When `session_stats` is supplied the hit/miss is also attributed to
-  /// that per-session view (the multi-tenant server passes each client's
-  /// SharedStreamStats so dedup across clients stays observable per
+  /// that client (each StreamedSequence passes its own SharedStreamStats,
+  /// so dedup across the clients of a shared tier stays observable per
   /// client; see docs/SERVER.md).
   std::shared_ptr<const Histogram> histogram(
       int step, std::uint64_t params_hash,
@@ -74,7 +74,7 @@ class DerivedCache {
   /// cache's reference, not the product.
   std::size_t invalidate(std::uint64_t params_hash) IFET_EXCLUDES(mutex_);
 
-  /// Pressure relief (server/pressure.hpp): drop every memoized product
+  /// Pressure relief (stream/pressure.hpp): drop every memoized product
   /// EXCEPT those under `keep_params` — the tier histogram hash, whose
   /// products every client shares and would all recompute at once.
   /// Everything shed is recomputable from resident or reloadable data

@@ -82,24 +82,6 @@ StreamStats& StreamStats::merge(const StreamStats& other) {
   return *this;
 }
 
-void SharedStreamStats::add(const StreamStats& delta) {
-  hits_.fetch_add(delta.hits, std::memory_order_relaxed);
-  misses_.fetch_add(delta.misses, std::memory_order_relaxed);
-  derived_hits_.fetch_add(delta.derived_hits, std::memory_order_relaxed);
-  derived_misses_.fetch_add(delta.derived_misses, std::memory_order_relaxed);
-  skipped_fetches_.fetch_add(delta.skipped_fetches,
-                             std::memory_order_relaxed);
-  nearest_good_substitutions_.fetch_add(delta.nearest_good_substitutions,
-                                        std::memory_order_relaxed);
-  commands_rejected_.fetch_add(delta.commands_rejected,
-                               std::memory_order_relaxed);
-  commands_shed_.fetch_add(delta.commands_shed, std::memory_order_relaxed);
-  deadline_exceeded_.fetch_add(delta.deadline_exceeded,
-                               std::memory_order_relaxed);
-  pressure_transitions_.fetch_add(delta.pressure_transitions,
-                                  std::memory_order_relaxed);
-}
-
 StreamStats SharedStreamStats::snapshot() const {
   StreamStats out;
   out.hits = hits_.load(std::memory_order_relaxed);

@@ -97,20 +97,20 @@ struct StreamStats {
   StreamStats& merge(const StreamStats& other);
 };
 
-/// Concurrently-mutable StreamStats counters for the multi-session server
-/// tier (docs/SERVER.md).
+/// Concurrently-mutable StreamStats counters for the clients of a
+/// StreamTier (docs/SERVER.md).
 ///
 /// The per-layer StreamStats snapshots above are copied under their owning
 /// class's mutex, which is correct but gives every reader a lock
-/// dependency on every writer. The server keeps one SharedStreamStats per
-/// client session plus one process-wide aggregate, and command threads
-/// bump them lock-free: every counter is an independent relaxed atomic, so
-/// readers calling snapshot() (and summary(), which is snapshot-based)
-/// never observe a torn half-written counter no matter how many server
-/// threads are mutating concurrently. Counters are monotonic totals;
-/// cross-counter exactness (hits+misses == accesses at one instant) is
-/// deliberately not promised — each field is exact, the set is a snapshot
-/// of independently-advancing totals.
+/// dependency on every writer. Each StreamedSequence keeps one
+/// SharedStreamStats for its client, the tier one aggregate of overload
+/// counters, and command threads bump them lock-free: every counter is an
+/// independent relaxed atomic, so readers calling snapshot() (and
+/// summary(), which is snapshot-based) never observe a torn half-written
+/// counter no matter how many threads are mutating concurrently. Counters
+/// are monotonic totals; cross-counter exactness (hits+misses == accesses
+/// at one instant) is deliberately not promised — each field is exact, the
+/// set is a snapshot of independently-advancing totals.
 class SharedStreamStats {
  public:
   SharedStreamStats() = default;
@@ -150,10 +150,6 @@ class SharedStreamStats {
   void count_pressure_transition() {
     pressure_transitions_.fetch_add(1, std::memory_order_relaxed);
   }
-
-  /// Fold a whole counter delta in (e.g. re-publishing a per-layer
-  /// snapshot difference into the aggregate).
-  void add(const StreamStats& delta);
 
   /// Consistent value-copy of the counters; safe to call while any number
   /// of server threads mutate.

@@ -8,33 +8,40 @@
 
 namespace ifet {
 
-namespace {
-VolumeStoreConfig store_config(const StreamConfig& c) {
-  VolumeStoreConfig out;
-  out.budget_bytes = c.budget_bytes;
-  out.lookahead = c.lookahead;
-  out.async_prefetch = c.async_prefetch;
-  out.max_retries = c.max_retries;
-  out.retry_backoff_ms = c.retry_backoff_ms;
-  out.fail_policy = c.fail_policy;
-  return out;
-}
-}  // namespace
-
 StreamedSequence::StreamedSequence(std::shared_ptr<const VolumeSource> source,
                                    const StreamConfig& config)
-    : config_(config),
-      store_(std::make_unique<VolumeStore>(std::move(source),
-                                           store_config(config))) {
-  IFET_REQUIRE(config_.histogram_bins > 0,
-               "StreamedSequence: need histogram bins");
-  IFET_REQUIRE(config_.pin_radius >= 0,
-               "StreamedSequence: pin_radius must be >= 0");
-  auto [lo, hi] = store_->value_range();
-  hist_params_ = hash_combine(
-      hash_combine(static_cast<std::uint64_t>(config_.histogram_bins),
-                   hash_double(lo)),
-      hash_double(hi));
+    : StreamedSequence(
+          std::make_unique<StreamTier>(
+              std::move(source),
+              StreamTierConfig{.budget_bytes = config.budget_bytes,
+                               .pin_quota_bytes = 0,  // unlimited
+                               .lookahead = config.lookahead,
+                               .async_prefetch = config.async_prefetch,
+                               .max_retries = config.max_retries,
+                               .retry_backoff_ms = config.retry_backoff_ms,
+                               .histogram_bins = config.histogram_bins,
+                               .pressure = {}}),  // off
+          config.pin_radius, config.fail_policy) {}
+
+StreamedSequence::StreamedSequence(std::unique_ptr<StreamTier> owned,
+                                   int pin_radius, FailPolicy fail_policy)
+    : StreamedSequence(*owned, pin_radius, fail_policy) {
+  owned_tier_ = std::move(owned);
+}
+
+StreamedSequence::StreamedSequence(StreamTier& tier, int pin_radius,
+                                   FailPolicy fail_policy)
+    : tier_(tier), pin_radius_(pin_radius), fail_policy_(fail_policy) {
+  IFET_REQUIRE(pin_radius_ >= 0, "StreamedSequence: pin_radius must be >= 0");
+  client_ = tier_.admission().register_client();
+}
+
+StreamedSequence::~StreamedSequence() {
+  // Give back everything this client pinned; the counted cache pins
+  // compose, so a step another client also pinned stays pinned.
+  for (int s : tier_.admission().release_client(client_)) {
+    store().cache().unpin(s);
+  }
 }
 
 std::unique_ptr<StreamedSequence> StreamedSequence::open_cvol(
@@ -43,11 +50,45 @@ std::unique_ptr<StreamedSequence> StreamedSequence::open_cvol(
       std::make_shared<CompressedFileSource>(path), config);
 }
 
-std::pair<int, int> StreamedSequence::set_window_locked(
-    int lo, int hi, int last_step,
+std::shared_ptr<const VolumeF> StreamedSequence::nearest_loadable(
+    int step) const {
+  // The tier store skips quarantined candidates (nullptr, never a throw),
+  // so the search widens until a neighbour answers.
+  for (int d = 1; d < num_steps(); ++d) {
+    for (const int candidate : {step - d, step + d}) {
+      if (candidate < 0 || candidate >= num_steps()) continue;
+      if (auto neighbour = store().fetch(candidate)) return neighbour;
+    }
+  }
+  throw CorruptDataError("StreamedSequence: no loadable step near " +
+                         std::to_string(step));
+}
+
+std::shared_ptr<const VolumeF> StreamedSequence::fetch_with_policy(
+    int step) const {
+  auto volume = store().fetch(step);  // tier policy: skip => nullptr
+  if (volume) return volume;
+  switch (fail_policy_) {
+    case FailPolicy::kThrow:
+      throw CorruptDataError(
+          "StreamedSequence: step " + std::to_string(step) +
+          " is quarantined (this client's fail policy is kThrow)");
+    case FailPolicy::kSkipStep:
+      client_stats_.count_skipped_fetch();
+      return nullptr;
+    case FailPolicy::kNearestGood:
+      break;
+  }
+  volume = nearest_loadable(step);
+  client_stats_.count_substitution();
+  return volume;
+}
+
+std::vector<int> StreamedSequence::move_window_locked(
+    int lo, int hi, int center,
     std::vector<std::shared_ptr<const VolumeF>>& dropped) const {
   lo = std::max(lo, 0);
-  hi = std::min(hi, last_step);
+  hi = std::min(hi, num_steps() - 1);
   window_lo_ = lo;
   window_hi_ = hi;
   for (auto it = held_.begin(); it != held_.end();) {
@@ -58,7 +99,13 @@ std::pair<int, int> StreamedSequence::set_window_locked(
       ++it;
     }
   }
-  return {lo, hi};
+  // Pins before unpins: an unpin evicts over budget, and the steps
+  // entering the window must already be protected when it does.
+  WindowDelta delta = tier_.admission().set_window(client_, lo, hi, center);
+  CacheManager& cache = store().cache();
+  for (int s : delta.pin) cache.pin(s);
+  for (int s : delta.unpin) cache.unpin(s);
+  return std::move(delta.pin);
 }
 
 const VolumeF& StreamedSequence::step(int step) const {
@@ -75,97 +122,86 @@ const VolumeF& StreamedSequence::step(int step) const {
 const VolumeF* StreamedSequence::try_step(int step) const {
   IFET_REQUIRE(step >= 0 && step < num_steps(),
                "StreamedSequence: step out of range");
-  auto volume = store_->fetch(step);
-  if (!volume) return nullptr;  // quarantined under FailPolicy::kSkipStep
-  const int last_step = num_steps() - 1;
-  bool moved = false;
-  std::pair<int, int> window{0, -1};
-  const VolumeF* ref = nullptr;
+  // Attribution first: residency is probed without stat side effects so a
+  // fetch never double-counts in the cache's own counters. The probe can
+  // race an eviction — it feeds stats, not correctness.
+  const bool resident = store().cache().resident(step);
+  client_stats_.count_access(resident);
+  tier_.admission().note_access(client_, step, resident);
+
+  auto volume = fetch_with_policy(step);
+  if (!volume) return nullptr;  // this client's policy is kSkipStep
+
   std::vector<std::shared_ptr<const VolumeF>> dropped;
+  std::vector<int> warm;
+  const VolumeF* ref = nullptr;
   {
     OrderedMutexLock lock(mutex_);
     if (step < window_lo_ || step > window_hi_) {
-      window = set_window_locked(step - config_.pin_radius,
-                                 step + config_.pin_radius, last_step,
-                                 dropped);
-      moved = true;
+      warm = move_window_locked(step - pin_radius_, step + pin_radius_, step,
+                                dropped);
     }
     auto& slot = held_[step];
     slot = std::move(volume);
     ref = slot.get();
   }
-  // Pinning (and the loads it triggers — synchronous decodes in
-  // deterministic test mode) runs with mutex_ released: the store and its
-  // loader are call-outs, never callees under this lock. Two racing
-  // window moves may pin in either order; held_ keeps every returned
-  // reference alive regardless, so the pin order is a residency hint, not
-  // a correctness contract.
-  if (moved) store_->pin_window(window.first, window.second);
-  return ref;
-}
-
-std::shared_ptr<const VolumeF> StreamedSequence::fetch_or_substitute(
-    int step) const {
-  auto volume = store_->fetch(step);
-  if (volume) return volume;
-  // Skipped step: widen outward until a neighbour answers (fetch never
-  // throws under kSkipStep — a failing candidate is skipped too).
-  for (int d = 1; d < num_steps(); ++d) {
-    const int candidates[2] = {step - d, step + d};
-    for (int candidate : candidates) {
-      if (candidate < 0 || candidate >= num_steps()) continue;
-      auto neighbour = store_->fetch(candidate);
-      if (neighbour) return neighbour;
-    }
+  // The step itself was just fetched; warm the rest of the new window.
+  for (int s : warm) {
+    if (s != step) store().prefetch(s);
   }
-  throw CorruptDataError("StreamedSequence: no loadable step near " +
-                         std::to_string(step));
+  return ref;
 }
 
 const CumulativeHistogram& StreamedSequence::cumulative_histogram(
     int step) const {
   IFET_REQUIRE(step >= 0 && step < num_steps(),
                "StreamedSequence: step out of range");
-  auto [lo, hi] = store_->value_range();
-  auto cumhist = derived_.cumulative_histogram(
-      step, hist_params_, [&]() -> CumulativeHistogram {
-        auto volume = fetch_or_substitute(step);
+  auto [lo, hi] = value_range();
+  auto cumhist = derived_cache().cumulative_histogram(
+      step, tier_.hist_params(),
+      [&]() -> CumulativeHistogram {
+        auto volume = store().fetch(step);
+        if (!volume) volume = nearest_loadable(step);
         return CumulativeHistogram(
-            Histogram::of(*volume, config_.histogram_bins, lo, hi));
-      });
-  // DerivedCache never evicts, so the reference outlives any eviction of
-  // the source volume.
-  return *cumhist;
+            Histogram::of(*volume, histogram_bins(), lo, hi));
+      },
+      &client_stats_);
+  OrderedMutexLock lock(mutex_);
+  auto [it, inserted] = cumhists_.emplace(step, std::move(cumhist));
+  (void)inserted;  // an earlier call memoized the same product
+  return *it->second;
 }
 
 Histogram StreamedSequence::histogram(int step) const {
   IFET_REQUIRE(step >= 0 && step < num_steps(),
                "StreamedSequence: step out of range");
-  auto [lo, hi] = store_->value_range();
-  auto hist =
-      derived_.histogram(step, hist_params_, [&]() -> Histogram {
-        auto volume = fetch_or_substitute(step);
-        return Histogram::of(*volume, config_.histogram_bins, lo, hi);
-      });
+  auto [lo, hi] = value_range();
+  auto hist = derived_cache().histogram(
+      step, tier_.hist_params(),
+      [&]() -> Histogram {
+        auto volume = store().fetch(step);
+        if (!volume) volume = nearest_loadable(step);
+        return Histogram::of(*volume, histogram_bins(), lo, hi);
+      },
+      &client_stats_);
   return *hist;
 }
 
 void StreamedSequence::hint_window(int lo, int hi) const {
-  IFET_REQUIRE(lo <= hi, "StreamedSequence::hint_window: inverted window");
-  const int last_step = num_steps() - 1;
-  std::pair<int, int> window;
+  // Clamped first, so a window that misses the sequence ([20, 25] of 10
+  // steps clamps to [20, 9]) is refused like an inverted one.
+  lo = std::max(lo, 0);
+  hi = std::min(hi, num_steps() - 1);
+  IFET_REQUIRE(lo <= hi,
+               "StreamedSequence::hint_window: inverted window or window "
+               "outside the sequence");
   std::vector<std::shared_ptr<const VolumeF>> dropped;
+  std::vector<int> warm;
   {
     OrderedMutexLock lock(mutex_);
-    window = set_window_locked(lo, hi, last_step, dropped);
+    warm = move_window_locked(lo, hi, lo + (hi - lo) / 2, dropped);
   }
-  store_->pin_window(window.first, window.second);
-}
-
-StreamStats StreamedSequence::stats() const {
-  StreamStats out = store_->stats();
-  out.merge(derived_.stats());
-  return out;
+  for (int s : warm) store().prefetch(s);
 }
 
 }  // namespace ifet

@@ -1,38 +1,47 @@
-// Out-of-core VolumeSequence: the drop-in streamed counterpart of
-// CachedSequence.
+// The VolumeSequence every 4D consumer reads through.
 //
-// Every consumer of VolumeSequence (IATF synthesis, dataspace
-// classification, 4D region growing, rendering, the painting session)
-// works unchanged on a StreamedSequence; what changes is the residency
-// contract: decoded steps live in a byte-budgeted CacheManager, lookahead
+// IATF synthesis, dataspace classification, 4D region growing, rendering
+// and the painting session all ask a StreamedSequence for steps and
+// histograms. Each StreamedSequence is one client of a StreamTier
+// (stream/stream_tier.hpp), in one of two set-ups that run the same code:
+//  * single user — StreamedSequence(source, config) builds a private tier
+//    (unlimited pin quota, pressure off) and is its only client; budget 0
+//    is the fully-resident path;
+//  * multi-tenant — StreamedSequence(tier, pin_radius, fail_policy) joins a
+//    shared tier; the server's SessionManager runs one per session.
+// Decoded steps live in the tier's byte-budgeted CacheManager, lookahead
 // decodes overlap compute via the Prefetcher, and derived products
-// (histograms, cumulative histograms) are memoized in a DerivedCache so an
-// evicted volume never has to come back just to answer a histogram query.
+// (histograms, cumulative histograms) are memoized in the tier's
+// DerivedCache so an evicted volume never has to come back just to answer
+// a histogram query. The tier's store is policy-free; each sequence
+// applies its own FailPolicy on top and counts its own accesses.
 //
-// Reference validity: step(t) auto-pins a window of `pin_radius` steps
-// around t (recentring only when t falls outside the current window, so
-// the {t-1, t, t+1} access pattern of 4D region growing never thrashes).
-// References returned for steps inside the window stay valid until the
-// window moves away from them; hint_window() sets the window explicitly.
-// Cumulative-histogram references are memoized and stay valid for the
-// sequence's lifetime.
+// Reference validity: step(t) pins a window of `pin_radius` steps around t
+// (recentring only when t falls outside the current window, so the
+// {t-1, t, t+1} access pattern of 4D region growing never thrashes);
+// hint_window() sets the window explicitly. Window pins go through the
+// tier's AdmissionController, so steps past the client's pin quota are
+// denied a pin: they still load and return exact bytes, they are just
+// evictable. References returned for steps inside the window stay valid
+// until the window moves away from them (held_ keeps the shared_ptr,
+// whatever the cache evicts); cumulative-histogram references stay valid
+// for the sequence's lifetime.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "stream/derived_cache.hpp"
-#include "stream/volume_store.hpp"
+#include "stream/stream_tier.hpp"
 #include "util/ordered_mutex.hpp"
 #include "volume/sequence.hpp"
 
 namespace ifet {
 
 struct StreamConfig {
-  /// Byte budget for decoded steps; 0 = unlimited (fully resident — the
-  /// trivial cache the in-memory path reduces to).
+  /// Byte budget for decoded steps; 0 = unlimited (fully resident).
   std::size_t budget_bytes = 0;
   /// Steps prefetched ahead of each access in the scan direction.
   int lookahead = 2;
@@ -40,11 +49,12 @@ struct StreamConfig {
   /// {t-1, t, t+1} resident for 4D region growing.
   int pin_radius = 1;
   /// Overlap prefetch decode with compute on the shared thread pool; off =
-  /// synchronous lookahead (deterministic, for tests).
+  /// synchronous lookahead (deterministic, for tests). Sources whose
+  /// generate() mutates captured state need it off.
   bool async_prefetch = true;
   int histogram_bins = 256;
-  /// Retry/quarantine policy, forwarded to the VolumeStore (see
-  /// docs/ROBUSTNESS.md).
+  /// Retry policy, forwarded to the VolumeStore, and this sequence's
+  /// policy for quarantined steps (see docs/ROBUSTNESS.md).
   int max_retries = 2;
   double retry_backoff_ms = 0.0;
   FailPolicy fail_policy = FailPolicy::kThrow;
@@ -52,82 +62,119 @@ struct StreamConfig {
 
 class StreamedSequence final : public VolumeSequence {
  public:
+  /// Single user: the only client of a private tier built from `config`.
   StreamedSequence(std::shared_ptr<const VolumeSource> source,
                    const StreamConfig& config = {});
+
+  /// One client of a shared `tier`, pinning `pin_radius` steps around each
+  /// access and applying its own `fail_policy` to quarantined steps.
+  explicit StreamedSequence(StreamTier& tier, int pin_radius = 1,
+                            FailPolicy fail_policy = FailPolicy::kThrow);
+
+  /// Unpins the client's window and retires its admission ledger.
+  ~StreamedSequence() override;
+
+  StreamedSequence(const StreamedSequence&) = delete;
+  StreamedSequence& operator=(const StreamedSequence&) = delete;
 
   /// Stream a compressed .cvol sequence from disk.
   static std::unique_ptr<StreamedSequence> open_cvol(
       const std::string& path, const StreamConfig& config = {});
 
-  Dims dims() const override { return store_->dims(); }
-  int num_steps() const override { return store_->num_steps(); }
+  Dims dims() const override { return tier_.dims(); }
+  int num_steps() const override { return tier_.num_steps(); }
   std::pair<double, double> value_range() const override {
-    return store_->value_range();
+    return tier_.value_range();
   }
-  int histogram_bins() const override { return config_.histogram_bins; }
+  int histogram_bins() const override { return tier_.histogram_bins(); }
 
   const VolumeF& step(int step) const override IFET_EXCLUDES(mutex_);
-  /// Under FailPolicy::kSkipStep a quarantined step yields nullptr here
-  /// (and step() throws the CorruptDataError): tracking needs the exact
-  /// voxels or nothing, so it bridges the gap instead of reading a
-  /// substitute.
+  /// nullptr for a quarantined step under kSkipStep (step() throws the
+  /// CorruptDataError instead): tracking needs the exact voxels or
+  /// nothing, so it bridges the gap. Under kNearestGood the nearest
+  /// loadable step is returned; under kThrow a CorruptDataError names the
+  /// quarantine.
   const VolumeF* try_step(int step) const override IFET_EXCLUDES(mutex_);
-  const CumulativeHistogram& cumulative_histogram(int step) const override;
+  /// Derived products of a quarantined step substitute its nearest
+  /// loadable neighbour under every policy, so histogram-driven consumers
+  /// (IATF opacity ramps) keep working over gaps and the memoized product
+  /// is shareable across clients.
+  const CumulativeHistogram& cumulative_histogram(int step) const override
+      IFET_EXCLUDES(mutex_);
   Histogram histogram(int step) const override;
 
-  /// Source loads so far (demand + prefetch).
+  /// Source loads so far on the tier (demand + prefetch).
   std::size_t generation_count() const override {
-    return store_->load_count();
+    return store().load_count();
   }
 
   /// Brick metadata via the store: ingest-time container section when
   /// present (no payload decode), else built from the decoded step;
   /// memoized in the store.
   std::shared_ptr<const BrickIndex> brick_index(int step) const override {
-    return store_->brick_index(step);
+    return store().brick_index(step);
   }
 
   void hint_window(int lo, int hi) const override IFET_EXCLUDES(mutex_);
-  void prefetch_hint(int step) const override { store_->prefetch(step); }
+  void prefetch_hint(int step) const override { store().prefetch(step); }
 
-  /// Combined counters: cache + prefetch + derived memoization.
-  StreamStats stats() const;
+  /// The tier's combined store + derived + overload counter snapshot.
+  StreamStats stats() const { return tier_.stats(); }
+  /// This client's access/derived/fault counters (lock-free to read).
+  SharedStreamStats& client_stats() const { return client_stats_; }
+  /// This client's admission ledger snapshot (pins, denials, reloads).
+  AdmissionStats admission_stats() const {
+    return tier_.admission().client_stats(client_);
+  }
+  int client_id() const { return client_; }
 
-  VolumeStore& store() const { return *store_; }
-  DerivedCache& derived_cache() const { return derived_; }
+  VolumeStore& store() const { return tier_.store(); }
+  DerivedCache& derived_cache() const { return tier_.derived(); }
 
  private:
-  /// Window bookkeeping only: clamp [lo, hi] to [0, last_step], record it,
-  /// and move held references outside it into `dropped` (the caller
-  /// declares `dropped` before its lock guard, so any final VolumeF
-  /// deallocation happens after mutex_ is released). Returns the clamped
-  /// window. The caller pins it on the store AFTER unlocking — pinning
-  /// triggers loads, and in synchronous-prefetch mode a load is a full
-  /// disk decode that must never run under this mutex (that exact defect
-  /// is pinned by tests/concurrency_regression_test.cpp).
-  std::pair<int, int> set_window_locked(
-      int lo, int hi, int last_step,
+  StreamedSequence(std::unique_ptr<StreamTier> owned, int pin_radius,
+                   FailPolicy fail_policy);
+
+  /// Tier fetch + this client's FailPolicy: nullptr only under kSkipStep.
+  std::shared_ptr<const VolumeF> fetch_with_policy(int step) const;
+
+  /// Nearest loadable neighbour of a quarantined step (step - d before
+  /// step + d); serves kNearestGood and the derived products alike.
+  std::shared_ptr<const VolumeF> nearest_loadable(int step) const;
+
+  /// Move the window to [lo, hi] (clamped): drop held references outside
+  /// it into `dropped` (declared before the caller's lock guard, so any
+  /// final VolumeF deallocation runs after mutex_ is released) and apply
+  /// the admission delta to the cache. Returns the newly pinned steps for
+  /// the caller to warm AFTER unlocking — a load is a full decode in
+  /// synchronous-prefetch mode, and a loader may re-enter this sequence.
+  std::vector<int> move_window_locked(
+      int lo, int hi, int center,
       std::vector<std::shared_ptr<const VolumeF>>& dropped) const
       IFET_REQUIRES(mutex_);
 
-  /// fetch() that degrades gracefully for derived products: a skipped
-  /// (quarantined) step is answered with its nearest loadable neighbour,
-  /// so histogram-driven consumers (IATF opacity ramps) keep working over
-  /// gaps. Voxel-exact consumers go through try_step instead.
-  std::shared_ptr<const VolumeF> fetch_or_substitute(int step) const;
+  /// Declared first so it is destroyed last: the destructor releases this
+  /// client's pins on it, and held_ drops its references before it goes.
+  /// Null for a shared tier.
+  std::unique_ptr<StreamTier> owned_tier_;
+  StreamTier& tier_;
+  const int pin_radius_;
+  const FailPolicy fail_policy_;
+  int client_ = -1;
+  mutable SharedStreamStats client_stats_;
 
-  StreamConfig config_;
-  std::uint64_t hist_params_ = 0;  ///< hash(bins, value range)
-  mutable std::unique_ptr<VolumeStore> store_;
-  mutable DerivedCache derived_;
-
+  /// Held across the admission (35) and cache (30) calls of a window move,
+  /// so racing moves reach the cache in the order admission computed them.
   mutable OrderedMutex mutex_{MutexRank::kStreamedSequence};
   mutable int window_lo_ IFET_GUARDED_BY(mutex_) = 0;
   mutable int window_hi_ IFET_GUARDED_BY(mutex_) = -1;
-  /// Steps of the active window whose references callers may hold; the
-  /// shared_ptrs keep the data alive even across eviction.
+  /// Steps of the active window whose references callers may hold.
   mutable std::map<int, std::shared_ptr<const VolumeF>> held_
       IFET_GUARDED_BY(mutex_);
+  /// Keeps every returned cumulative histogram alive even if the tier's
+  /// DerivedCache drops its entry.
+  mutable std::map<int, std::shared_ptr<const CumulativeHistogram>>
+      cumhists_ IFET_GUARDED_BY(mutex_);
 };
 
 }  // namespace ifet

@@ -297,16 +297,6 @@ void VolumeStore::prefetch(int step) {
   }
 }
 
-void VolumeStore::pin_window(int lo, int hi) {
-  lo = std::max(lo, 0);
-  hi = std::min(hi, num_steps() - 1);
-  cache_.pin_window(lo, hi);
-  if (lo > hi) return;
-  for (int s = lo; s <= hi; ++s) {
-    if (!cache_.resident(s)) prefetch(s);
-  }
-}
-
 std::shared_ptr<const BrickIndex> VolumeStore::brick_index(int step) {
   IFET_REQUIRE(step >= 0 && step < num_steps(),
                "VolumeStore::brick_index: step out of range");

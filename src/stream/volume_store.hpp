@@ -106,10 +106,6 @@ class VolumeStore {
   /// no-op outside the sequence).
   void prefetch(int step);
 
-  /// Pin [lo, hi] (clamped) as the active window and start loading any
-  /// non-resident window step in the background.
-  void pin_window(int lo, int hi);
-
   CacheManager& cache() { return cache_; }
   const CacheManager& cache() const { return cache_; }
 
@@ -129,8 +125,8 @@ class VolumeStore {
   std::uint64_t brick_metadata_reads() const IFET_EXCLUDES(mutex_);
   std::uint64_t brick_builds() const IFET_EXCLUDES(mutex_);
 
-  /// Total source loads (demand + prefetch); the out-of-core analogue of
-  /// CachedSequence::generation_count.
+  /// Total source loads (demand + prefetch); what
+  /// VolumeSequence::generation_count reports.
   std::size_t load_count() const IFET_EXCLUDES(mutex_);
 
   /// Combined snapshot: cache + prefetcher + robustness counters.

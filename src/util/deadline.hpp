@@ -11,7 +11,7 @@
 //
 // Plumbing is by scoped thread-local context, not parameters: the command
 // vocabulary reaches blocking waits through interfaces that predate
-// deadlines (VolumeSequence::step -> ClientSequenceView -> VolumeStore ->
+// deadlines (VolumeSequence::step -> StreamedSequence -> VolumeStore ->
 // Prefetcher), and threading a Deadline argument through every pipeline
 // in between would churn every caller for a concern only the server has.
 // SessionManager installs a DeadlineScope around command execution; any

@@ -40,7 +40,8 @@ enum class MutexRank : int {
   kSessionManager = 4,     ///< SessionManager session registry + hash refs
   kServerStrand = 6,       ///< Per-session command queue (strand) mutex
   kStreamedSequence = 10,  ///< StreamedSequence window/held-refs mutex
-  kClientView = 12,        ///< ClientSequenceView window/held-refs mutex
+                           ///< (held across the admission and cache calls
+                           ///< of a window move, both ranked higher)
   kPressure = 15,          ///< PressureMonitor transition state (held across
                            ///< admission/cache/derived calls, all ranked
                            ///< higher, while a pressure transition applies)

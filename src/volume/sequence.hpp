@@ -6,21 +6,17 @@
 // VolumeSequence is therefore an *interface*: consumers (IATF synthesis,
 // dataspace classification, 4D region growing, rendering) ask for steps and
 // per-step cumulative histograms without knowing whether the data is fully
-// resident, LRU-cached, or streamed from disk under a byte budget.
+// resident or streamed from disk under a byte budget.
 //
-// Implementations:
-//  * CachedSequence (this file)     — count-capped LRU over a VolumeSource;
-//    with capacity >= num_steps it is the trivial fully-resident path.
-//  * StreamedSequence (src/stream/) — out-of-core: byte-budgeted cache,
-//    async prefetch, windowed pinning, derived-product memoization.
+// The one implementation is StreamedSequence (src/stream/): a client of a
+// StreamTier, either a private tier (single user; an unlimited budget is
+// the fully-resident path) or the server's shared tier (one client per
+// session).
 #pragma once
 
 #include <functional>
-#include <list>
 #include <memory>
-#include <unordered_map>
 
-#include "util/thread_annotations.hpp"
 #include "volume/brick_index.hpp"
 #include "volume/histogram.hpp"
 #include "volume/volume.hpp"
@@ -77,10 +73,9 @@ class CallbackSource final : public VolumeSource {
 /// Interface every 4D pipeline consumes: per-step volumes plus per-step
 /// cumulative histograms over the sequence-global value range.
 ///
-/// Reference validity: the VolumeF& returned by step() stays valid until a
-/// later access lets the implementation recycle the entry — for
-/// CachedSequence that is LRU eviction past the capacity, for
-/// StreamedSequence it is the pinned window sliding away. Callers that
+/// Reference validity: the VolumeF& returned by step() stays valid while
+/// the step is inside the sequence's window — the steps around the last
+/// access, or the range last declared with hint_window(). Callers that
 /// interleave accesses to several steps (e.g. 4D region growing) declare
 /// the steps they hold with hint_window().
 class VolumeSequence {
@@ -96,11 +91,10 @@ class VolumeSequence {
   virtual const VolumeF& step(int step) const = 0;
 
   /// Volume at `step`, or nullptr when the step is unavailable and the
-  /// implementation's fail policy allows skipping it (out-of-core
-  /// streaming with FailPolicy::kSkipStep — see docs/ROBUSTNESS.md).
-  /// Fully-resident implementations never return nullptr. Consumers that
-  /// can bridge gaps (feature tracking) use this; step() throws instead.
-  virtual const VolumeF* try_step(int t) const { return &step(t); }
+  /// sequence's fail policy skips it (FailPolicy::kSkipStep — see
+  /// docs/ROBUSTNESS.md). Consumers that can bridge gaps (feature
+  /// tracking) use this; step() throws instead.
+  virtual const VolumeF* try_step(int t) const = 0;
 
   /// Cumulative histogram of `step` over the sequence-global value range.
   virtual const CumulativeHistogram& cumulative_histogram(int step) const = 0;
@@ -111,92 +105,22 @@ class VolumeSequence {
   /// Number of source loads so far (cache-miss count; for tests).
   virtual std::size_t generation_count() const = 0;
 
-  /// Brick min/max metadata for `step` (renderer empty-space skipping).
-  /// Implementations prefer ingest-time metadata from the backing
-  /// container (served without decoding the payload) and fall back to
-  /// building the index from the decoded volume, memoizing either way.
-  /// The base default returns nullptr: callers must handle "no metadata"
-  /// by building from the volume themselves (Raycaster::prepare_plan
-  /// does).
-  virtual std::shared_ptr<const BrickIndex> brick_index(int step) const {
-    (void)step;
-    return nullptr;
-  }
-
-  // --- Streaming hooks (no-ops on fully-resident implementations) ---
+  /// Brick min/max metadata for `step` (renderer empty-space skipping):
+  /// ingest-time metadata from the backing container when present (served
+  /// without decoding the payload), else built from the decoded volume;
+  /// memoized either way. nullptr means "no metadata" and callers build
+  /// from the volume themselves (Raycaster::prepare_plan does).
+  virtual std::shared_ptr<const BrickIndex> brick_index(int step) const = 0;
 
   /// Declare that the caller will interleave accesses to steps in
-  /// [lo, hi] (clamped to the sequence): out-of-core implementations pin
-  /// that window so references stay valid while the rest evicts.
-  virtual void hint_window(int lo, int hi) const {
-    (void)lo;
-    (void)hi;
-  }
+  /// [lo, hi] (clamped to the sequence; a window that misses the sequence
+  /// is an error): the sequence pins that window so references stay valid
+  /// while the rest evicts.
+  virtual void hint_window(int lo, int hi) const = 0;
 
-  /// Advise that `step` will likely be needed soon; out-of-core
-  /// implementations overlap its decode with the caller's compute.
-  virtual void prefetch_hint(int step) const { (void)step; }
-};
-
-/// Count-capped LRU implementation of VolumeSequence, plus the trivial
-/// fully-resident path (capacity >= num_steps).
-///
-/// Thread safety: cache bookkeeping is internally synchronized, so
-/// concurrent step()/cumulative_histogram() calls are safe — but the
-/// returned references stay valid only until the entry is evicted. When
-/// reading from several threads (e.g. run_batch_render with a shared
-/// sequence), size `cache_capacity` to at least the number of concurrent
-/// readers, or have each worker generate() its own volume.
-class CachedSequence final : public VolumeSequence {
- public:
-  /// Keeps at most `cache_capacity` decoded steps in memory.
-  CachedSequence(std::shared_ptr<const VolumeSource> source,
-                 std::size_t cache_capacity = 4, int histogram_bins = 256);
-
-  Dims dims() const override { return source_->dims(); }
-  int num_steps() const override { return source_->num_steps(); }
-  std::pair<double, double> value_range() const override {
-    return source_->value_range();
-  }
-  int histogram_bins() const override { return histogram_bins_; }
-
-  const VolumeF& step(int step) const override;
-  const CumulativeHistogram& cumulative_histogram(int step) const override;
-  Histogram histogram(int step) const override;
-  /// Ingest metadata when the source carries it, else built from the
-  /// decoded step; memoized for the sequence lifetime (brick indices are
-  /// ~0.2% of a volume, so they are not subject to LRU eviction).
-  std::shared_ptr<const BrickIndex> brick_index(int step) const override
-      IFET_EXCLUDES(mutex_);
-  // Locked: generations_ is written by concurrent fetches; the old
-  // lock-free read here was a data race the thread-safety annotations
-  // refused to compile.
-  std::size_t generation_count() const override IFET_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    return generations_;
-  }
-
- private:
-  struct Entry {
-    VolumeF volume;
-    std::unique_ptr<CumulativeHistogram> cumhist;
-  };
-
-  Entry& fetch(int step) const IFET_EXCLUDES(mutex_);
-
-  std::shared_ptr<const VolumeSource> source_;
-  std::size_t capacity_;
-  int histogram_bins_;
-  // Plain annotated Mutex (not rank-checked): fetch() deliberately runs
-  // source_->generate() under the lock — the documented serialize-
-  // generation contract of this legacy in-memory path — so it must stay
-  // out of the leaf-rank discipline the streaming classes follow.
-  mutable Mutex mutex_;
-  mutable std::list<int> lru_ IFET_GUARDED_BY(mutex_);  // front = recent
-  mutable std::unordered_map<int, Entry> cache_ IFET_GUARDED_BY(mutex_);
-  mutable std::unordered_map<int, std::shared_ptr<const BrickIndex>> bricks_
-      IFET_GUARDED_BY(mutex_);
-  mutable std::size_t generations_ IFET_GUARDED_BY(mutex_) = 0;
+  /// Advise that `step` will likely be needed soon; the sequence overlaps
+  /// its decode with the caller's compute.
+  virtual void prefetch_hint(int step) const = 0;
 };
 
 }  // namespace ifet

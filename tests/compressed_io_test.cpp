@@ -9,12 +9,12 @@
 #include "io/checksum.hpp"
 #include "io/compressed.hpp"
 #include "io/volume_io.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/io_error.hpp"
 #include "util/rng.hpp"
 #include "volume/brick_index.hpp"
-#include "volume/sequence.hpp"
 
 namespace ifet {
 namespace {
@@ -137,7 +137,8 @@ TEST(CompressedSequence, PlugsIntoVolumeSequence) {
   write_compressed_sequence(source, path);
 
   auto disk_source = std::make_shared<CompressedFileSource>(path);
-  CachedSequence seq(disk_source, 2);  // streams with a 2-step window
+  // Streams with a 2-step budget.
+  StreamedSequence seq(disk_source, testing::load_counting_config(d, 2));
   EXPECT_NEAR(seq.step(5).at(3, 3, 3), 0.25f, 1e-2);
   EXPECT_NEAR(seq.step(0).at(3, 3, 3), 0.0f, 1e-2);
   EXPECT_NEAR(seq.step(1).at(3, 3, 3), 0.05f, 1e-2);  // evicts step 5
@@ -373,7 +374,7 @@ TEST(BrickSection, BrickMetadataNeverDecodesPayloads) {
   write_compressed_sequence(source, path);
 
   auto disk_source = std::make_shared<CompressedFileSource>(path);
-  CachedSequence seq(disk_source, 2);
+  StreamedSequence seq(disk_source, testing::load_counting_config(d, 2));
   const ChecksumCounters before = checksum_counters();
   const auto bricks = seq.brick_index(2);
   ASSERT_NE(bricks, nullptr);

@@ -21,7 +21,6 @@
 #include "stream/derived_cache.hpp"
 #include "stream/streamed_sequence.hpp"
 #include "util/rng.hpp"
-#include "volume/sequence.hpp"
 
 namespace ifet {
 namespace {
@@ -116,23 +115,30 @@ TEST(ConcurrencyRegressionTest, FlatMlpCacheConcurrentGetPublishesOnce) {
   EXPECT_EQ(cache.rebuilds(), 1u);
 }
 
-// CachedSequence::generation_count() used to read the guarded counter
-// without the lock — a data race against concurrent fetches (the tsan
-// preset sees the unsynchronized read; here we pin the synchronized
-// count's correctness under contention).
-TEST(ConcurrencyRegressionTest, CachedSequenceGenerationCountSynchronized) {
+// generation_count() used to read the guarded load counter without the
+// lock — a data race against concurrent fetches (the tsan preset sees the
+// unsynchronized read; here we pin the synchronized count's correctness
+// under contention). Concurrent demand loads are not serialized, so two
+// racing readers may both decode a step: the count covers every step at
+// least once, and once every step is resident no read loads again.
+TEST(ConcurrencyRegressionTest, GenerationCountSynchronized) {
   constexpr int kSteps = 12;
   auto source = std::make_shared<CallbackSource>(
       kDims, kSteps, std::pair<double, double>{0.0, 1.0},
       [](int step) { return step_volume(step); });
-  CachedSequence seq(source, /*cache_capacity=*/kSteps);
+  StreamConfig config;
+  config.async_prefetch = false;
+  StreamedSequence seq(source, config);
 
   std::vector<std::thread> threads;
   std::atomic<std::size_t> observed{0};
+  std::atomic<int> wrong_values{0};
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
       for (int s = 0; s < kSteps; ++s) {
-        (void)seq.step(s);
+        if (seq.step(s).at(0, 0, 0) != step_volume(s).at(0, 0, 0)) {
+          wrong_values.fetch_add(1);
+        }
         observed.fetch_add(seq.generation_count() > 0 ? 1 : 0);
       }
     });
@@ -140,9 +146,13 @@ TEST(ConcurrencyRegressionTest, CachedSequenceGenerationCountSynchronized) {
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(observed.load(), 4u * kSteps);
-  // Capacity covers every step, so each step was generated exactly once
-  // no matter how the threads interleaved.
-  EXPECT_EQ(seq.generation_count(), static_cast<std::size_t>(kSteps));
+  EXPECT_EQ(wrong_values.load(), 0);
+  // The unlimited budget keeps every step resident: each was loaded at
+  // least once, and a second full scan loads nothing.
+  const std::size_t loads = seq.generation_count();
+  EXPECT_GE(loads, static_cast<std::size_t>(kSteps));
+  for (int s = 0; s < kSteps; ++s) (void)seq.step(s);
+  EXPECT_EQ(seq.generation_count(), loads);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "volume/components.hpp"
-#include "volume/sequence.hpp"
+#include "stream/streamed_sequence.hpp"
 
 namespace ifet {
 namespace {
@@ -295,7 +295,7 @@ TEST(DataSpaceClassifier, SequenceOverloadsNeedOneVariable) {
   auto source = std::make_shared<CallbackSource>(
       d, 3, std::pair<double, double>{0.0, 1.0},
       [d](int step) { return testing::random_volume(d, 10 + step); });
-  CachedSequence seq(source, 3);
+  StreamedSequence seq(source);
   auto clf = make_classifier({2, 1});
   EXPECT_THROW(clf->add_samples(seq, 0, {{Index3{0, 0, 0}, 0, 1.0}}), Error);
   EXPECT_THROW(clf->classify(seq, 0), Error);

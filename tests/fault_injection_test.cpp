@@ -326,15 +326,15 @@ TEST(StepHealthReport, TracksVerifiedAndQuarantinedStates) {
 
 TEST(GracefulDegradation, TrackingBridgesAQuarantinedStep) {
   auto inner = blob_source();
-  auto make_sequence = [&](std::shared_ptr<const VolumeSource> src) {
+  auto sequence_over = [&](std::shared_ptr<const VolumeSource> src) {
     StreamConfig config;
     config.lookahead = 1;
     config.async_prefetch = false;
     config.fail_policy = FailPolicy::kSkipStep;
     return std::make_unique<StreamedSequence>(std::move(src), config);
   };
-  auto clean_seq = make_sequence(inner);
-  auto faulty_seq = make_sequence(std::make_shared<FaultInjectingSource>(
+  auto clean_seq = sequence_over(inner);
+  auto faulty_seq = sequence_over(std::make_shared<FaultInjectingSource>(
       inner, std::vector<FaultSpec>{{2, FaultKind::kCorrupt, 1}}));
 
   FixedRangeCriterion criterion(0.5, 1.0);
@@ -478,7 +478,7 @@ TEST(PrefetchFailure, WorkerRetriesTransientFaults) {
 
 TEST(FaultEquivalence, PipelineResultsIdenticalUnderTransientFaults) {
   auto inner = blob_source();
-  auto make_sequence = [&](std::shared_ptr<const VolumeSource> src,
+  auto sequence_over = [&](std::shared_ptr<const VolumeSource> src,
                            int max_retries) {
     StreamConfig config;
     config.budget_bytes = 3 * kDims.count() * sizeof(float);
@@ -487,8 +487,8 @@ TEST(FaultEquivalence, PipelineResultsIdenticalUnderTransientFaults) {
     config.max_retries = max_retries;
     return std::make_unique<StreamedSequence>(std::move(src), config);
   };
-  auto clean = make_sequence(inner, 0);
-  auto faulted = make_sequence(
+  auto clean = sequence_over(inner, 0);
+  auto faulted = sequence_over(
       std::make_shared<FaultInjectingSource>(
           inner, std::vector<FaultSpec>{
                      {FaultSpec::kAllSteps, FaultKind::kTransient, 1}}),

@@ -457,7 +457,7 @@ TEST(ConsumerParity, IatfEvaluateMatchesScalarOpacity) {
       d, 6, std::pair<double, double>{0.0, 1.0}, [d](int step) {
         return testing::random_volume(d, 100 + static_cast<std::uint64_t>(step));
       });
-  CachedSequence seq(source, 3);
+  StreamedSequence seq(source);
   Iatf iatf(seq);
   TransferFunction1D key(0.0, 1.0);
   key.add_band(0.3, 0.6, 0.9, 0.05);

@@ -4,6 +4,7 @@
 
 #include "core/iatf.hpp"
 #include "flowsim/datasets.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/error.hpp"
 
 namespace ifet {
@@ -39,13 +40,13 @@ TransferFunction1D band_tf(double lo, double hi) {
 }
 
 TEST(Iatf, RequiresKeyFramesBeforeTraining) {
-  CachedSequence seq(drifting_source(10), 4);
+  StreamedSequence seq(drifting_source(10));
   Iatf iatf(seq);
   EXPECT_THROW(iatf.train(1), Error);
 }
 
 TEST(Iatf, KeyFrameMustMatchValueRange) {
-  CachedSequence seq(drifting_source(10), 4);
+  StreamedSequence seq(drifting_source(10));
   Iatf iatf(seq);
   TransferFunction1D wrong(0.0, 2.0);
   EXPECT_THROW(iatf.add_key_frame(0, wrong), Error);
@@ -53,7 +54,7 @@ TEST(Iatf, KeyFrameMustMatchValueRange) {
 }
 
 TEST(Iatf, TrainingSetGrowsPerKeyFrame) {
-  CachedSequence seq(drifting_source(10), 4);
+  StreamedSequence seq(drifting_source(10));
   Iatf iatf(seq);
   iatf.add_key_frame(0, band_tf(0.3, 0.4));
   EXPECT_EQ(iatf.training_samples(),
@@ -64,7 +65,7 @@ TEST(Iatf, TrainingSetGrowsPerKeyFrame) {
 }
 
 TEST(Iatf, ReproducesKeyFrameTransferFunctions) {
-  CachedSequence seq(drifting_source(10), 4);
+  StreamedSequence seq(drifting_source(10));
   IatfConfig cfg;
   cfg.hidden_units = 12;
   Iatf iatf(seq, cfg);
@@ -87,7 +88,7 @@ TEST(Iatf, AdaptsBetterThanLinearInterpolationUnderDrift) {
   // open near 0.50; lerp of the two key-frame TFs opens at 0.35 and 0.65
   // instead.
   const int steps = 11;
-  CachedSequence seq(drifting_source(steps), 6);
+  StreamedSequence seq(drifting_source(steps));
   IatfConfig cfg;
   cfg.hidden_units = 12;
   Iatf iatf(seq, cfg);
@@ -107,7 +108,7 @@ TEST(Iatf, AdaptsBetterThanLinearInterpolationUnderDrift) {
 }
 
 TEST(Iatf, TrainForAdvancesEpochs) {
-  CachedSequence seq(drifting_source(5), 4);
+  StreamedSequence seq(drifting_source(5));
   Iatf iatf(seq);
   iatf.add_key_frame(0, band_tf(0.3, 0.4));
   iatf.train_for(5.0);
@@ -115,7 +116,7 @@ TEST(Iatf, TrainForAdvancesEpochs) {
 }
 
 TEST(Iatf, OpacityAgreesWithEvaluatedTf) {
-  CachedSequence seq(drifting_source(5), 4);
+  StreamedSequence seq(drifting_source(5));
   Iatf iatf(seq);
   iatf.add_key_frame(0, band_tf(0.3, 0.4));
   iatf.train(100);
@@ -131,7 +132,7 @@ TEST(Iatf, OpacityAgreesWithEvaluatedTf) {
 }
 
 TEST(Iatf, InputAblationChangesNetworkWidth) {
-  CachedSequence seq(drifting_source(5), 4);
+  StreamedSequence seq(drifting_source(5));
   IatfConfig value_only;
   value_only.use_cumulative_histogram = false;
   value_only.use_time = false;
@@ -142,7 +143,7 @@ TEST(Iatf, InputAblationChangesNetworkWidth) {
 }
 
 TEST(Iatf, AllInputsDisabledThrows) {
-  CachedSequence seq(drifting_source(5), 4);
+  StreamedSequence seq(drifting_source(5));
   IatfConfig none;
   none.use_value = false;
   none.use_cumulative_histogram = false;
@@ -155,7 +156,7 @@ TEST(Iatf, ValueOnlyCannotFollowDrift) {
   // histogram and time, one network cannot open different value bands at
   // different steps — it averages the two key frames.
   const int steps = 11;
-  CachedSequence seq(drifting_source(steps), 6);
+  StreamedSequence seq(drifting_source(steps));
   IatfConfig value_only;
   value_only.use_cumulative_histogram = false;
   value_only.use_time = false;

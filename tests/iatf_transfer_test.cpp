@@ -9,6 +9,7 @@
 #include "render/raycaster.hpp"
 #include "core/iatf.hpp"
 #include "flowsim/datasets.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/error.hpp"
 
 namespace ifet {
@@ -42,7 +43,7 @@ TransferFunction1D band(double lo, double hi) {
 
 TEST(IatfTransfer, SaveLoadReproducesEveryStepsTf) {
   const int steps = 7;
-  CachedSequence seq(drift_source(steps), 8, 256);
+  StreamedSequence seq(drift_source(steps));
   Iatf trained(seq);
   trained.add_key_frame(0, band(0.35, 0.45));
   trained.add_key_frame(6, band(0.65, 0.75));
@@ -52,7 +53,7 @@ TEST(IatfTransfer, SaveLoadReproducesEveryStepsTf) {
   trained.save(stream);
 
   // The "remote machine" opens its own sequence over the same data.
-  CachedSequence remote_seq(drift_source(steps), 8, 256);
+  StreamedSequence remote_seq(drift_source(steps));
   auto loaded = Iatf::load(stream, remote_seq);
   for (int step = 0; step < steps; ++step) {
     TransferFunction1D a = trained.evaluate(step);
@@ -65,7 +66,7 @@ TEST(IatfTransfer, SaveLoadReproducesEveryStepsTf) {
 }
 
 TEST(IatfTransfer, LoadedIatfCanContinueTraining) {
-  CachedSequence seq(drift_source(5), 8, 256);
+  StreamedSequence seq(drift_source(5));
   Iatf trained(seq);
   trained.add_key_frame(0, band(0.35, 0.45));
   trained.train(200);
@@ -78,13 +79,13 @@ TEST(IatfTransfer, LoadedIatfCanContinueTraining) {
 }
 
 TEST(IatfTransfer, LoadValidatesCompatibility) {
-  CachedSequence seq(drift_source(5), 8, 256);
+  StreamedSequence seq(drift_source(5));
   Iatf trained(seq);
   trained.add_key_frame(0, band(0.35, 0.45));
   std::stringstream stream;
   trained.save(stream);
 
-  CachedSequence wrong_steps(drift_source(9), 8, 256);
+  StreamedSequence wrong_steps(drift_source(9));
   EXPECT_THROW(Iatf::load(stream, wrong_steps), Error);
 
   std::stringstream garbage("not-an-iatf 1\n");
@@ -92,7 +93,7 @@ TEST(IatfTransfer, LoadValidatesCompatibility) {
 }
 
 TEST(IatfTransfer, AblatedConfigSurvivesRoundTrip) {
-  CachedSequence seq(drift_source(5), 8, 256);
+  StreamedSequence seq(drift_source(5));
   IatfConfig cfg;
   cfg.use_time = false;
   Iatf trained(seq, cfg);
@@ -111,7 +112,7 @@ TEST(IatfTransfer, AblatedConfigSurvivesRoundTrip) {
 TEST(BatchRender, RendersEveryStepWithTheShippedIatf) {
   const int steps = 6;
   auto source = drift_source(steps);
-  CachedSequence seq(source, 8, 256);
+  StreamedSequence seq(source);
   Iatf iatf(seq);
   iatf.add_key_frame(0, band(0.35, 0.45));
   iatf.add_key_frame(steps - 1, band(0.6, 0.7));

@@ -18,6 +18,7 @@
 #include "io/compressed.hpp"
 #include "render/raycaster.hpp"
 #include "session/session.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "volume/components.hpp"
 #include "volume/octree.hpp"
 #include "volume/ops.hpp"
@@ -38,7 +39,7 @@ TEST(Integration, FullPipelineOnSwirlingFlow) {
   // 2. Stream it back from disk with a small out-of-core window.
   auto disk = std::make_shared<CompressedFileSource>(path);
   ASSERT_EQ(disk->num_steps(), sim.num_steps);
-  CachedSequence sequence(disk, 6);
+  StreamedSequence sequence(disk);
 
   // 3. Key-frame TFs at both ends; train the IATF.
   auto band_tf = [&](int step) {
@@ -147,7 +148,7 @@ TEST(Integration, DataSpacePipelineOnReionization) {
   cfg.num_steps = 400;
   cfg.num_small_features = 80;
   auto source = std::make_shared<ReionizationSource>(cfg);
-  CachedSequence sequence(source, 4);
+  StreamedSequence sequence(source);
 
   SessionConfig scfg;
   scfg.classifier.spec.shell_radius = 3.0;
@@ -228,7 +229,7 @@ TEST(Integration, BatchExtractionMatchesInteractivePath) {
   cfg.dims = Dims{24, 24, 24};
   cfg.num_steps = 12;
   ArgonBubbleSource source(cfg);
-  CachedSequence sequence(std::make_shared<ArgonBubbleSource>(cfg), 4);
+  StreamedSequence sequence(std::make_shared<ArgonBubbleSource>(cfg));
 
   auto extract = [&](const VolumeF& v, int step) {
     (void)step;

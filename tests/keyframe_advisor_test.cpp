@@ -68,7 +68,7 @@ TEST(CumHistDistance, IncompatibleHistogramsThrow) {
 
 TEST(SuggestKeyFrame, PicksTheUncoveredMiddleOfNonlinearDrift) {
   const int steps = 21;
-  CachedSequence seq(cubic_drift_source(steps), 24, 512);
+  StreamedSequence seq(cubic_drift_source(steps), testing::bins_config(512));
   KeyFrameSuggestion s =
       suggest_key_frame(seq, {0, steps - 1}, 0, steps - 1);
   // Cubic offset: the step farthest (in distribution) from both ends has
@@ -84,21 +84,21 @@ TEST(SuggestKeyFrame, CoveredSequenceNeedsNothing) {
   auto source = std::make_shared<CallbackSource>(
       d, 8, std::pair<double, double>{0.0, 1.0},
       [d](int) { return testing::random_volume(d, 11); });
-  CachedSequence seq(source, 8, 256);
+  StreamedSequence seq(source);
   KeyFrameSuggestion s = suggest_key_frame(seq, {0}, 0, 7, 1, 0.01);
   EXPECT_EQ(s.step, -1);
 }
 
 TEST(SuggestKeyFrame, SkipsExistingKeys) {
   const int steps = 5;
-  CachedSequence seq(cubic_drift_source(steps), 8, 256);
+  StreamedSequence seq(cubic_drift_source(steps));
   std::vector<int> all{0, 1, 2, 3, 4};
   KeyFrameSuggestion s = suggest_key_frame(seq, all, 0, steps - 1);
   EXPECT_EQ(s.step, -1);  // every step is already a key
 }
 
 TEST(SuggestKeyFrame, StrideAndRangeValidated) {
-  CachedSequence seq(cubic_drift_source(5), 8, 256);
+  StreamedSequence seq(cubic_drift_source(5));
   EXPECT_THROW(suggest_key_frame(seq, {0}, 0, 4, 0), Error);
   EXPECT_THROW(suggest_key_frame(seq, {0}, 0, 99), Error);
   EXPECT_THROW(distance_to_nearest_key(seq, 0, {}), Error);
@@ -106,7 +106,7 @@ TEST(SuggestKeyFrame, StrideAndRangeValidated) {
 
 TEST(SuggestKeyFrame, AddedKeyReducesMaxDistance) {
   const int steps = 21;
-  CachedSequence seq(cubic_drift_source(steps), 24, 512);
+  StreamedSequence seq(cubic_drift_source(steps), testing::bins_config(512));
   std::vector<int> keys{0, steps - 1};
   KeyFrameSuggestion first = suggest_key_frame(seq, keys, 0, steps - 1);
   ASSERT_GE(first.step, 0);

@@ -19,13 +19,13 @@
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
-#include "server/admission.hpp"
-#include "server/pressure.hpp"
 #include "server/session_manager.hpp"
+#include "stream/admission.hpp"
 #include "stream/cache_manager.hpp"
 #include "stream/derived_cache.hpp"
 #include "stream/fault_injection.hpp"
 #include "stream/prefetcher.hpp"
+#include "stream/pressure.hpp"
 #include "stream/volume_store.hpp"
 #include "util/deadline.hpp"
 #include "util/io_error.hpp"

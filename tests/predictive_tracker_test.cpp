@@ -4,6 +4,7 @@
 
 #include "core/predictive_tracker.hpp"
 #include "flowsim/datasets.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/error.hpp"
 
 namespace ifet {
@@ -29,7 +30,7 @@ std::shared_ptr<CallbackSource> moving_box_source(int steps, int speed) {
 
 TEST(PredictiveTracker, FollowsUniformMotion) {
   const int steps = 8;
-  CachedSequence seq(moving_box_source(steps, 3), 4);
+  StreamedSequence seq(moving_box_source(steps, 3));
   FixedRangeCriterion criterion(0.5, 1.0);
   PredictiveTracker tracker(seq, criterion);
   PredictiveTrack track = tracker.track(Index3{3, 7, 7}, 0, steps - 1);
@@ -54,7 +55,7 @@ TEST(PredictiveTracker, FollowsFastFeatureThatRegionGrowingLoses) {
   // that); prediction-verification follows it anyway — the complementary
   // strength of the cited scheme.
   const int steps = 6;
-  CachedSequence seq(moving_box_source(steps, 6), 4);
+  StreamedSequence seq(moving_box_source(steps, 6));
   FixedRangeCriterion criterion(0.5, 1.0);
   PredictiveTracker tracker(seq, criterion);
   PredictiveTrack track = tracker.track(Index3{3, 7, 7}, 0, steps - 1);
@@ -62,7 +63,7 @@ TEST(PredictiveTracker, FollowsFastFeatureThatRegionGrowingLoses) {
 }
 
 TEST(PredictiveTracker, SeedOutsideFeatureIsLostImmediately) {
-  CachedSequence seq(moving_box_source(3, 2), 4);
+  StreamedSequence seq(moving_box_source(3, 2));
   FixedRangeCriterion criterion(0.5, 1.0);
   PredictiveTracker tracker(seq, criterion);
   PredictiveTrack track = tracker.track(Index3{30, 2, 2}, 0, 2);
@@ -85,7 +86,7 @@ TEST(PredictiveTracker, LosesFeatureWhenItDisappears) {
         }
         return v;
       });
-  CachedSequence seq(source, 4);
+  StreamedSequence seq(source);
   FixedRangeCriterion criterion(0.5, 1.0);
   PredictiveTracker tracker(seq, criterion);
   PredictiveTrack track = tracker.track(Index3{5, 7, 7}, 0, 5);
@@ -115,7 +116,7 @@ TEST(PredictiveTracker, SizeToleranceRejectsWrongFeature) {
         }
         return v;
       });
-  CachedSequence seq(source, 2);
+  StreamedSequence seq(source);
   FixedRangeCriterion criterion(0.5, 1.0);
   PredictiveTrackerConfig config;
   config.size_ratio_tolerance = 2.0;
@@ -130,7 +131,7 @@ TEST(PredictiveTracker, ReportsAmbiguityAtSplit) {
   cfg.num_steps = 25;
   cfg.split_step = 18;
   auto source = std::make_shared<TurbulentVortexSource>(cfg);
-  CachedSequence seq(source, 6);
+  StreamedSequence seq(source);
   FixedRangeCriterion criterion(0.48, 1.0);
   PredictiveTrackerConfig config;
   config.centroid_tolerance = 10.0;
@@ -154,7 +155,7 @@ TEST(PredictiveTracker, ReportsAmbiguityAtSplit) {
 }
 
 TEST(PredictiveTracker, ComponentsAtFiltersNoise) {
-  CachedSequence seq(moving_box_source(2, 0), 2);
+  StreamedSequence seq(moving_box_source(2, 0));
   FixedRangeCriterion criterion(0.5, 1.0);
   PredictiveTrackerConfig config;
   config.min_component_voxels = 100;  // bigger than the 64-voxel box
@@ -166,7 +167,7 @@ TEST(PredictiveTracker, ComponentsAtFiltersNoise) {
 }
 
 TEST(PredictiveTracker, ValidatesConfigAndRange) {
-  CachedSequence seq(moving_box_source(3, 1), 2);
+  StreamedSequence seq(moving_box_source(3, 1));
   FixedRangeCriterion criterion(0.5, 1.0);
   PredictiveTrackerConfig bad;
   bad.centroid_tolerance = -1.0;

@@ -40,7 +40,7 @@ class TrackerSpeedTest : public ::testing::TestWithParam<int> {};
 TEST_P(TrackerSpeedTest, TracksIffConsecutiveStepsOverlap) {
   const int speed = GetParam();
   const int steps = 5;
-  CachedSequence seq(moving_box(steps, speed), 4);
+  StreamedSequence seq(moving_box(steps, speed));
   FixedRangeCriterion criterion(0.5, 1.0);
   Tracker tracker(seq, criterion);
   TrackResult track = tracker.track(Index3{3, 7, 7}, 0);
@@ -82,7 +82,7 @@ TEST_P(IatfDriftTest, FollowsLinearDriftOfAnyMagnitude) {
         }
         return v;
       });
-  CachedSequence seq(source, 4, 512);
+  StreamedSequence seq(source, testing::bins_config(512));
   auto band = [&](int step) {
     TransferFunction1D tf(0.0, 2.0);
     double c = 0.5 + total_drift * step / (steps - 1);
@@ -203,7 +203,7 @@ TEST(IatfEditing, SetKeyFrameReplacesAndRetrains) {
   auto source = std::make_shared<CallbackSource>(
       d, steps, std::pair<double, double>{0.0, 1.0},
       [d](int) { return VolumeF(d, 0.4f); });
-  CachedSequence seq(source, 4);
+  StreamedSequence seq(source);
   Iatf iatf(seq);
   TransferFunction1D low(0.0, 1.0);
   low.add_band(0.1, 0.2, 1.0);
@@ -224,7 +224,7 @@ TEST(IatfEditing, SetKeyFrameAddsWhenMissing) {
   auto source = std::make_shared<CallbackSource>(
       d, 4, std::pair<double, double>{0.0, 1.0},
       [d](int) { return VolumeF(d, 0.5f); });
-  CachedSequence seq(source, 4);
+  StreamedSequence seq(source);
   Iatf iatf(seq);
   TransferFunction1D tf(0.0, 1.0);
   tf.add_band(0.4, 0.6, 1.0);
@@ -238,7 +238,7 @@ TEST(IatfEditing, RemoveKeyFrameShrinksTraining) {
   auto source = std::make_shared<CallbackSource>(
       d, 4, std::pair<double, double>{0.0, 1.0},
       [d](int) { return VolumeF(d, 0.5f); });
-  CachedSequence seq(source, 4);
+  StreamedSequence seq(source);
   Iatf iatf(seq);
   TransferFunction1D tf(0.0, 1.0);
   tf.add_band(0.4, 0.6, 1.0);

@@ -2,9 +2,9 @@
 
 #include <memory>
 
+#include "stream/streamed_sequence.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
-#include "volume/sequence.hpp"
 
 namespace ifet {
 namespace {
@@ -20,20 +20,21 @@ std::shared_ptr<CallbackSource> counter_source(Dims d, int steps) {
 }
 
 TEST(VolumeSequence, GeneratesRequestedStep) {
-  CachedSequence seq(counter_source(Dims{4, 4, 4}, 10), 2);
+  StreamedSequence seq(counter_source(Dims{4, 4, 4}, 10));
   EXPECT_FLOAT_EQ(seq.step(3).at(0, 0, 0), 0.03f);
   EXPECT_FLOAT_EQ(seq.step(7).at(1, 2, 3), 0.07f);
   EXPECT_EQ(seq.num_steps(), 10);
 }
 
 TEST(VolumeSequence, StepOutOfRangeThrows) {
-  CachedSequence seq(counter_source(Dims{4, 4, 4}, 5), 2);
+  StreamedSequence seq(counter_source(Dims{4, 4, 4}, 5));
   EXPECT_THROW(seq.step(-1), Error);
   EXPECT_THROW(seq.step(5), Error);
 }
 
 TEST(VolumeSequence, CacheHitAvoidsRegeneration) {
-  CachedSequence seq(counter_source(Dims{4, 4, 4}, 10), 3);
+  StreamedSequence seq(counter_source(Dims{4, 4, 4}, 10),
+                       testing::load_counting_config(Dims{4, 4, 4}, 3));
   seq.step(0);
   seq.step(1);
   EXPECT_EQ(seq.generation_count(), 2u);
@@ -43,7 +44,8 @@ TEST(VolumeSequence, CacheHitAvoidsRegeneration) {
 }
 
 TEST(VolumeSequence, LruEvictsLeastRecentlyUsed) {
-  CachedSequence seq(counter_source(Dims{4, 4, 4}, 10), 2);
+  StreamedSequence seq(counter_source(Dims{4, 4, 4}, 10),
+                       testing::load_counting_config(Dims{4, 4, 4}, 2));
   seq.step(0);
   seq.step(1);
   seq.step(0);  // 0 is now most recent
@@ -56,7 +58,8 @@ TEST(VolumeSequence, LruEvictsLeastRecentlyUsed) {
 }
 
 TEST(VolumeSequence, CapacityOfOneStillWorks) {
-  CachedSequence seq(counter_source(Dims{4, 4, 4}, 4), 1);
+  StreamedSequence seq(counter_source(Dims{4, 4, 4}, 4),
+                       testing::load_counting_config(Dims{4, 4, 4}, 1));
   for (int s = 0; s < 4; ++s) {
     EXPECT_FLOAT_EQ(seq.step(s).at(0, 0, 0), 0.01f * s);
   }
@@ -69,13 +72,14 @@ TEST(VolumeSequence, CumulativeHistogramPerStep) {
         // Step 0: all 0.25; step 1: all 0.75.
         return VolumeF(Dims{8, 8, 8}, step == 0 ? 0.25f : 0.75f);
       });
-  CachedSequence seq(source, 2, 64);
+  StreamedSequence seq(source, testing::bins_config(64));
   EXPECT_NEAR(seq.cumulative_histogram(0).fraction_at(0.5), 1.0, 1e-12);
   EXPECT_NEAR(seq.cumulative_histogram(1).fraction_at(0.5), 0.0, 1e-12);
 }
 
 TEST(VolumeSequence, HistogramUsesGlobalRange) {
-  CachedSequence seq(counter_source(Dims{4, 4, 4}, 3), 2, 32);
+  StreamedSequence seq(counter_source(Dims{4, 4, 4}, 3),
+                       testing::bins_config(32));
   Histogram h = seq.histogram(1);
   EXPECT_EQ(h.total(), 64u);
   EXPECT_DOUBLE_EQ(h.lo(), 0.0);
@@ -83,18 +87,18 @@ TEST(VolumeSequence, HistogramUsesGlobalRange) {
 }
 
 TEST(VolumeSequence, RejectsNullAndEmptySources) {
-  EXPECT_THROW(CachedSequence(nullptr, 2), Error);
+  EXPECT_THROW(StreamedSequence(nullptr), Error);
   auto empty = std::make_shared<CallbackSource>(
       Dims{4, 4, 4}, 0, std::pair<double, double>{0.0, 1.0},
       [](int) { return VolumeF(Dims{4, 4, 4}); });
-  EXPECT_THROW(CachedSequence(empty, 2), Error);
+  EXPECT_THROW(StreamedSequence{empty}, Error);
 }
 
 TEST(VolumeSequence, DetectsWrongSourceDims) {
   auto liar = std::make_shared<CallbackSource>(
       Dims{4, 4, 4}, 3, std::pair<double, double>{0.0, 1.0},
       [](int) { return VolumeF(Dims{5, 5, 5}); });
-  CachedSequence seq(liar, 2);
+  StreamedSequence seq(liar);
   EXPECT_THROW(seq.step(0), Error);
 }
 

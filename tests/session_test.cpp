@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "session/session.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/error.hpp"
 
 namespace ifet {
@@ -24,7 +25,7 @@ std::shared_ptr<CallbackSource> cube_source() {
 }
 
 TEST(PaintingSession, PaintCoversBrushDisk) {
-  CachedSequence seq(cube_source(), 2);
+  StreamedSequence seq(cube_source());
   PaintingSession session(seq);
   PaintStroke stroke;
   stroke.axis = 2;
@@ -39,7 +40,7 @@ TEST(PaintingSession, PaintCoversBrushDisk) {
 }
 
 TEST(PaintingSession, PaintClipsAtVolumeBorder) {
-  CachedSequence seq(cube_source(), 2);
+  StreamedSequence seq(cube_source());
   PaintingSession session(seq);
   PaintStroke stroke;
   stroke.axis = 2;
@@ -53,7 +54,7 @@ TEST(PaintingSession, PaintClipsAtVolumeBorder) {
 }
 
 TEST(PaintingSession, PaintValidatesAxis) {
-  CachedSequence seq(cube_source(), 2);
+  StreamedSequence seq(cube_source());
   PaintingSession session(seq);
   PaintStroke stroke;
   stroke.axis = 7;
@@ -61,7 +62,7 @@ TEST(PaintingSession, PaintValidatesAxis) {
 }
 
 TEST(PaintingSession, SelectUnwantedRegionAddsNegatives) {
-  CachedSequence seq(cube_source(), 2);
+  StreamedSequence seq(cube_source());
   PaintingSession session(seq);
   std::size_t n = session.select_unwanted_region(0, {0, 0, 0}, {2, 2, 2});
   EXPECT_EQ(n, 27u);
@@ -72,7 +73,7 @@ TEST(PaintingSession, SelectUnwantedRegionAddsNegatives) {
 }
 
 TEST(PaintingSession, TrainingImprovesFeedback) {
-  CachedSequence seq(cube_source(), 2);
+  StreamedSequence seq(cube_source());
   SessionConfig cfg;
   cfg.classifier.spec.use_position = false;
   cfg.classifier.spec.use_time = false;
@@ -103,7 +104,7 @@ TEST(PaintingSession, TrainingImprovesFeedback) {
 }
 
 TEST(PaintingSession, TrainIdleRunsAtLeastOneEpoch) {
-  CachedSequence seq(cube_source(), 2);
+  StreamedSequence seq(cube_source());
   PaintingSession session(seq);
   PaintStroke s;
   s.axis = 2;
@@ -115,7 +116,7 @@ TEST(PaintingSession, TrainIdleRunsAtLeastOneEpoch) {
 }
 
 TEST(PaintingSession, FeedbackImageHasOverlay) {
-  CachedSequence seq(cube_source(), 2);
+  StreamedSequence seq(cube_source());
   PaintingSession session(seq);
   PaintStroke s;
   s.axis = 2;
@@ -135,7 +136,7 @@ TEST(PaintingSession, FeedbackImageHasOverlay) {
 }
 
 TEST(PaintingSession, RenderClassifiedProducesImage) {
-  CachedSequence seq(cube_source(), 2);
+  StreamedSequence seq(cube_source());
   PaintingSession session(seq);
   PaintStroke feature;
   feature.axis = 2;
@@ -167,7 +168,7 @@ TEST(PaintingSession, RenderClassifiedProducesImage) {
 }
 
 TEST(PaintingSession, SetPropertiesReplaysSamples) {
-  CachedSequence seq(cube_source(), 2);
+  StreamedSequence seq(cube_source());
   PaintingSession session(seq);
   PaintStroke s;
   s.axis = 2;
@@ -186,7 +187,7 @@ TEST(PaintingSession, SetPropertiesReplaysSamples) {
 }
 
 TEST(PaintingSession, DeriveShellRadiusUsesPaintedFeatures) {
-  CachedSequence seq(cube_source(), 2);
+  StreamedSequence seq(cube_source());
   PaintingSession session(seq);
   PaintStroke wide;
   wide.axis = 2;

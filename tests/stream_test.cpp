@@ -14,7 +14,6 @@
 #include "stream/volume_store.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
-#include "volume/sequence.hpp"
 
 namespace ifet {
 namespace {
@@ -116,15 +115,16 @@ TEST(CacheManager, PinOnNonResidentStepAppliesAtInsert) {
 
 TEST(CacheManager, WindowPinningProtectsTheWindow) {
   CacheManager cache(3 * kStepBytes);
-  cache.pin_window(1, 3);
+  for (int s = 1; s <= 3; ++s) cache.pin(s);
   for (int s = 0; s < 6; ++s) cache.insert(s, step_volume(s));
   EXPECT_TRUE(cache.resident(1));
   EXPECT_TRUE(cache.resident(2));
   EXPECT_TRUE(cache.resident(3));
-  EXPECT_EQ(cache.pinned_window(), (std::pair<int, int>{1, 3}));
+  EXPECT_EQ(cache.stats().pinned_steps, 3u);
 
   // Moving the window releases the old steps to the LRU policy...
-  cache.pin_window(4, 5);
+  for (int s = 4; s <= 5; ++s) cache.pin(s);
+  for (int s = 1; s <= 3; ++s) cache.unpin(s);
   cache.insert(6, step_volume(6));
   cache.insert(7, step_volume(7));
   EXPECT_FALSE(cache.resident(1));
@@ -135,6 +135,22 @@ TEST(CacheManager, WindowPinningProtectsTheWindow) {
   cache.insert(8, step_volume(8));
   EXPECT_TRUE(cache.resident(4));
   EXPECT_TRUE(cache.resident(5));
+}
+
+TEST(CacheManager, UnpinEvictsOverBudget) {
+  CacheManager cache(2 * kStepBytes);
+  for (int s = 0; s < 3; ++s) {
+    cache.pin(s);
+    cache.insert(s, step_volume(s));
+  }
+  // Pinned entries overshoot the budget by design...
+  EXPECT_EQ(cache.resident_bytes(), 3 * kStepBytes);
+  // ...and releasing one gives the bytes back at once, not at the next
+  // insert.
+  cache.unpin(0);
+  EXPECT_FALSE(cache.resident(0));
+  EXPECT_EQ(cache.resident_bytes(), 2 * kStepBytes);
+  EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST(CacheManager, EvictionKeepsReaderReferencesAlive) {
@@ -207,15 +223,16 @@ TEST(VolumeStore, AsyncPrefetchScanIsCorrectAndCovered) {
   EXPECT_GE(stats.prefetch_hit_rate(), 0.5);
 }
 
-TEST(VolumeStore, PinWindowKeepsStepsResident) {
+TEST(StreamedSequence, HintWindowKeepsStepsResident) {
   auto source = counter_source(8);
-  VolumeStoreConfig cfg;
+  StreamConfig cfg;
   cfg.budget_bytes = 3 * kStepBytes;
   cfg.lookahead = 0;
   cfg.async_prefetch = false;
-  VolumeStore store(source, cfg);
+  StreamedSequence seq(source, cfg);
+  VolumeStore& store = seq.store();
 
-  store.pin_window(2, 4);  // prefetches the window synchronously
+  seq.hint_window(2, 4);  // prefetches the window synchronously
   for (int s : {2, 3, 4}) EXPECT_TRUE(store.cache().resident(s));
   store.fetch(6);
   store.fetch(7);
@@ -291,7 +308,7 @@ TEST(DerivedCache, MemoizesPerStepAndParams) {
 
 TEST(DerivedCache, TransferFunctionsShareAcrossCriteria) {
   auto source = blob_source(Dims{8, 8, 8}, 4);
-  CachedSequence sequence(source, 4);
+  StreamedSequence sequence(source);
   Iatf iatf(sequence);
   TransferFunction1D key(0.0, 1.0);
   key.add_band(0.5, 1.0, 0.9, 0.05);
@@ -308,7 +325,7 @@ TEST(DerivedCache, TransferFunctionsShareAcrossCriteria) {
 
 TEST(Iatf, ParamsHashChangesWithTraining) {
   auto source = blob_source(Dims{8, 8, 8}, 4);
-  CachedSequence sequence(source, 4);
+  StreamedSequence sequence(source);
   Iatf iatf(sequence);
   TransferFunction1D key(0.0, 1.0);
   key.add_band(0.5, 1.0, 0.9, 0.05);
@@ -373,9 +390,19 @@ TEST(StreamedSequence, HistogramsMemoizedAcrossEviction) {
 }
 
 TEST(StreamedSequence, RejectsInvertedWindowHint) {
+  // Both constructors: a private tier and a client of a shared one.
   auto source = counter_source(4);
-  StreamedSequence seq(source);
-  EXPECT_THROW(seq.hint_window(3, 1), Error);
+  StreamTier tier(source);
+  StreamedSequence single(source);
+  StreamedSequence client(tier);
+  for (const StreamedSequence* seq : {&single, &client}) {
+    EXPECT_THROW(seq->hint_window(3, 1), Error);
+    // Windows that miss the sequence clamp to an inverted one.
+    EXPECT_THROW(seq->hint_window(4, 6), Error);
+    EXPECT_THROW(seq->hint_window(-3, -1), Error);
+    EXPECT_EQ(seq->admission_stats().pinned_steps, 0u);
+  }
+  EXPECT_EQ(tier.admission().demanded_pin_steps(), 0u);
 }
 
 /// The acceptance bar: IATF, classification, and tracking produce
@@ -387,7 +414,7 @@ class StreamedEquivalence : public ::testing::Test {
 
   void SetUp() override {
     source_ = blob_source(dims_, kSteps);
-    resident_ = std::make_unique<CachedSequence>(source_, kSteps);
+    resident_ = std::make_unique<StreamedSequence>(source_);
     StreamConfig cfg;
     cfg.budget_bytes = 3 * dims_.count() * sizeof(float);
     cfg.async_prefetch = false;
@@ -395,7 +422,7 @@ class StreamedEquivalence : public ::testing::Test {
   }
 
   std::shared_ptr<CallbackSource> source_;
-  std::unique_ptr<CachedSequence> resident_;
+  std::unique_ptr<StreamedSequence> resident_;
   std::unique_ptr<StreamedSequence> streamed_;
 };
 

@@ -41,6 +41,16 @@ TEST(CacheManagerStress, MixedTrafficFromManyThreads) {
   clients.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&cache, &bad_values, t] {
+      // Each client slides its own window of counted pins, as a
+      // StreamedSequence does; -1 = no window yet.
+      int window = -1;
+      auto move_window = [&cache, &window](int lo) {
+        for (int s = lo; s < lo + 3; ++s) cache.pin(s);
+        if (window >= 0) {
+          for (int s = window; s < window + 3; ++s) cache.unpin(s);
+        }
+        window = lo;
+      };
       // Deterministic per-thread op mix; no shared RNG.
       std::uint64_t state = 0x9e3779b9u * static_cast<std::uint64_t>(t + 1);
       for (int op = 0; op < kOpsPerThread; ++op) {
@@ -65,9 +75,13 @@ TEST(CacheManagerStress, MixedTrafficFromManyThreads) {
             cache.unpin(step);
             break;
           default:
-            cache.pin_window(step, step + 2);
+            move_window(step);
             break;
         }
+      }
+      // Release the window; the unpins evict back under the budget.
+      if (window >= 0) {
+        for (int s = window; s < window + 3; ++s) cache.unpin(s);
       }
     });
   }
@@ -75,7 +89,6 @@ TEST(CacheManagerStress, MixedTrafficFromManyThreads) {
   EXPECT_EQ(bad_values.load(), 0);
 
   // Invariants after the storm: accounting matches the entry set.
-  cache.pin_window(1, 0);  // clear the window
   EXPECT_EQ(cache.resident_bytes(), cache.resident_steps() * kStepBytes);
   EXPECT_LE(cache.resident_bytes(), 4 * kStepBytes);
 }

@@ -3,10 +3,31 @@
 
 #include <cmath>
 
+#include "stream/streamed_sequence.hpp"
 #include "util/rng.hpp"
 #include "volume/volume.hpp"
 
 namespace ifet::testing {
+
+/// Sequence config with `bins` histogram bins, everything else default.
+inline StreamConfig bins_config(int bins) {
+  StreamConfig config;
+  config.histogram_bins = bins;
+  return config;
+}
+
+/// Sequence config under which load counts are exact: a budget of `steps`
+/// decoded steps of `dims`, no lookahead, no window around the current
+/// step, synchronous loads.
+inline StreamConfig load_counting_config(Dims dims, int steps) {
+  StreamConfig config;
+  config.budget_bytes =
+      static_cast<std::size_t>(steps) * dims.count() * sizeof(float);
+  config.lookahead = 0;
+  config.pin_radius = 0;
+  config.async_prefetch = false;
+  return config;
+}
 
 /// Volume filled with deterministic pseudo-random values in [lo, hi).
 inline VolumeF random_volume(Dims dims, std::uint64_t seed, double lo = 0.0,

@@ -3,6 +3,8 @@
 #include <memory>
 
 #include "session/tf_session.hpp"
+#include "stream/streamed_sequence.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace ifet {
@@ -36,7 +38,7 @@ TransferFunction1D band(double lo, double hi) {
 }
 
 TEST(TfSession, RequiresKeyFrameBeforeUse) {
-  CachedSequence seq(drift_source(8), 4);
+  StreamedSequence seq(drift_source(8));
   TfSession session(seq);
   EXPECT_THROW(session.idle(1.0), Error);
   EXPECT_THROW(session.advise(), Error);
@@ -45,7 +47,7 @@ TEST(TfSession, RequiresKeyFrameBeforeUse) {
 
 TEST(TfSession, LearnsAndAdaptsAcrossTheLoop) {
   const int steps = 9;
-  CachedSequence seq(drift_source(steps), 6, 512);
+  StreamedSequence seq(drift_source(steps), testing::bins_config(512));
   TfSession session(seq);
   session.set_key_frame(0, band(0.35, 0.45));
   session.set_key_frame(8, band(0.65, 0.75));
@@ -60,7 +62,7 @@ TEST(TfSession, LearnsAndAdaptsAcrossTheLoop) {
 }
 
 TEST(TfSession, ReviseKeyFrameChangesResult) {
-  CachedSequence seq(drift_source(4), 4);
+  StreamedSequence seq(drift_source(4));
   TfSession session(seq);
   session.set_key_frame(0, band(0.2, 0.3));
   session.train_epochs(600);
@@ -73,7 +75,7 @@ TEST(TfSession, ReviseKeyFrameChangesResult) {
 }
 
 TEST(TfSession, RemoveKeyFrame) {
-  CachedSequence seq(drift_source(4), 4);
+  StreamedSequence seq(drift_source(4));
   TfSession session(seq);
   session.set_key_frame(0, band(0.3, 0.4));
   session.set_key_frame(3, band(0.5, 0.6));
@@ -85,7 +87,7 @@ TEST(TfSession, RemoveKeyFrame) {
 
 TEST(TfSession, AdviseCoversTheDrift) {
   const int steps = 11;
-  CachedSequence seq(drift_source(steps), 12, 512);
+  StreamedSequence seq(drift_source(steps), testing::bins_config(512));
   TfSessionConfig cfg;
   cfg.advisor_threshold = 0.01;
   TfSession session(seq, cfg);
@@ -101,7 +103,7 @@ TEST(TfSession, AdviseCoversTheDrift) {
 }
 
 TEST(TfSession, PreviewRendersThroughAdaptiveTf) {
-  CachedSequence seq(drift_source(4), 4);
+  StreamedSequence seq(drift_source(4));
   TfSession session(seq);
   session.set_key_frame(0, band(0.35, 0.45));
   session.train_epochs(400);

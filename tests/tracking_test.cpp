@@ -5,6 +5,7 @@
 #include "core/track_events.hpp"
 #include "core/tracking.hpp"
 #include "flowsim/datasets.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/error.hpp"
 
 namespace ifet {
@@ -39,7 +40,7 @@ TEST(FixedRangeCriterion, AcceptsInsideRange) {
 }
 
 TEST(Tracker, GrowsWithinOneStep) {
-  CachedSequence seq(moving_box_source(1, 0), 2);
+  StreamedSequence seq(moving_box_source(1, 0));
   FixedRangeCriterion criterion(0.5, 1.0);
   Tracker tracker(seq, criterion);
   TrackResult result = tracker.track(Index3{3, 7, 7}, 0);
@@ -47,7 +48,7 @@ TEST(Tracker, GrowsWithinOneStep) {
 }
 
 TEST(Tracker, SeedNotSatisfyingCriterionGrowsNothing) {
-  CachedSequence seq(moving_box_source(1, 0), 2);
+  StreamedSequence seq(moving_box_source(1, 0));
   FixedRangeCriterion criterion(0.5, 1.0);
   Tracker tracker(seq, criterion);
   TrackResult result = tracker.track(Index3{0, 0, 0}, 0);  // background
@@ -56,7 +57,7 @@ TEST(Tracker, SeedNotSatisfyingCriterionGrowsNothing) {
 
 TEST(Tracker, FollowsOverlappingFeatureThroughTime) {
   const int steps = 6;
-  CachedSequence seq(moving_box_source(steps, 2), 4);
+  StreamedSequence seq(moving_box_source(steps, 2));
   FixedRangeCriterion criterion(0.5, 1.0);
   Tracker tracker(seq, criterion);
   TrackResult result = tracker.track(Index3{3, 7, 7}, 0);
@@ -69,7 +70,7 @@ TEST(Tracker, FollowsOverlappingFeatureThroughTime) {
 
 TEST(Tracker, TracksBackwardFromLateSeed) {
   const int steps = 5;
-  CachedSequence seq(moving_box_source(steps, 2), 4);
+  StreamedSequence seq(moving_box_source(steps, 2));
   FixedRangeCriterion criterion(0.5, 1.0);
   Tracker tracker(seq, criterion);
   // Seed in the feature at the LAST step; 4D growing reaches step 0.
@@ -82,7 +83,7 @@ TEST(Tracker, LosesFeatureWithoutTemporalOverlap) {
   // Speed 6 > box width 4: consecutive masks do not overlap, so the paper's
   // assumption is violated and the track must stop after the seed step.
   const int steps = 4;
-  CachedSequence seq(moving_box_source(steps, 6), 4);
+  StreamedSequence seq(moving_box_source(steps, 6));
   FixedRangeCriterion criterion(0.5, 1.0);
   Tracker tracker(seq, criterion);
   TrackResult result = tracker.track(Index3{3, 7, 7}, 0);
@@ -93,7 +94,7 @@ TEST(Tracker, LosesFeatureWithoutTemporalOverlap) {
 
 TEST(Tracker, RespectsStepWindow) {
   const int steps = 8;
-  CachedSequence seq(moving_box_source(steps, 2), 4);
+  StreamedSequence seq(moving_box_source(steps, 2));
   FixedRangeCriterion criterion(0.5, 1.0);
   TrackerConfig cfg;
   cfg.min_step = 2;
@@ -107,7 +108,7 @@ TEST(Tracker, RespectsStepWindow) {
 }
 
 TEST(Tracker, MaxVoxelCapStopsGrowth) {
-  CachedSequence seq(moving_box_source(3, 0), 4);
+  StreamedSequence seq(moving_box_source(3, 0));
   FixedRangeCriterion criterion(0.0, 1.0);  // accepts everything
   TrackerConfig cfg;
   cfg.max_voxels = 100;
@@ -119,7 +120,7 @@ TEST(Tracker, MaxVoxelCapStopsGrowth) {
 }
 
 TEST(Tracker, TrackFromMaskValidatesDims) {
-  CachedSequence seq(moving_box_source(2, 0), 2);
+  StreamedSequence seq(moving_box_source(2, 0));
   FixedRangeCriterion criterion(0.5, 1.0);
   Tracker tracker(seq, criterion);
   Mask wrong(Dims{4, 4, 4});
@@ -136,7 +137,7 @@ TEST(Tracker, AdaptiveCriterionFollowsDecayingFeature) {
   // criterion's lower bound (peak0 * 0.55) while staying above background.
   scfg.peak_decay = 0.012;
   auto source = std::make_shared<SwirlingFlowSource>(scfg);
-  CachedSequence seq(source, 6);
+  StreamedSequence seq(source);
 
   // Key frames: bands around the decaying peak at steps 0 and 39.
   Iatf iatf(seq);
@@ -171,7 +172,7 @@ TEST(Tracker, AdaptiveCriterionFollowsDecayingFeature) {
 
 TEST(TrackEvents, ContinuationChain) {
   const int steps = 4;
-  CachedSequence seq(moving_box_source(steps, 2), 4);
+  StreamedSequence seq(moving_box_source(steps, 2));
   FixedRangeCriterion criterion(0.5, 1.0);
   Tracker tracker(seq, criterion);
   FeatureHistory history =
@@ -193,7 +194,7 @@ TEST(TrackEvents, DetectsSplitOnVortexData) {
   vcfg.num_steps = 25;
   vcfg.split_step = 18;
   auto source = std::make_shared<TurbulentVortexSource>(vcfg);
-  CachedSequence seq(source, 6);
+  StreamedSequence seq(source);
   // The tracked band: above the distractors (0.5), covering the feature.
   FixedRangeCriterion criterion(0.55, 1.0);
   Tracker tracker(seq, criterion);
@@ -235,7 +236,7 @@ TEST(TrackEvents, DetectsMergeOnApproachingBlobs) {
         blob(30.0 - 1.5 * step);   // right blob moves left
         return v;
       });
-  CachedSequence seq(source, 4);
+  StreamedSequence seq(source);
   FixedRangeCriterion criterion(0.45, 1.0);
   Tracker tracker(seq, criterion);
   TrackResult track = tracker.track(Index3{10, 8, 8}, 0);
@@ -251,7 +252,7 @@ TEST(TrackEvents, DetectsMergeOnApproachingBlobs) {
 }
 
 TEST(TrackEvents, FormatTreeListsSteps) {
-  CachedSequence seq(moving_box_source(3, 2), 4);
+  StreamedSequence seq(moving_box_source(3, 2));
   FixedRangeCriterion criterion(0.5, 1.0);
   Tracker tracker(seq, criterion);
   FeatureHistory history =

@@ -129,7 +129,7 @@ TEST(ValidateTrack, RealTrackerOutputIsClean) {
   cfg.dims = Dims{24, 24, 24};
   cfg.num_steps = 15;
   auto source = std::make_shared<SwirlingFlowSource>(cfg);
-  CachedSequence seq(source, 6);
+  StreamedSequence seq(source);
   FixedRangeCriterion criterion(0.5, 1.0);
   Tracker tracker(seq, criterion);
   Vec3 c = source->feature_center(0);

@@ -150,14 +150,18 @@ stage_tsan() {
   # multi-tenant server rides along twice: its dedicated stress storm and
   # the deterministic bench_perf_server load generator in --smoke mode
   # (small fleet, bitwise tight-vs-infinite-budget equivalence gate).
+  # stream_test, server_test and concurrency_regression_test drive the one
+  # StreamedSequence through both constructors (private tier and shared
+  # tier), including four readers racing one sequence's window.
   cmake --preset tsan &&
     cmake --build --preset tsan -j "$JOBS" --target \
       stress_cache_manager_test stress_fault_storm_test \
       stress_thread_pool_test stress_server_test flat_mlp_test \
-      classifier_digest_test bench_perf_classify bench_perf_render \
+      classifier_digest_test stream_test server_test \
+      concurrency_regression_test bench_perf_classify bench_perf_render \
       bench_perf_stream bench_perf_server &&
     ctest --preset tsan -j "$JOBS" -R \
-      'stress_cache_manager_test|stress_fault_storm_test|stress_thread_pool_test|stress_server_test|flat_mlp_test|classifier_digest_test' &&
+      'stress_cache_manager_test|stress_fault_storm_test|stress_thread_pool_test|stress_server_test|flat_mlp_test|classifier_digest_test|stream_test|server_test|concurrency_regression_test' &&
     "$ROOT/build-tsan/bench/bench_perf_classify" --alloc-check-only &&
     "$ROOT/build-tsan/bench/bench_perf_classify" --replay-check-only &&
     "$ROOT/build-tsan/bench/bench_perf_render" --render-check-only &&
