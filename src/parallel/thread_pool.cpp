@@ -67,10 +67,11 @@ void ThreadPool::run_tasks(std::vector<std::function<void()>> tasks) {
           std::lock_guard<std::mutex> elock(error_mutex);
           if (!first_error) first_error = std::current_exception();
         }
-        if (remaining.fetch_sub(1) == 1) {
-          std::lock_guard<std::mutex> dlock(done_mutex);
-          done_cv.notify_all();
-        }
+        // Count down under done_mutex: once the caller sees remaining == 0
+        // it returns and destroys done_cv, so the last notify must happen
+        // before the caller can take the lock.
+        std::lock_guard<std::mutex> dlock(done_mutex);
+        if (remaining.fetch_sub(1) == 1) done_cv.notify_all();
       }});
     }
   }

@@ -4,7 +4,7 @@
 // small command vocabulary instead of direct method calls, so requests
 // can be queued on the session's strand (per-session FIFO, cross-session
 // parallel — see session_manager.hpp) and replayed deterministically by
-// the load generator (bench_perf_server). Every command reduces its
+// scripted clients (tests/server_test.cpp). Every command reduces its
 // product — a feedback volume, a synthesized TF, a track mask set, a
 // rendered frame — to a CRC32 digest, which is what the
 // tight-vs-infinite-budget bitwise equivalence check compares.

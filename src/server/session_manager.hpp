@@ -105,8 +105,9 @@ struct SessionManagerConfig {
   double watchdog_factor = 4.0;
 };
 
-/// Per-session strand queue gauges (bench_perf_server --overload asserts
-/// peak_depth never exceeds the configured bound).
+/// Per-session strand queue gauges (the overload flood test in
+/// tests/stress/stress_server_test.cpp asserts peak_depth never exceeds
+/// the configured bound).
 struct SessionQueueStats {
   std::size_t depth = 0;          ///< Commands queued right now.
   std::size_t peak_depth = 0;     ///< High-water mark since creation.

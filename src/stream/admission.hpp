@@ -13,8 +13,8 @@
 // *denied a pin* — and nothing else. Denied steps still load, still cache,
 // still return exact bytes; they are merely evictable. Admission therefore
 // shapes residency (performance) and never data (correctness) — the
-// property the tight-vs-infinite-budget bitwise equivalence check in
-// bench_perf_server rests on.
+// property the tight-vs-infinite-budget bitwise equivalence checks in
+// tests/server_test.cpp rest on.
 //
 // The controller also keeps the per-client fairness metrics the eviction
 // report is built from: `reloads` counts accesses that found a previously
@@ -25,7 +25,11 @@
 // CacheManager rank, so the hot note_access() is legal on IFET_HOT fetch
 // paths, and deliberately never held across CacheManager calls: set_window
 // returns the pin/unpin delta for the *caller* to apply, which keeps the
-// 35 -> 30 inversion structurally impossible.
+// 35 -> 30 inversion structurally impossible. Deltas computed in one order
+// must reach the cache in that order, or a pressure clamp could unpin a
+// step whose pin a window move admitted but had not applied yet; every
+// caller therefore holds delta_mutex() (MutexRank::kPinDelta, outside the
+// cache) from the admission call until its delta is applied.
 #pragma once
 
 #include <atomic>
@@ -91,6 +95,12 @@ class AdmissionController {
 
   AdmissionStats client_stats(int client) const IFET_EXCLUDES(mutex_);
 
+  /// Held by every caller of set_window / set_quota_scale /
+  /// release_client until the returned delta is applied to the cache.
+  OrderedMutex& delta_mutex() const IFET_RETURN_CAPABILITY(delta_mutex_) {
+    return delta_mutex_;
+  }
+
   std::size_t pin_quota_bytes() const { return pin_quota_bytes_; }
   std::size_t step_bytes() const { return step_bytes_; }
 
@@ -146,6 +156,7 @@ class AdmissionController {
   /// Atomic so the hot fetch path and quota_steps() read it lock-free.
   std::atomic<int> quota_scale_percent_{100};
 
+  mutable OrderedMutex delta_mutex_{MutexRank::kPinDelta};
   mutable OrderedMutex mutex_{MutexRank::kAdmission};
   std::vector<Ledger> clients_ IFET_GUARDED_BY(mutex_);
 };

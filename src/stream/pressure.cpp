@@ -72,13 +72,16 @@ void PressureMonitor::engage_locked() {
   // Revoke the outermost window pins (center-out order keeps each
   // client's current step). The admission lock is NOT held across the
   // cache calls — the delta pattern, as everywhere.
-  const std::vector<std::pair<int, WindowDelta>> deltas =
-      admission_.set_quota_scale(config_.quota_clamp_percent);
-  for (const auto& [client, delta] : deltas) {
-    (void)client;
-    for (int s : delta.unpin) cache_.unpin(s);
-    for (int s : delta.pin) cache_.pin(s);
-    report_.pins_clamped += delta.unpin.size();
+  {
+    OrderedMutexLock order(admission_.delta_mutex());
+    const std::vector<std::pair<int, WindowDelta>> deltas =
+        admission_.set_quota_scale(config_.quota_clamp_percent);
+    for (const auto& [client, delta] : deltas) {
+      (void)client;
+      for (int s : delta.unpin) cache_.unpin(s);
+      for (int s : delta.pin) cache_.pin(s);
+      report_.pins_clamped += delta.unpin.size();
+    }
   }
 
   // Bluntest last, and only when asked: shrinking the budget evicts.
@@ -103,13 +106,16 @@ void PressureMonitor::release_locked() {
   if (config_.budget_clamp_percent > 0) {
     cache_.set_budget(budget_bytes_);
   }
-  const std::vector<std::pair<int, WindowDelta>> deltas =
-      admission_.set_quota_scale(100);
-  for (const auto& [client, delta] : deltas) {
-    (void)client;
-    for (int s : delta.unpin) cache_.unpin(s);
-    for (int s : delta.pin) cache_.pin(s);
-    report_.pins_restored += delta.pin.size();
+  {
+    OrderedMutexLock order(admission_.delta_mutex());
+    const std::vector<std::pair<int, WindowDelta>> deltas =
+        admission_.set_quota_scale(100);
+    for (const auto& [client, delta] : deltas) {
+      (void)client;
+      for (int s : delta.unpin) cache_.unpin(s);
+      for (int s : delta.pin) cache_.pin(s);
+      report_.pins_restored += delta.pin.size();
+    }
   }
 
   aggregate_.count_pressure_transition();

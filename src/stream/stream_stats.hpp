@@ -3,9 +3,9 @@
 // Every layer of src/stream/ feeds one shared StreamStats snapshot so a
 // single struct answers "is the budget sized right, is prefetch hiding the
 // decode latency, and how much is resident right now". ifet_tool prints
-// the summary() line after streamed runs; bench_perf_stream reports the
-// fields as benchmark counters. docs/STREAMING.md explains how to read
-// each field.
+// the summary() line after streamed runs; perfbench reports the fields
+// as its stream.* metrics. docs/STREAMING.md explains how to read each
+// field.
 #pragma once
 
 #include <atomic>

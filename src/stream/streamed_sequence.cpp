@@ -39,6 +39,7 @@ StreamedSequence::StreamedSequence(StreamTier& tier, int pin_radius,
 StreamedSequence::~StreamedSequence() {
   // Give back everything this client pinned; the counted cache pins
   // compose, so a step another client also pinned stays pinned.
+  OrderedMutexLock order(tier_.admission().delta_mutex());
   for (int s : tier_.admission().release_client(client_)) {
     store().cache().unpin(s);
   }
@@ -101,6 +102,7 @@ std::vector<int> StreamedSequence::move_window_locked(
   }
   // Pins before unpins: an unpin evicts over budget, and the steps
   // entering the window must already be protected when it does.
+  OrderedMutexLock order(tier_.admission().delta_mutex());
   WindowDelta delta = tier_.admission().set_window(client_, lo, hi, center);
   CacheManager& cache = store().cache();
   for (int s : delta.pin) cache.pin(s);

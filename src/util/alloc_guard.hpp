@@ -73,7 +73,11 @@ class DenyAllocScope {
 }  // namespace ifet
 
 // Defines the replacement allocation functions. Use at namespace scope in
-// ONE translation unit of the opting-in binary. The operators are noinline:
+// ONE translation unit of the opting-in binary. The nothrow forms are
+// replaced too: std::get_temporary_buffer (std::stable_sort) allocates
+// with them, and under ASan the sanitizer's own nothrow new would
+// otherwise pair with the free() below as an alloc-dealloc mismatch.
+// The operators are noinline:
 // once GCC inlines a malloc-backed operator new into a caller it pairs the
 // malloc against the library operator delete and emits a bogus
 // -Wmismatched-new-delete at the (header) call site, where no pragma in
@@ -105,6 +109,26 @@ class DenyAllocScope {
   }                                                                       \
   __attribute__((noinline)) void operator delete[](                       \
       void* p, std::size_t) noexcept {                                    \
+    ::ifet::alloc_guard::note_free();                                     \
+    std::free(p);                                                         \
+  }                                                                       \
+  __attribute__((noinline)) void* operator new(                           \
+      std::size_t size, const std::nothrow_t&) noexcept {                 \
+    ::ifet::alloc_guard::note_alloc();                                    \
+    return std::malloc(size ? size : 1);                                  \
+  }                                                                       \
+  __attribute__((noinline)) void* operator new[](                         \
+      std::size_t size, const std::nothrow_t&) noexcept {                 \
+    ::ifet::alloc_guard::note_alloc();                                    \
+    return std::malloc(size ? size : 1);                                  \
+  }                                                                       \
+  __attribute__((noinline)) void operator delete(                         \
+      void* p, const std::nothrow_t&) noexcept {                          \
+    ::ifet::alloc_guard::note_free();                                     \
+    std::free(p);                                                         \
+  }                                                                       \
+  __attribute__((noinline)) void operator delete[](                       \
+      void* p, const std::nothrow_t&) noexcept {                          \
     ::ifet::alloc_guard::note_free();                                     \
     std::free(p);                                                         \
   }                                                                       \

@@ -45,6 +45,9 @@ enum class MutexRank : int {
   kPressure = 15,          ///< PressureMonitor transition state (held across
                            ///< admission/cache/derived calls, all ranked
                            ///< higher, while a pressure transition applies)
+  kPinDelta = 18,          ///< AdmissionController delta order (held from
+                           ///< computing a pin delta until the cache has
+                           ///< applied it)
   kVolumeStore = 20,       ///< VolumeStore load counters
   kCacheManager = 30,      ///< CacheManager residency state
   kAdmission = 35,         ///< AdmissionController per-client pin ledger

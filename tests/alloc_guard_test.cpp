@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -85,6 +86,18 @@ TEST(AllocGuard, CountsAllocationsFromThreadPoolWorkers) {
   });
   EXPECT_EQ(made.load(), 16u);
   EXPECT_GE(scope.allocations(), 16u);
+}
+
+TEST(AllocGuard, CountsNothrowAllocations) {
+  // std::stable_sort takes its scratch buffer from nothrow operator new.
+  std::vector<int> values(256);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<int>((i * 37) % values.size());
+  }
+  DenyAllocScope scope;
+  std::stable_sort(values.begin(), values.end());
+  EXPECT_GE(scope.allocations(), 1u);
+  EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
 }
 
 TEST(AllocGuard, GlobalCountersAreMonotonic) {

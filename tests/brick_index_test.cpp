@@ -8,8 +8,10 @@
 #include <cstring>
 #include <limits>
 
+#include "flowsim/datasets.hpp"
 #include "render/raycaster.hpp"
 #include "test_helpers.hpp"
+#include "volume/ops.hpp"
 #include "tf/transfer_function.hpp"
 #include "util/io_error.hpp"
 #include "util/rng.hpp"
@@ -263,6 +265,58 @@ TEST(BrickSkipEquivalence, ClassifiedRenderAndSkipCounters) {
   EXPECT_GT(stats.skip_rate(), 0.5);  // most of the scene is empty space
   EXPECT_GT(stats.bricks_total, 0u);
   EXPECT_LT(stats.bricks_active, stats.bricks_total);
+}
+
+TEST(BrickSkipEquivalence, ArgonIatfSceneAllModes) {
+  // The render contracts' scene: a trained IATF TF over a turbulent
+  // volume, every compositing variant.
+  const testing::ArgonRenderScene& scene = testing::argon_render_scene();
+  for (const testing::RenderVariant& v : scene.variants()) {
+    SCOPED_TRACE(v.name);
+    expect_bitwise_equal(v.settings, scene.volume, scene.tf, scene.colors,
+                         scene.camera, v.highlight);
+  }
+}
+
+TEST(BrickSkipEquivalence, TfSparseArgon128AllModesSkips) {
+  // A TF band over the argon ring: the ring is a thin shell, so most
+  // bricks classify empty and skipping removes most of the march. The
+  // half-voxel step is the quality setting for shaded stills; bricks are
+  // clipped analytically, so finer marching only grows the skipped work.
+  ArgonBubbleConfig cfg;
+  cfg.dims = Dims{128, 128, 128};
+  cfg.num_steps = 360;
+  const ArgonBubbleSource source(cfg);
+  const VolumeF volume = source.generate(225);
+  auto [vlo, vhi] = source.value_range();
+  TransferFunction1D tf(vlo, vhi);
+  const double c = source.ring_band_center(225);
+  const double h = source.ring_band_half_width();
+  tf.add_band(c - h, c + h, 1.0, 0.5 * h);
+  const Mask mask = threshold_mask(volume, static_cast<float>(c - h),
+                                   static_cast<float>(c + h));
+  const HighlightLayer overlay{&mask, &tf, Rgb{0.9, 0.05, 0.05}};
+  const ColorMap colors;
+  const Camera cam(0.5, 0.35, 2.4);
+
+  RenderSettings shaded;
+  shaded.width = 128;
+  shaded.height = 128;
+  shaded.step_voxels = 0.5;
+  RenderSettings mip = shaded;
+  mip.shading = false;
+  mip.mode = CompositingMode::kMaximumIntensity;
+  const testing::RenderVariant variants[] = {
+      {"front-to-back shaded", shaded, nullptr},
+      {"tracking overlay", shaded, &overlay},
+      {"maximum intensity", mip, nullptr}};
+  for (const testing::RenderVariant& v : variants) {
+    SCOPED_TRACE(v.name);
+    RenderStats stats;
+    expect_bitwise_equal(v.settings, volume, tf, colors, cam, v.highlight,
+                         &stats);
+    EXPECT_GT(stats.skip_rate(), 0.5);
+  }
 }
 
 }  // namespace

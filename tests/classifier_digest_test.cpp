@@ -5,16 +5,26 @@
 // network initialisation, training or the batched sweep shows up as a
 // changed constant. The (1,1) case is trained for a fixed number of epochs
 // and so also pins the trainer's shuffle order; the (1,3) and (2,1) cases
-// are untrained and pin initialisation, assembly and inference only.
+// are untrained and pin initialisation, assembly and inference only. A
+// perturbed replay (ReplayCheck) pins that the classify sweep and the
+// batched engine do not depend on the schedule either.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <thread>
 #include <vector>
 
 #include "core/dataspace.hpp"
+#include "flowsim/datasets.hpp"
+#include "nn/flat_mlp.hpp"
+#include "nn/mlp.hpp"
+#include "parallel/thread_pool.hpp"
 #include "test_helpers.hpp"
 #include "util/determinism.hpp"
+#include "util/rng.hpp"
 
 namespace ifet {
 namespace {
@@ -107,6 +117,71 @@ TEST(ClassifierDigest, TwoVariableUntrained) {
   DataSpaceClassifier clf(4, {{0.0, 1.0}, {-1.0, 2.0}}, cfg);
 
   EXPECT_EQ(digest(clf.classify(vars, 2)), 0x9d734cbeef27ae68ull);
+}
+
+/// Perturbed replay of the IFET_DETERMINISTIC classification kernels
+/// (util/determinism.hpp): a whole-volume classify and a chunked
+/// FlatMlp::forward_batch produce bitwise-identical outputs across pool
+/// widths {1, 4, hardware}, cold and warm caches, and shuffled chunk
+/// submission order. This is the dynamic counterpart of ifet_lint's det-*
+/// pass.
+TEST(ClassifierReplay, ClassifyAndChunkedForwardAcrossSchedules) {
+  ReionizationConfig cfg;
+  cfg.dims = Dims{32, 32, 32};
+  cfg.num_steps = 400;
+  cfg.num_small_features = 60;
+  const VolumeF volume = ReionizationSource(cfg).generate(310);
+  DataSpaceConfig clf_cfg;
+  clf_cfg.spec.shell_samples = 14;
+  DataSpaceClassifier clf(1, 0.0, 1.0, clf_cfg);
+  std::vector<PaintedVoxel> painted;
+  for (int s = 0; s < 200; ++s) {
+    const Index3 p{(s * 7) % cfg.dims.x, (s * 13) % cfg.dims.y,
+                   (s * 29) % cfg.dims.z};
+    painted.push_back({p, 0, s % 2 == 0 ? 1.0 : 0.0});
+  }
+  clf.add_samples(volume, 0, painted);
+  clf.train(50);
+
+  Rng rng(0x90df);
+  const Mlp net({19, 16, 1}, rng);
+  const FlatMlp flat(net);
+  const int rows = 6 * FlatMlp::kTileRows + 7;  // several tiles + a tail
+  std::vector<double> in(static_cast<std::size_t>(rows) * 19);
+  for (double& x : in) x = rng.uniform(-1.5, 1.5);
+
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const ReplayCheck check("flat_mlp_classify", {1, 4, hw});
+  const ReplayReport report = check.run([&](const ReplayTrial& trial) {
+    ThreadPool::ScopedGlobalWidth width(trial.threads);
+    DigestSink sink;
+    // The pool partitions voxel rows differently at every width.
+    const VolumeF certainty = clf.classify(volume, 0);
+    sink.span(certainty.data().data(), certainty.size());
+    // Chunks into one output buffer, visited in a deterministic shuffle
+    // when the trial asks for it.
+    constexpr int kChunk = 48;
+    const std::size_t chunks =
+        (static_cast<std::size_t>(rows) + kChunk - 1) / kChunk;
+    std::vector<std::size_t> order(chunks);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (trial.shuffled) order = replay_permutation(chunks, 0x1FE7);
+    std::vector<double> out(static_cast<std::size_t>(rows));
+    FlatMlp::Scratch scratch;
+    for (const std::size_t c : order) {
+      const std::size_t lo = c * kChunk;
+      const int count = static_cast<int>(
+          std::min<std::size_t>(kChunk, static_cast<std::size_t>(rows) - lo));
+      flat.forward_batch(in.data() + lo * 19, count, out.data() + lo,
+                         scratch);
+    }
+    sink.span(out.data(), out.size());
+    return sink.value();
+  });
+  EXPECT_TRUE(report.ok) << report.summary();
+  EXPECT_EQ(report.reference_digest, 0x3b1ca2f803664617ull)
+      << report.summary();
 }
 
 }  // namespace

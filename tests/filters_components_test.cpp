@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "math/stats.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "volume/components.hpp"

@@ -4,7 +4,6 @@
 #include <numbers>
 
 #include "math/mat4.hpp"
-#include "math/stats.hpp"
 #include "math/vec.hpp"
 #include "util/error.hpp"
 
@@ -138,55 +137,6 @@ TEST(Mat4, CompositionOrder) {
   Vec3 p = m.transform_point({1, 0, 0});
   EXPECT_NEAR(p.x, 10.0, 1e-12);
   EXPECT_NEAR(p.y, 1.0, 1e-12);
-}
-
-TEST(RunningStats, BasicMoments) {
-  RunningStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, SingleSample) {
-  RunningStats s;
-  s.add(3.5);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 3.5);
-  EXPECT_DOUBLE_EQ(s.max(), 3.5);
-}
-
-TEST(Pearson, PerfectCorrelation) {
-  std::vector<double> a{1, 2, 3, 4, 5};
-  std::vector<double> b{2, 4, 6, 8, 10};
-  EXPECT_NEAR(pearson(a, b), 1.0, 1e-12);
-  std::vector<double> c{10, 8, 6, 4, 2};
-  EXPECT_NEAR(pearson(a, c), -1.0, 1e-12);
-}
-
-TEST(Pearson, DegenerateInputsGiveZero) {
-  std::vector<double> a{1, 1, 1};
-  std::vector<double> b{2, 3, 4};
-  EXPECT_DOUBLE_EQ(pearson(a, b), 0.0);
-  std::vector<double> single{1.0};
-  std::vector<double> single2{2.0};
-  EXPECT_DOUBLE_EQ(pearson(single, single2), 0.0);
-}
-
-TEST(Pearson, SizeMismatchThrows) {
-  std::vector<double> a{1, 2};
-  std::vector<double> b{1, 2, 3};
-  EXPECT_THROW(pearson(a, b), Error);
-}
-
-TEST(MeanOf, HandlesEmpty) {
-  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-  std::vector<double> v{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(mean_of(v), 2.0);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 // without holding any lock over the samples.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -26,8 +27,11 @@
 #include "stream/fault_injection.hpp"
 #include "stream/prefetcher.hpp"
 #include "stream/pressure.hpp"
+#include "stream/stream_tier.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "stream/volume_store.hpp"
 #include "util/deadline.hpp"
+#include "util/error.hpp"
 #include "util/io_error.hpp"
 #include "volume/sequence.hpp"
 
@@ -610,6 +614,56 @@ TEST(Overload, PressureHysteresisBandHolds) {
   monitor.poll();
   EXPECT_TRUE(monitor.engaged());
   EXPECT_EQ(monitor.report().exits, 0u);
+}
+
+// A window move computes its pin delta under the admission lock and
+// applies it to the cache after. A pressure clamp landing in between could
+// unpin a step the move had admitted but not pinned yet, and a restore
+// racing a move away could do the reverse; either throws "step is not
+// pinned" from CacheManager::unpin. One client flips between a wide and a
+// one-step window, which carries the demand across both hysteresis
+// thresholds, while a second thread polls the monitor.
+TEST(Pressure, RescalesNeverRaceWindowMoves) {
+  StreamTierConfig config;
+  config.budget_bytes = 4 * kStepBytes;
+  config.pin_quota_bytes = 3 * kStepBytes;
+  config.lookahead = 0;
+  config.async_prefetch = false;
+  config.pressure.enabled = true;
+  StreamTier tier(ramp_source(16), config);
+  StreamedSequence mover(tier);
+  StreamedSequence anchor(tier);
+  anchor.hint_window(15, 15);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> poll_errors{0};
+  std::thread poller([&tier, &done, &poll_errors] {
+    while (!done.load(std::memory_order_relaxed)) {
+      try {
+        tier.poll_pressure();
+      } catch (const Error&) {
+        poll_errors.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  // Until the monitor has flipped often enough to have raced many moves.
+  int move_errors = 0;
+  for (int i = 0; i < 100000 && tier.pressure().report().exits < 1000; ++i) {
+    const int lo = 3 * (i % 4);
+    try {
+      mover.hint_window(lo, lo + 2);      // demand 3 + 1 of 4 steps: engage
+      mover.hint_window(lo + 1, lo + 1);  // demand 1 + 1: release
+    } catch (const Error&) {
+      ++move_errors;
+    }
+  }
+  done.store(true, std::memory_order_relaxed);
+  poller.join();
+  EXPECT_EQ(poll_errors.load(), 0);
+  EXPECT_EQ(move_errors, 0);
+  const PressureReport report = tier.pressure().report();
+  EXPECT_GT(report.enters, 0u);
+  EXPECT_GT(report.exits, 0u);
 }
 
 // --- Stuck-strand watchdog ------------------------------------------------

@@ -1,11 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <thread>
+#include <vector>
 
+#include "parallel/thread_pool.hpp"
 #include "render/camera.hpp"
 #include "render/raycaster.hpp"
 #include "test_helpers.hpp"
+#include "util/alloc_guard.hpp"
+#include "util/determinism.hpp"
 #include "util/error.hpp"
+
+// Counting operator new/delete for this binary: the row-kernel contract
+// below asserts a warm render_rows never touches the heap.
+IFET_ALLOC_GUARD_INSTALL();
 
 namespace ifet {
 namespace {
@@ -283,6 +295,85 @@ TEST(RenderSlice, AxisSelection) {
   EXPECT_EQ(z.height, 6);
   EXPECT_THROW(render_slice(v, 3, 0, tf, ColorMap()), Error);
   EXPECT_THROW(render_slice(v, 2, 99, tf, ColorMap()), Error);
+}
+
+// --- Contracts of the ray loop on the 64^3 argon scene ---------------------
+
+/// Steady-state contract on the IFET_HOT ray loop: once a frame's Plan and
+/// destination image exist, render_rows marches every row with zero heap
+/// allocations (render() itself allocates the image and the pool's task
+/// plumbing, so the check drives the row kernel directly), and the
+/// row-kernel image is bitwise identical to the render() output.
+TEST(RenderRowsContract, WarmRowsAllocateNothingAndMatchRender) {
+  const testing::ArgonRenderScene& scene = testing::argon_render_scene();
+  for (const testing::RenderVariant& v : scene.variants()) {
+    SCOPED_TRACE(v.name);
+    const Raycaster caster(v.settings);
+    const ImageRgb8 pooled = caster.render(scene.volume, scene.tf,
+                                           scene.colors, scene.camera,
+                                           v.highlight);
+    const Raycaster::Plan plan = caster.prepare_plan(
+        scene.volume, scene.tf, scene.colors, scene.camera, v.highlight);
+    ImageRgb8 direct(v.settings.width, v.settings.height);
+    Raycaster::RenderRowCounters warm;
+    caster.render_rows(plan, 0, v.settings.height, direct, warm);
+    EXPECT_EQ(pooled.pixels, direct.pixels);
+    EXPECT_GT(warm.samples, 0u) << "no samples marched: the check is vacuous";
+
+    Raycaster::RenderRowCounters steady;
+    const DenyAllocScope guard;
+    caster.render_rows(plan, 0, v.settings.height, direct, steady);
+    const std::uint64_t allocations = guard.allocations();
+    EXPECT_EQ(allocations, 0u);
+  }
+}
+
+/// Perturbed replay of the IFET_DETERMINISTIC render kernels
+/// (util/determinism.hpp): every variant renders bitwise-identical frames
+/// across pool widths {1, 4, hardware}, cold and warm caches, and shuffled
+/// row-chunk order through render_rows. The pinned digest changes only
+/// when the frames do.
+TEST(RenderReplay, VariantsDigestIdenticallyAcrossSchedules) {
+  const testing::ArgonRenderScene& scene = testing::argon_render_scene();
+  const std::vector<testing::RenderVariant> variants = scene.variants();
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const ReplayCheck check("raycaster_variants", {1, 4, hw});
+  const ReplayReport report = check.run([&](const ReplayTrial& trial) {
+    ThreadPool::ScopedGlobalWidth width(trial.threads);
+    DigestSink sink;
+    for (const testing::RenderVariant& v : variants) {
+      const Raycaster caster(v.settings);
+      // Pooled frame: the pool splits rows differently at every width.
+      const ImageRgb8 pooled = caster.render(scene.volume, scene.tf,
+                                             scene.colors, scene.camera,
+                                             v.highlight);
+      sink.span(pooled.pixels.data(), pooled.pixels.size());
+      // Row-kernel frame, chunks marched in a deterministic shuffle when
+      // the trial asks for it: rows only write their own pixels.
+      const Raycaster::Plan plan = caster.prepare_plan(
+          scene.volume, scene.tf, scene.colors, scene.camera, v.highlight);
+      constexpr int kChunkRows = 8;
+      const std::size_t chunks =
+          (static_cast<std::size_t>(v.settings.height) + kChunkRows - 1) /
+          kChunkRows;
+      std::vector<std::size_t> order(chunks);
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      if (trial.shuffled) order = replay_permutation(chunks, 0xCA57);
+      ImageRgb8 direct(v.settings.width, v.settings.height);
+      Raycaster::RenderRowCounters counters;
+      for (const std::size_t c : order) {
+        const int lo = static_cast<int>(c) * kChunkRows;
+        const int hi = std::min(lo + kChunkRows, v.settings.height);
+        caster.render_rows(plan, lo, hi, direct, counters);
+      }
+      sink.span(direct.pixels.data(), direct.pixels.size());
+    }
+    return sink.value();
+  });
+  EXPECT_TRUE(report.ok) << report.summary();
+  EXPECT_EQ(report.reference_digest, 0x59399ea6283e9149ull)
+      << report.summary();
 }
 
 }  // namespace

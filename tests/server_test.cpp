@@ -5,7 +5,9 @@
 // data), and per-client fail policies must compose independently.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "stream/fault_injection.hpp"
 #include "stream/stream_tier.hpp"
 #include "stream/streamed_sequence.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/io_error.hpp"
 
@@ -24,110 +27,14 @@ constexpr Dims kDims{8, 8, 8};
 constexpr std::size_t kStepBytes =
     static_cast<std::size_t>(8 * 8 * 8) * sizeof(float);
 
-/// A blob drifting +x one voxel per step: structure for IATF synthesis,
-/// classification, and tracking alike.
+/// The shared drifting blob at this suite's size.
 std::shared_ptr<CallbackSource> blob_source(int steps) {
-  return std::make_shared<CallbackSource>(
-      kDims, steps, std::pair<double, double>{0.0, 1.0}, [](int step) {
-        VolumeF v(kDims);
-        for (int k = 0; k < kDims.z; ++k) {
-          for (int j = 0; j < kDims.y; ++j) {
-            for (int i = 0; i < kDims.x; ++i) {
-              const double dx = i - (kDims.x / 4 + step);
-              const double dy = j - kDims.y / 2;
-              const double dz = k - kDims.z / 2;
-              const double r2 = dx * dx + dy * dy + dz * dz;
-              v.at(i, j, k) =
-                  static_cast<float>(clamp(1.0 - r2 / 9.0, 0.0, 1.0));
-            }
-          }
-        }
-        return v;
-      });
+  return testing::drifting_blob_source(kDims, steps);
 }
 
 std::uint32_t volume_crc(const VolumeF& v) {
   auto data = v.data();
   return crc32(data.data(), data.size() * sizeof(float));
-}
-
-/// The canonical scripted client: window, key frame, TF training, TF and
-/// histogram queries, painting, classifier training, classification,
-/// adaptive tracking, rendering. Deterministic end to end (epoch-counted
-/// training only).
-std::vector<Command> canonical_script(int steps) {
-  std::vector<Command> script;
-  Command c;
-
-  c.kind = CommandKind::kHintWindow;
-  c.window_lo = 0;
-  c.window_hi = 2;
-  script.push_back(c);
-
-  c = Command{};
-  c.kind = CommandKind::kSetKeyFrame;
-  c.step = 0;
-  c.band_lo = 0.55;
-  c.band_hi = 1.0;
-  c.band_peak = 0.95;
-  c.band_skirt = 0.05;
-  script.push_back(c);
-
-  c = Command{};
-  c.kind = CommandKind::kTrainTf;
-  c.epochs = 20;
-  script.push_back(c);
-
-  for (int s = 0; s < steps; ++s) {
-    c = Command{};
-    c.kind = CommandKind::kQueryTf;
-    c.step = s;
-    script.push_back(c);
-    c.kind = CommandKind::kHistogram;
-    script.push_back(c);
-  }
-
-  c = Command{};
-  c.kind = CommandKind::kPaint;
-  c.step = 1;
-  c.stroke.axis = 2;
-  c.stroke.slice = kDims.z / 2;
-  c.stroke.u = kDims.x / 4 + 1;
-  c.stroke.v = kDims.y / 2;
-  c.stroke.radius = 1.5;
-  c.stroke.certainty = 1.0;
-  script.push_back(c);
-
-  c.stroke.u = kDims.x - 1;
-  c.stroke.v = kDims.y - 1;
-  c.stroke.radius = 1.0;
-  c.stroke.certainty = 0.0;
-  script.push_back(c);
-
-  c = Command{};
-  c.kind = CommandKind::kTrainClassifier;
-  c.epochs = 10;
-  script.push_back(c);
-
-  c = Command{};
-  c.kind = CommandKind::kClassify;
-  c.step = 1;
-  script.push_back(c);
-
-  c = Command{};
-  c.kind = CommandKind::kTrack;
-  c.step = 1;
-  c.seed = Index3{kDims.x / 4 + 1, kDims.y / 2, kDims.z / 2};
-  c.opacity_cut = 0.25;
-  script.push_back(c);
-
-  c = Command{};
-  c.kind = CommandKind::kRender;
-  c.step = 1;
-  c.image_size = 24;
-  script.push_back(c);
-
-  return script;
 }
 
 // ---------------------------------------------------------------------------
@@ -137,7 +44,7 @@ std::vector<Command> canonical_script(int steps) {
 
 TEST(SessionManager, TwoClientsBitwiseMatchIsolated) {
   const int steps = 6;
-  const std::vector<Command> script = canonical_script(steps);
+  const std::vector<Command> script = testing::canonical_script(kDims, steps);
 
   SessionManagerConfig shared_config;
   shared_config.tier.budget_bytes = 3 * kStepBytes;  // tight: 3 of 6 steps
@@ -161,24 +68,71 @@ TEST(SessionManager, TwoClientsBitwiseMatchIsolated) {
     }
     manager.drain_all();
   }
+  testing::expect_match_isolated(kDims, steps, script, shared);
+}
 
-  // Isolated references: one manager per client, unlimited budget, serial.
-  for (int client = 0; client < 2; ++client) {
-    SessionManagerConfig iso_config;  // budget 0 = fully resident
-    SessionManager manager(blob_source(steps), iso_config);
-    const int id = manager.create_session();
-    for (std::size_t i = 0; i < script.size(); ++i) {
-      const ServerResult reference = manager.execute(id, script[i]);
-      SCOPED_TRACE("client " + std::to_string(client) + " command " +
-                   std::to_string(i));
-      EXPECT_EQ(shared[static_cast<std::size_t>(client)][i].ok, reference.ok);
-      EXPECT_EQ(shared[static_cast<std::size_t>(client)][i].digest,
-                reference.digest);
-      EXPECT_EQ(shared[static_cast<std::size_t>(client)][i].value,
-                reference.value);
-      EXPECT_TRUE(reference.ok) << reference.error;
+// Closed-loop load: each client's completion callback submits its next
+// command from the strand, so four clients contend for a tight tier
+// (3-step budget, 1-step pin quota) the whole time.
+TEST(SessionManager, FourClosedLoopClientsMatchIsolated) {
+  const Dims dims{16, 16, 16};
+  const int steps = 8;
+  const std::size_t step_bytes =
+      static_cast<std::size_t>(dims.count()) * sizeof(float);
+  const std::vector<Command> script = testing::canonical_script(dims, steps);
+
+  SessionManagerConfig config;
+  config.tier.budget_bytes = 3 * step_bytes;
+  config.tier.pin_quota_bytes = 1 * step_bytes;
+  config.tier.async_prefetch = true;
+
+  constexpr std::size_t kClients = 4;
+  std::vector<std::vector<ServerResult>> results(
+      kClients, std::vector<ServerResult>(script.size()));
+  StreamStats tier_stats;
+  std::size_t derived_entries = 0;
+  std::vector<AdmissionStats> admission;
+  std::size_t pin_quota_bytes = 0;
+  {
+    SessionManager manager(testing::drifting_blob_source(dims, steps),
+                           config);
+    std::vector<int> ids;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      ids.push_back(manager.create_session());
     }
+    std::function<void(std::size_t, std::size_t)> submit_from =
+        [&](std::size_t c, std::size_t i) {
+          if (i == script.size()) return;
+          manager.submit(ids[c], script[i],
+                         [&submit_from, &results, c, i](const ServerResult& r) {
+                           results[c][i] = r;
+                           submit_from(c, i + 1);
+                         });
+        };
+    for (std::size_t c = 0; c < kClients; ++c) submit_from(c, 0);
+    // A chained submit lands before its strand goes idle, so this waits
+    // for every script to finish.
+    manager.drain_all();
+
+    tier_stats = manager.tier().stats();
+    derived_entries = manager.tier().derived().size();
+    pin_quota_bytes = manager.tier().admission().pin_quota_bytes();
+    for (const int id : ids) admission.push_back(manager.session_admission(id));
   }
+
+  testing::expect_match_isolated(dims, steps, script, results);
+  // Derived products dedup across clients, so the shared cache holds
+  // fewer entries than it served requests.
+  EXPECT_GT(tier_stats.derived_hits, 0u);
+  EXPECT_LT(derived_entries,
+            tier_stats.derived_hits + tier_stats.derived_misses);
+  EXPECT_GT(tier_stats.evictions, 0u);
+  std::uint64_t denied_pins = 0;
+  for (const AdmissionStats& a : admission) {
+    EXPECT_LE(a.pinned_bytes, pin_quota_bytes);
+    denied_pins += a.denied_pins;
+  }
+  EXPECT_GT(denied_pins, 0u) << "the quota never denied a window pin";
 }
 
 // ---------------------------------------------------------------------------

@@ -7,13 +7,17 @@
 #include "core/iatf.hpp"
 #include "io/compressed.hpp"
 #include "core/tracking.hpp"
-#include "math/vec.hpp"
 #include "stream/cache_manager.hpp"
 #include "stream/derived_cache.hpp"
 #include "stream/streamed_sequence.hpp"
 #include "stream/volume_store.hpp"
 #include "test_helpers.hpp"
+#include "util/alloc_guard.hpp"
 #include "util/error.hpp"
+
+// Counting operator new/delete for this binary: the warm-hit contract
+// below asserts the IFET_HOT cache lookup never allocates.
+IFET_ALLOC_GUARD_INSTALL();
 
 namespace ifet {
 namespace {
@@ -33,27 +37,7 @@ std::shared_ptr<CallbackSource> counter_source(int steps) {
       [](int step) { return step_volume(step); });
 }
 
-/// A source with spatial structure: a blob drifting +x by one voxel per
-/// step, so IATF / classification / tracking all have something to find.
-std::shared_ptr<CallbackSource> blob_source(Dims d, int steps) {
-  return std::make_shared<CallbackSource>(
-      d, steps, std::pair<double, double>{0.0, 1.0}, [d](int step) {
-        VolumeF v(d);
-        for (int k = 0; k < d.z; ++k) {
-          for (int j = 0; j < d.y; ++j) {
-            for (int i = 0; i < d.x; ++i) {
-              const double dx = i - (d.x / 4 + step);
-              const double dy = j - d.y / 2;
-              const double dz = k - d.z / 2;
-              const double r2 = dx * dx + dy * dy + dz * dz;
-              v.at(i, j, k) = static_cast<float>(
-                  clamp(1.0 - r2 / 9.0, 0.0, 1.0));
-            }
-          }
-        }
-        return v;
-      });
-}
+using testing::drifting_blob_source;
 
 // ---------------------------------------------------------------------------
 // CacheManager
@@ -151,6 +135,23 @@ TEST(CacheManager, UnpinEvictsOverBudget) {
   EXPECT_FALSE(cache.resident(0));
   EXPECT_EQ(cache.resident_bytes(), 2 * kStepBytes);
   EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(CacheManager, WarmHitsAllocateNothing) {
+  // The LRU refresh on a hit is a list splice, not erase + push_front.
+  CacheManager cache(3 * kStepBytes);
+  for (int s = 0; s < 3; ++s) cache.insert(s, step_volume(s), false);
+  (void)cache.lookup(0);  // one hit before the guarded window opens
+  std::size_t hits = 0;
+  const DenyAllocScope guard;
+  for (int pass = 0; pass < 64; ++pass) {
+    for (int s = 0; s < 3; ++s) {
+      if (cache.lookup(s) != nullptr) ++hits;
+    }
+  }
+  const std::uint64_t allocations = guard.allocations();
+  EXPECT_EQ(hits, 64u * 3u);
+  EXPECT_EQ(allocations, 0u);
 }
 
 TEST(CacheManager, EvictionKeepsReaderReferencesAlive) {
@@ -307,7 +308,7 @@ TEST(DerivedCache, MemoizesPerStepAndParams) {
 }
 
 TEST(DerivedCache, TransferFunctionsShareAcrossCriteria) {
-  auto source = blob_source(Dims{8, 8, 8}, 4);
+  auto source = drifting_blob_source(Dims{8, 8, 8}, 4);
   StreamedSequence sequence(source);
   Iatf iatf(sequence);
   TransferFunction1D key(0.0, 1.0);
@@ -324,7 +325,7 @@ TEST(DerivedCache, TransferFunctionsShareAcrossCriteria) {
 }
 
 TEST(Iatf, ParamsHashChangesWithTraining) {
-  auto source = blob_source(Dims{8, 8, 8}, 4);
+  auto source = drifting_blob_source(Dims{8, 8, 8}, 4);
   StreamedSequence sequence(source);
   Iatf iatf(sequence);
   TransferFunction1D key(0.0, 1.0);
@@ -352,6 +353,7 @@ TEST(StreamedSequence, MatchesSourceUnderTightBudget) {
     EXPECT_FLOAT_EQ(seq.step(s).at(1, 2, 3), static_cast<float>(s) / 100.0f);
   }
   EXPECT_GT(seq.stats().evictions, 0u);
+  EXPECT_LE(seq.stats().peak_bytes_resident, cfg.budget_bytes);
 }
 
 TEST(StreamedSequence, WindowReferencesStayValid) {
@@ -413,7 +415,7 @@ class StreamedEquivalence : public ::testing::Test {
   Dims dims_{8, 8, 8};
 
   void SetUp() override {
-    source_ = blob_source(dims_, kSteps);
+    source_ = drifting_blob_source(dims_, kSteps);
     resident_ = std::make_unique<StreamedSequence>(source_);
     StreamConfig cfg;
     cfg.budget_bytes = 3 * dims_.count() * sizeof(float);

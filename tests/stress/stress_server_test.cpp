@@ -2,16 +2,22 @@
 // sessions hammering one shared streaming tier — concurrent strand
 // drains, submits from several threads, session churn, and lock-free
 // stats readers — while a tight budget keeps eviction, admission, and
-// prefetch all live. Plain builds run it as a quick correctness check;
-// the tsan preset runs it as the race detector it was written to be.
+// prefetch all live — and an open-loop flood over a slow device that the
+// overload layer must shed, time out and refuse with types, never with
+// wrong data. Plain builds run it as a quick correctness check; the tsan
+// preset runs it as the race detector it was written to be.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "server/session_manager.hpp"
+#include "stream/fault_injection.hpp"
+#include "test_helpers.hpp"
 #include "volume/sequence.hpp"
 
 namespace ifet {
@@ -22,22 +28,7 @@ constexpr std::size_t kStepBytes =
     static_cast<std::size_t>(8 * 8 * 8) * sizeof(float);
 
 std::shared_ptr<CallbackSource> blob_source(int steps) {
-  return std::make_shared<CallbackSource>(
-      kDims, steps, std::pair<double, double>{0.0, 1.0}, [](int step) {
-        VolumeF v(kDims);
-        for (int k = 0; k < kDims.z; ++k) {
-          for (int j = 0; j < kDims.y; ++j) {
-            for (int i = 0; i < kDims.x; ++i) {
-              const double dx = i - (kDims.x / 4 + step);
-              const double dy = j - kDims.y / 2;
-              const double dz = k - kDims.z / 2;
-              v.at(i, j, k) = static_cast<float>(
-                  clamp(1.0 - (dx * dx + dy * dy + dz * dz) / 9.0, 0.0, 1.0));
-            }
-          }
-        }
-        return v;
-      });
+  return testing::drifting_blob_source(kDims, steps);
 }
 
 TEST(StressServer, ConcurrentSessionStorm) {
@@ -135,6 +126,212 @@ TEST(StressServer, ConcurrentSessionStorm) {
   // Dedup across the storm: the shared cache served repeated requests.
   const StreamStats tier_stats = manager.tier().stats();
   EXPECT_GT(tier_stats.derived_hits, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Overload flood (docs/ROBUSTNESS.md, "Overload and deadlines"): the
+// canonical script on four clients over a uniformly slow device, with
+// bounded kShedOldest strand queues, the pressure monitor and the watchdog
+// live, while one open-loop thread per session floods it with read-only
+// commands, a quarter of them carrying an impossible deadline. Script
+// clients resubmit on kOverloaded (a shed command never ran, so the retry
+// keeps exactly-once); the flood never resubmits, which keeps it finite.
+
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+/// Linear-interpolated percentile q in [0, 1].
+double percentile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return values[lo] + frac * (values[hi] - values[lo]);
+}
+
+struct FloodClient {
+  int id = -1;
+  std::vector<ServerResult> results;   ///< Script results, after retries.
+  std::vector<Clock::time_point> start;
+  std::vector<double> latency_ms;      ///< First submit -> final completion.
+  std::vector<ServerStatus> flood_status;
+  std::vector<double> flood_latency_ms;
+};
+
+struct FloodRun {
+  SessionManager& manager;
+  const std::vector<Command>& script;
+  std::atomic<std::uint64_t> script_submits{0};
+  std::atomic<std::uint64_t> script_callbacks{0};
+  std::atomic<std::uint64_t> flood_submits{0};
+  std::atomic<std::uint64_t> flood_callbacks{0};
+  std::atomic<bool> retry_hint_seen{false};
+
+  void note_refusal(const ServerResult& r) {
+    if (r.status == ServerStatus::kOverloaded && r.retry_after_ms > 0.0) {
+      retry_hint_seen.store(true, std::memory_order_relaxed);
+    }
+  }
+
+  /// Submits script command `index`; a kOverloaded result resubmits the
+  /// same index, any other result records it and chains the next.
+  void submit_script(FloodClient& client, std::size_t index) {
+    if (index == script.size()) return;
+    if (client.start[index] == Clock::time_point{}) {
+      client.start[index] = Clock::now();
+    }
+    script_submits.fetch_add(1, std::memory_order_relaxed);
+    manager.submit(client.id, script[index],
+                   [this, &client, index](const ServerResult& r) {
+                     script_callbacks.fetch_add(1, std::memory_order_relaxed);
+                     if (r.status == ServerStatus::kOverloaded) {
+                       note_refusal(r);
+                       submit_script(client, index);
+                       return;
+                     }
+                     client.results[index] = r;
+                     client.latency_ms[index] = ms_since(client.start[index]);
+                     submit_script(client, index + 1);
+                   });
+  }
+
+  /// Floods one session with histogram, TF and render reads; every 4th
+  /// carries a 10 us deadline.
+  void flood(FloodClient& client, int steps) {
+    for (std::size_t i = 0; i < client.flood_status.size(); ++i) {
+      Command cmd;
+      if (i % 8 == 7) {
+        cmd.kind = CommandKind::kRender;
+        cmd.image_size = 16;
+      } else if (i % 2 == 0) {
+        cmd.kind = CommandKind::kHistogram;
+      } else {
+        cmd.kind = CommandKind::kQueryTf;
+      }
+      cmd.step = static_cast<int>(i) % steps;
+      const bool tranche = i % 4 == 3;
+      if (tranche) cmd.deadline_ms = 0.01;
+      const Clock::time_point t0 = Clock::now();
+      flood_submits.fetch_add(1, std::memory_order_relaxed);
+      manager.submit(client.id, cmd,
+                     [this, &client, i, t0](const ServerResult& r) {
+                       flood_callbacks.fetch_add(1, std::memory_order_relaxed);
+                       client.flood_status[i] = r.status;
+                       client.flood_latency_ms[i] = ms_since(t0);
+                       note_refusal(r);
+                     });
+      if (tranche) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+};
+
+TEST(StressServer, OverloadFloodShedsWorkNeverData) {
+  const Dims dims{16, 16, 16};
+  const int steps = 8;
+  const std::size_t step_bytes =
+      static_cast<std::size_t>(dims.count()) * sizeof(float);
+  const std::vector<Command> script = testing::canonical_script(dims, steps);
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kQueueBound = 4;
+
+  SessionManagerConfig config;
+  config.tier.budget_bytes = 4 * step_bytes;
+  config.tier.pin_quota_bytes = 2 * step_bytes;
+  config.tier.async_prefetch = true;
+  config.tier.pressure.enabled = true;
+  config.max_queue_depth = kQueueBound;
+  config.backpressure = BackpressurePolicy::kShedOldest;
+  config.watchdog_interval_ms = 5.0;
+
+  std::vector<FloodClient> clients(kClients);
+  std::vector<SessionQueueStats> queues;
+  StreamStats storm_stats;
+  PressureReport pressure;
+  WatchdogReport watchdog;
+  std::uint64_t script_submits = 0, script_callbacks = 0;
+  std::uint64_t flood_submits = 0, flood_callbacks = 0;
+  bool retry_hint_seen = false;
+  {
+    SessionManager manager(
+        std::make_shared<FaultInjectingSource>(
+            testing::drifting_blob_source(dims, steps),
+            std::vector<FaultSpec>{parse_fault_spec("slow@all:3")}),
+        config);
+    FloodRun run{manager, script};
+    for (FloodClient& client : clients) {
+      client.id = manager.create_session();
+      client.results.resize(script.size());
+      client.start.resize(script.size());
+      client.latency_ms.resize(script.size(), 0.0);
+      client.flood_status.resize(2 * script.size(), ServerStatus::kError);
+      client.flood_latency_ms.resize(2 * script.size(), 0.0);
+    }
+    for (FloodClient& client : clients) run.submit_script(client, 0);
+    std::vector<std::thread> floods;
+    for (FloodClient& client : clients) {
+      floods.emplace_back([&run, &client, steps] { run.flood(client, steps); });
+    }
+    for (std::thread& t : floods) t.join();
+    // Every refusal callback of the joined floods has run, and a chained
+    // script submit lands before its strand goes idle, so this waits for
+    // every script to finish.
+    manager.drain_all();
+
+    script_submits = run.script_submits.load();
+    script_callbacks = run.script_callbacks.load();
+    flood_submits = run.flood_submits.load();
+    flood_callbacks = run.flood_callbacks.load();
+    retry_hint_seen = run.retry_hint_seen.load();
+    storm_stats = manager.tier().stats();
+    pressure = manager.tier().pressure().report();
+    watchdog = manager.watchdog_report();
+    for (const FloodClient& client : clients) {
+      queues.push_back(manager.session_queue(client.id));
+    }
+  }
+
+  // Exactly one completion per submitted command.
+  EXPECT_EQ(script_callbacks, script_submits);
+  EXPECT_EQ(flood_callbacks, flood_submits);
+
+  // Every script command succeeds despite the flood, bitwise identical to
+  // the unloaded serial reference: overload sheds work, never data.
+  std::vector<std::vector<ServerResult>> results;
+  for (const FloodClient& client : clients) results.push_back(client.results);
+  testing::expect_match_isolated(dims, steps, script, results);
+
+  // Typed refusals only: a flooded server never turns overload into kError.
+  std::vector<double> script_latency, flood_latency;
+  for (const FloodClient& client : clients) {
+    for (const ServerStatus status : client.flood_status) {
+      EXPECT_NE(status, ServerStatus::kError);
+    }
+    script_latency.insert(script_latency.end(), client.latency_ms.begin(),
+                          client.latency_ms.end());
+    flood_latency.insert(flood_latency.end(),
+                         client.flood_latency_ms.begin(),
+                         client.flood_latency_ms.end());
+  }
+
+  // Bounded queues, and visible shedding, deadlines, pressure and watchdog.
+  for (const SessionQueueStats& q : queues) {
+    EXPECT_LE(q.peak_depth, kQueueBound);
+  }
+  EXPECT_GT(storm_stats.commands_shed, 0u);
+  EXPECT_GT(storm_stats.deadline_exceeded, 0u);
+  EXPECT_TRUE(retry_hint_seen) << "no kOverloaded refusal carried a hint";
+  EXPECT_GT(storm_stats.pressure_transitions, 0u);
+  EXPECT_GT(pressure.enters, 0u);
+  EXPECT_GT(watchdog.scans, 0u);
+
+  // No command waited unboundedly behind the flood.
+  EXPECT_LT(percentile(script_latency, 0.99), 10000.0);
+  EXPECT_LT(percentile(flood_latency, 0.99), 10000.0);
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "core/track_events.hpp"
 #include "core/tracking.hpp"
 #include "flowsim/datasets.hpp"
+#include "parallel/thread_pool.hpp"
 #include "stream/streamed_sequence.hpp"
+#include "util/determinism.hpp"
 #include "util/error.hpp"
 
 namespace ifet {
@@ -168,6 +173,53 @@ TEST(Tracker, AdaptiveCriterionFollowsDecayingFeature) {
   // Fixed criterion loses the feature before the end; adaptive keeps it.
   EXPECT_EQ(fixed_result.voxels_at(39), 0u);
   EXPECT_GT(adaptive_result.voxels_at(39), 0u);
+}
+
+/// Perturbed replay of Tracker::grow_step (IFET_DETERMINISTIC): region
+/// growing on the argon bubble digests identically across pool widths
+/// {1, 4, hardware}, cold and warm caches (a fresh 3-step-budget sequence
+/// per trial; warm trials track twice through it) and repeated runs. The
+/// steps are generated once and served from memory, so the check costs
+/// the tracking, not the argon generator; the pinned digest proves the
+/// data is unchanged.
+TEST(TrackerReplay, ArgonGrowDigestsIdenticallyAcrossSchedules) {
+  ArgonBubbleConfig cfg;
+  cfg.dims = Dims{32, 32, 32};
+  cfg.num_steps = 12;
+  const ArgonBubbleSource argon(cfg);
+  std::vector<VolumeF> volumes;
+  for (int s = 0; s < cfg.num_steps; ++s) volumes.push_back(argon.generate(s));
+  auto source = std::make_shared<CallbackSource>(
+      cfg.dims, cfg.num_steps, argon.value_range(),
+      [&volumes](int step) { return volumes[static_cast<std::size_t>(step)]; });
+
+  const int grow_step = cfg.num_steps / 2;
+  const double c = argon.ring_band_center(grow_step);
+  const double h = argon.ring_band_half_width();
+  const FixedRangeCriterion criterion(c - h, c + h);
+  const Mask seeds = argon.feature_mask(grow_step);
+  StreamConfig tight;
+  tight.budget_bytes = 3 * cfg.dims.count() * sizeof(float);
+
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const ReplayCheck check("tracker_grow_argon", {1, 4, hw});
+  const ReplayReport report = check.run([&](const ReplayTrial& trial) {
+    ThreadPool::ScopedGlobalWidth width(trial.threads);
+    StreamedSequence sequence(source, tight);
+    Tracker tracker(sequence, criterion);
+    TrackResult grown = tracker.track_from_mask(seeds, grow_step);
+    if (trial.warm) grown = tracker.track_from_mask(seeds, grow_step);
+    DigestSink sink;
+    for (const auto& [step, mask] : grown.masks) {  // std::map: sorted
+      sink.pod(step);
+      sink.span(mask.data().data(), mask.size());
+    }
+    return sink.value();
+  });
+  EXPECT_TRUE(report.ok) << report.summary();
+  EXPECT_EQ(report.reference_digest, 0x640fbfc93126609dull)
+      << report.summary();
 }
 
 TEST(TrackEvents, ContinuationChain) {

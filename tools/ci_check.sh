@@ -15,21 +15,14 @@
 #   4. asan-ubsan preset: configure, build, full ctest under ASan+UBSan
 #      with IFET_DEBUG_ASSERT checks and the OrderedMutex lock-order
 #      validator on
-#   5. tsan preset: build + run the streaming/concurrency stress tests
-#      (the CacheManager/Prefetcher, fault-storm, thread-pool, and
-#      multi-tenant-server race detectors) plus the bench AllocGuard
-#      steady-state checks (FlatMlp forward_batch, Raycaster row kernel,
-#      CacheManager hit path) in their fast check-only modes, the
-#      render-equivalence smoke (brick empty-space skipping vs the scalar
-#      march, bitwise, all compositing variants), one ReplayCheck smoke
-#      (bench_perf_classify --replay-check-only: FlatMlp classify digests
-#      across perturbed thread counts), and the bench_perf_server --smoke
-#      load generator (deterministic small fleet, bitwise-equivalence
-#      gate) under TSan
-#   5b. overload harness: bench_perf_server --overload --smoke under TSan
-#      (bounded queues, typed refusals, deadlines, pressure, watchdog;
-#      docs/ROBUSTNESS.md "Overload and deadlines"), archiving the
-#      shed/latency JSON as build-tsan/ci_overload_bench.json
+#   5. tsan preset: build + run, under ThreadSanitizer, the tier-1 suites
+#      that race threads: the stress detectors (CacheManager/Prefetcher,
+#      fault storm, thread pool, multi-tenant server with its overload
+#      flood), the AllocGuard zero-allocation contracts (FlatMlp
+#      forward_batch, Raycaster::render_rows, CacheManager hits), the
+#      ReplayCheck determinism suites (classifier, render, tracker), the
+#      brick-skip bitwise equivalence, and the shared-tier server and
+#      streaming suites (docs/CORRECTNESS.md)
 #   6. thread-safety: clang build with -Wthread-safety promoted to errors
 #      over the IFET_GUARDED_BY annotations (docs/STATIC_ANALYSIS.md);
 #      skips if clang is not installed
@@ -137,52 +130,20 @@ stage_asan() {
 }
 
 stage_tsan() {
-  # Stress detectors + the bench AllocGuard steady-state contracts: the
-  # check-only modes skip google-benchmark timing and assert the IFET_HOT
-  # kernels (FlatMlp::forward_batch, Raycaster::render_rows, CacheManager
-  # hits) touch the heap zero times when warm — under TSan, so the same
-  # run also races the guard's atomics against the thread pool. The
-  # render-equivalence smoke (--equiv-check-only) memcmps the brick
-  # empty-space-skipping path against the scalar march across all three
-  # compositing variants, with the row pool racing under TSan. The
-  # classifier digest test runs the voxel classifier's one parallel sweep
-  # in all three (variables, outputs) shapes. The
-  # multi-tenant server rides along twice: its dedicated stress storm and
-  # the deterministic bench_perf_server load generator in --smoke mode
-  # (small fleet, bitwise tight-vs-infinite-budget equivalence gate).
-  # stream_test, server_test and concurrency_regression_test drive the one
-  # StreamedSequence through both constructors (private tier and shared
-  # tier), including four readers racing one sequence's window.
+  # The tier-1 suites whose contracts involve threads, rebuilt under TSan
+  # so the same runs race the pool, the strands, the prefetcher and the
+  # AllocGuard's atomics: stress detectors, allocation contracts, replay
+  # checks across pool widths, skip-vs-scalar frames with the row pool
+  # racing, and both StreamedSequence constructors (private and shared
+  # tier) including four readers racing one sequence's window.
+  local tests="stress_cache_manager_test stress_fault_storm_test \
+stress_thread_pool_test stress_server_test flat_mlp_test \
+classifier_digest_test stream_test server_test concurrency_regression_test \
+render_test brick_index_test tracking_test"
+  # shellcheck disable=SC2086
   cmake --preset tsan &&
-    cmake --build --preset tsan -j "$JOBS" --target \
-      stress_cache_manager_test stress_fault_storm_test \
-      stress_thread_pool_test stress_server_test flat_mlp_test \
-      classifier_digest_test stream_test server_test \
-      concurrency_regression_test bench_perf_classify bench_perf_render \
-      bench_perf_stream bench_perf_server &&
-    ctest --preset tsan -j "$JOBS" -R \
-      'stress_cache_manager_test|stress_fault_storm_test|stress_thread_pool_test|stress_server_test|flat_mlp_test|classifier_digest_test|stream_test|server_test|concurrency_regression_test' &&
-    "$ROOT/build-tsan/bench/bench_perf_classify" --alloc-check-only &&
-    "$ROOT/build-tsan/bench/bench_perf_classify" --replay-check-only &&
-    "$ROOT/build-tsan/bench/bench_perf_render" --render-check-only &&
-    "$ROOT/build-tsan/bench/bench_perf_render" --equiv-check-only &&
-    "$ROOT/build-tsan/bench/bench_perf_stream" &&
-    (cd "$ROOT/build-tsan/bench" && ./bench_perf_server --smoke)
-}
-
-stage_overload() {
-  # Overload harness under TSan (docs/ROBUSTNESS.md, "Overload and
-  # deadlines"): scripted clients racing an open-loop flood over a slow
-  # device, gating bounded queue depth, bounded p99, typed refusals only,
-  # visible shed/deadline/pressure/watchdog activity, and the
-  # bitwise-identical non-shed results — while TSan watches the deadline
-  # scopes, the watchdog's lock-free samples, and the pressure
-  # transitions race the strands. The shed/latency JSON is archived next
-  # to the storm bench's BENCH_server.json.
-  (cd "$ROOT/build-tsan/bench" && ./bench_perf_server --overload --smoke) &&
-    cp "$ROOT/build-tsan/bench/BENCH_server_overload.json" \
-      "$ROOT/build-tsan/ci_overload_bench.json" &&
-    echo "overload bench artifact: $ROOT/build-tsan/ci_overload_bench.json"
+    cmake --build --preset tsan -j "$JOBS" --target $tests &&
+    ctest --preset tsan -j "$JOBS" -R "^($(echo $tests | tr ' ' '|'))\$"
 }
 
 stage_thread_safety() {
@@ -214,11 +175,8 @@ fi
 
 if [ "${SKIP_TSAN:-0}" != "1" ]; then
   run_stage "tsan preset (concurrency stress)" stage_tsan
-  run_stage "overload harness (bench_perf_server --overload, TSan)" \
-    stage_overload
 else
   record "tsan preset (concurrency stress)" "skip"
-  record "overload harness (bench_perf_server --overload, TSan)" "skip"
 fi
 
 if [ "${SKIP_THREAD_SAFETY:-0}" = "1" ]; then
