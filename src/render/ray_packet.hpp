@@ -12,8 +12,8 @@
 // Bitwise contract: every lane evaluates EXACTLY the double expressions of
 // the scalar march in render_rows, in the same per-sample order, with FP
 // contraction off, so images are bitwise identical to the unskipped scalar
-// path (bench_perf_render memcmps all compositing modes; the tsan CI stage
-// re-proves it every run).
+// path (BrickSkipEquivalence in tests/brick_index_test.cpp memcmps all
+// compositing modes, in tier-1 and again under TSan).
 //
 // Allocation contract: the scratch is a caller-owned fixed-size POD
 // (stack-local in render_rows); the kernel allocates nothing.

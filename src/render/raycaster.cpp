@@ -139,12 +139,16 @@ ImageRgb8 Raycaster::render_step(const VolumeSequence& sequence, int step,
                                  RenderStats* stats,
                                  bool prefetch_next) const {
   if (prefetch_next) sequence.prefetch_hint(step + 1);
-  // Ingest-time brick metadata when the sequence serves it (v2 .cvol via
-  // the streaming tier); the plan rebuilds from the volume otherwise.
+  // The step first: its fetch settles whether the step is quarantined, so
+  // the index below describes the voxels actually served (a substitute's
+  // under nearest-good). Ingest-time brick metadata when the sequence
+  // serves it (v2 .cvol via the streaming tier); the plan rebuilds from
+  // the volume otherwise.
+  const VolumeF& volume = sequence.step(step);
   std::shared_ptr<const BrickIndex> bricks =
       settings_.empty_space_skipping ? sequence.brick_index(step) : nullptr;
-  return render_impl(sequence.step(step), tf, colors, camera, highlight,
-                     nullptr, stats, std::move(bricks));
+  return render_impl(volume, tf, colors, camera, highlight, nullptr, stats,
+                     std::move(bricks));
 }
 
 Raycaster::Raycaster(const RenderSettings& settings) : settings_(settings) {

@@ -259,8 +259,8 @@ ServerResult SessionManager::run_command(ServerSession& s,
       break;
     case CommandKind::kQueryTf: {
       // Through the SHARED DerivedCache: identical network states (same
-      // params hash) dedup across clients; the per-client stats pointer
-      // attributes the hit/miss to this client.
+      // params hash) dedup across clients; the client counters pointer
+      // attributes the hit/miss to this client too.
       auto tf = tier_.derived().transfer_function(
           command.step, s.tf->iatf().params_hash(),
           [&]() -> TransferFunction1D {
@@ -331,8 +331,7 @@ ServerResult SessionManager::run_command_noexcept(ServerSession& s,
     result.ok = false;
     result.status = ServerStatus::kDeadlineExceeded;
     result.error = e.what();
-    s.sequence->client_stats().count_deadline_exceeded();
-    tier_.aggregate().count_deadline_exceeded();
+    s.sequence->count(&StreamCounters::deadline_exceeded);
   } catch (const std::exception& e) {
     result = ServerResult{};
     result.ok = false;
@@ -416,8 +415,7 @@ void SessionManager::submit(int id, Command command,
   // that re-submits (a client retrying immediately) must not re-enter the
   // strand mutex.
   if (have_victim) {
-    session->sequence->client_stats().count_shed();
-    tier_.aggregate().count_shed();
+    session->sequence->count(&StreamCounters::commands_shed);
     if (victim.done) {
       ServerResult shed;
       shed.ok = false;
@@ -428,8 +426,7 @@ void SessionManager::submit(int id, Command command,
     }
   }
   if (action == ShedAction::kRejectNew) {
-    session->sequence->client_stats().count_rejected();
-    tier_.aggregate().count_rejected();
+    session->sequence->count(&StreamCounters::commands_rejected);
     if (item.done) {
       ServerResult refused;
       refused.ok = false;

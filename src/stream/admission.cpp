@@ -188,7 +188,6 @@ IFET_HOT void AdmissionController::note_access(int client, int step,
   IFET_DEBUG_ASSERT(step >= 0 && step < num_steps_,
                     "AdmissionController::note_access: step out of range");
   Ledger& c = clients_[static_cast<std::size_t>(client)];
-  ++c.stats.accesses;
   std::uint8_t& seen = c.seen[static_cast<std::size_t>(step)];
   if (!resident && seen != 0) ++c.stats.reloads;
   seen = 1;

@@ -46,7 +46,6 @@ namespace ifet {
 
 /// Per-client admission counters (monotonic except the two gauges).
 struct AdmissionStats {
-  std::uint64_t accesses = 0;     ///< note_access calls (fetch attempts).
   std::uint64_t denied_pins = 0;  ///< Window steps refused a pin by quota.
   std::uint64_t reloads = 0;      ///< Accesses that found a step this client
                                   ///< had loaded before evicted again — the
@@ -87,9 +86,9 @@ class AdmissionController {
   WindowDelta set_window(int client, int lo, int hi, int center)
       IFET_EXCLUDES(mutex_);
 
-  /// Hot-path bookkeeping for one fetch: bumps the access count and, when
-  /// a previously loaded step is found non-resident, the reload count.
-  /// Alloc-free: the `seen` bitmap was sized at register_client.
+  /// Hot-path bookkeeping for one fetch: when a previously loaded step is
+  /// found non-resident, bumps the reload count. Alloc-free: the `seen`
+  /// bitmap was sized at register_client.
   IFET_HOT void note_access(int client, int step, bool resident)
       IFET_EXCLUDES(mutex_);
 

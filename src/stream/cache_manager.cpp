@@ -7,20 +7,21 @@
 
 namespace ifet {
 
-CacheManager::CacheManager(std::size_t budget_bytes)
-    : budget_bytes_(budget_bytes) {}
+CacheManager::CacheManager(StreamCounters& counters,
+                           std::size_t budget_bytes)
+    : counters_(counters), budget_bytes_(budget_bytes) {}
 
 IFET_HOT std::shared_ptr<const VolumeF> CacheManager::lookup(int step) {
   OrderedMutexLock lock(mutex_);
   auto it = entries_.find(step);
   if (it == entries_.end()) {
-    ++stats_.misses;
+    counters_.misses.add();
     return nullptr;
   }
-  ++stats_.hits;
+  counters_.hits.add();
   if (it->second.prefetched) {
     it->second.prefetched = false;
-    ++stats_.prefetch_hits;
+    counters_.prefetch_hits.add();
   }
   // splice, not erase+push_front: refreshing the LRU position relinks the
   // existing node, so a cache hit never touches the allocator (and the
@@ -35,7 +36,7 @@ IFET_HOT std::shared_ptr<const VolumeF> CacheManager::lookup_quiet(int step) {
   if (it == entries_.end()) return nullptr;
   if (it->second.prefetched) {
     it->second.prefetched = false;
-    ++stats_.prefetch_hits;
+    counters_.prefetch_hits.add();
   }
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   return it->second.volume;
@@ -68,11 +69,9 @@ std::shared_ptr<const VolumeF> CacheManager::insert(int step, VolumeF volume,
   lru_.push_front(step);
   entry.lru_it = lru_.begin();
   resident_bytes_ += entry.bytes;
-  ++stats_.inserts;
   auto stored = entries_.emplace(step, std::move(entry)).first->second.volume;
   evict_over_budget_locked(evicted);
-  stats_.peak_bytes_resident =
-      std::max(stats_.peak_bytes_resident, resident_bytes_);
+  peak_bytes_ = std::max(peak_bytes_, resident_bytes_);
   return stored;
 }
 
@@ -86,7 +85,7 @@ void CacheManager::evict_over_budget_locked(EvictedPayloads& evicted) {
     IFET_REQUIRE(e != entries_.end(), "CacheManager: LRU/entry desync");
     if (e->second.pin_count > 0) continue;  // pinned: try next-older
     resident_bytes_ -= e->second.bytes;
-    ++stats_.evictions;
+    counters_.evictions.add();
     // Hand the payload to the caller's frame: if this was the last
     // reference, the VolumeF deallocation must not run under the mutex.
     evicted.push_back(std::move(e->second.volume));
@@ -151,30 +150,12 @@ std::vector<int> CacheManager::lru_order() const {
   return {lru_.begin(), lru_.end()};
 }
 
-void CacheManager::clear() {
-  EvictedPayloads evicted;
-  OrderedMutexLock lock(mutex_);
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    auto e = entries_.find(*it);
-    IFET_REQUIRE(e != entries_.end(), "CacheManager: LRU/entry desync");
-    if (e->second.pin_count > 0) {
-      ++it;
-      continue;
-    }
-    resident_bytes_ -= e->second.bytes;
-    ++stats_.evictions;
-    evicted.push_back(std::move(e->second.volume));
-    entries_.erase(e);
-    it = lru_.erase(it);
-  }
-}
-
 IFET_DETERMINISTIC StreamStats CacheManager::stats() const {
+  StreamStats out = counters_.snapshot();
   OrderedMutexLock lock(mutex_);
-  StreamStats out = stats_;
   out.budget_bytes = budget_bytes_;
   out.bytes_resident = resident_bytes_;
-  out.steps_resident = entries_.size();
+  out.peak_bytes_resident = peak_bytes_;
   // Walk the LRU list, not the hash map: the pinned count is
   // order-independent, but stats() feeds StreamStats summaries the
   // determinism contract covers, and the list iterates in a defined

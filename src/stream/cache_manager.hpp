@@ -37,12 +37,14 @@ class CacheManager {
   /// pinned* entries together; 0 means unlimited (the fully-resident
   /// path). Pinned entries are never evicted, so a window wider than the
   /// budget temporarily overshoots it — by design, loudly visible in
-  /// stats().
-  explicit CacheManager(std::size_t budget_bytes = 0);
+  /// stats(). Hits, misses, prefetch hits and evictions are added into
+  /// `counters` (the tier's set), which must outlive the cache.
+  explicit CacheManager(StreamCounters& counters,
+                        std::size_t budget_bytes = 0);
 
-  /// Resident volume for `step`, or nullptr. A hit refreshes LRU order and
-  /// counts toward stats; entries inserted by prefetch count a prefetch
-  /// hit on their first lookup.
+  /// Resident volume for `step`, or nullptr. A hit refreshes LRU order.
+  /// Every lookup counts a hit or a miss; entries inserted by prefetch
+  /// count a prefetch hit on their first lookup.
   std::shared_ptr<const VolumeF> lookup(int step) IFET_EXCLUDES(mutex_);
 
   /// Like lookup, but does not count a hit/miss — used by VolumeStore when
@@ -78,10 +80,8 @@ class CacheManager {
   /// Steps in most-recently-used -> least-recently-used order (tests).
   std::vector<int> lru_order() const IFET_EXCLUDES(mutex_);
 
-  /// Drop every unpinned entry (budget debugging; stats count evictions).
-  void clear() IFET_EXCLUDES(mutex_);
-
-  /// Counter snapshot (cache-level fields only).
+  /// Snapshot of the counter set plus this cache's residency gauges
+  /// (budget, resident and peak bytes, pinned steps).
   StreamStats stats() const IFET_EXCLUDES(mutex_);
 
  private:
@@ -104,14 +104,15 @@ class CacheManager {
   void evict_over_budget_locked(EvictedPayloads& evicted)
       IFET_REQUIRES(mutex_);
 
+  StreamCounters& counters_;
   mutable OrderedMutex mutex_{MutexRank::kCacheManager};
   std::size_t budget_bytes_ IFET_GUARDED_BY(mutex_);
   std::size_t resident_bytes_ IFET_GUARDED_BY(mutex_) = 0;
+  std::size_t peak_bytes_ IFET_GUARDED_BY(mutex_) = 0;
   std::list<int> lru_ IFET_GUARDED_BY(mutex_);  // front = most recent
   std::unordered_map<int, Entry> entries_ IFET_GUARDED_BY(mutex_);
   /// Pins on non-resident steps (applied on insert).
   std::unordered_map<int, int> pending_pins_ IFET_GUARDED_BY(mutex_);
-  StreamStats stats_ IFET_GUARDED_BY(mutex_);
 };
 
 }  // namespace ifet

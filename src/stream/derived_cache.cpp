@@ -15,19 +15,19 @@ namespace ifet {
 template <typename T>
 std::shared_ptr<const T> DerivedCache::get_or_compute(
     MemoMap<T> DerivedCache::* map, int step, std::uint64_t params_hash,
-    const std::function<T()>& compute, SharedStreamStats* session_stats) {
+    const std::function<T()>& compute, StreamCounters* client) {
   const Key key{step, params_hash};
   {
     OrderedMutexLock lock(mutex_);
     auto it = (this->*map).find(key);
     if (it != (this->*map).end()) {
-      ++stats_.derived_hits;
-      if (session_stats != nullptr) session_stats->count_derived(true);
+      counters_.derived_hits.add();
+      if (client != nullptr) client->derived_hits.add();
       return it->second;
     }
-    ++stats_.derived_misses;
   }
-  if (session_stats != nullptr) session_stats->count_derived(false);
+  counters_.derived_misses.add();
+  if (client != nullptr) client->derived_misses.add();
   auto value = std::make_shared<const T>(compute());
   OrderedMutexLock lock(mutex_);
   auto [it, inserted] = (this->*map).emplace(key, std::move(value));
@@ -53,27 +53,27 @@ std::size_t DerivedCache::invalidate_in(MemoMap<T>& map,
 IFET_DETERMINISTIC std::shared_ptr<const Histogram> DerivedCache::histogram(
     int step, std::uint64_t params_hash,
     const std::function<Histogram()>& compute,
-    SharedStreamStats* session_stats) {
+    StreamCounters* client) {
   return get_or_compute(&DerivedCache::hists_, step, params_hash, compute,
-                        session_stats);
+                        client);
 }
 
 IFET_DETERMINISTIC std::shared_ptr<const CumulativeHistogram>
 DerivedCache::cumulative_histogram(
     int step, std::uint64_t params_hash,
     const std::function<CumulativeHistogram()>& compute,
-    SharedStreamStats* session_stats) {
+    StreamCounters* client) {
   return get_or_compute(&DerivedCache::cumhists_, step, params_hash, compute,
-                        session_stats);
+                        client);
 }
 
 IFET_DETERMINISTIC std::shared_ptr<const TransferFunction1D>
 DerivedCache::transfer_function(
     int step, std::uint64_t params_hash,
     const std::function<TransferFunction1D()>& compute,
-    SharedStreamStats* session_stats) {
+    StreamCounters* client) {
   return get_or_compute(&DerivedCache::tfs_, step, params_hash, compute,
-                        session_stats);
+                        client);
 }
 
 std::size_t DerivedCache::invalidate(std::uint64_t params_hash) {
@@ -110,11 +110,6 @@ std::size_t DerivedCache::shed_except(std::uint64_t keep_params) {
 std::size_t DerivedCache::size() const {
   OrderedMutexLock lock(mutex_);
   return hists_.size() + cumhists_.size() + tfs_.size();
-}
-
-StreamStats DerivedCache::stats() const {
-  OrderedMutexLock lock(mutex_);
-  return stats_;
 }
 
 }  // namespace ifet

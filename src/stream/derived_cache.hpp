@@ -32,25 +32,27 @@ namespace ifet {
 
 class DerivedCache {
  public:
-  DerivedCache() = default;
+  /// Hits and misses are added into `counters` (the tier's set), which
+  /// must outlive the cache.
+  explicit DerivedCache(StreamCounters& counters) : counters_(counters) {}
   DerivedCache(const DerivedCache&) = delete;
   DerivedCache& operator=(const DerivedCache&) = delete;
 
   /// Histogram for (step, params) — `compute` runs once per distinct key.
-  /// When `session_stats` is supplied the hit/miss is also attributed to
-  /// that client (each StreamedSequence passes its own SharedStreamStats,
-  /// so dedup across the clients of a shared tier stays observable per
-  /// client; see docs/SERVER.md).
+  /// When `client` is supplied the hit/miss is also added into that
+  /// client's counters (each StreamedSequence passes its own, so dedup
+  /// across the clients of a shared tier stays observable per client;
+  /// see docs/SERVER.md).
   std::shared_ptr<const Histogram> histogram(
       int step, std::uint64_t params_hash,
       const std::function<Histogram()>& compute,
-      SharedStreamStats* session_stats = nullptr) IFET_EXCLUDES(mutex_);
+      StreamCounters* client = nullptr) IFET_EXCLUDES(mutex_);
 
   /// Cumulative histogram for (step, params).
   std::shared_ptr<const CumulativeHistogram> cumulative_histogram(
       int step, std::uint64_t params_hash,
       const std::function<CumulativeHistogram()>& compute,
-      SharedStreamStats* session_stats = nullptr) IFET_EXCLUDES(mutex_);
+      StreamCounters* client = nullptr) IFET_EXCLUDES(mutex_);
 
   /// Synthesized transfer function for (step, params) — params must hash
   /// the network/training state (see Iatf::params_hash), so further
@@ -58,7 +60,7 @@ class DerivedCache {
   std::shared_ptr<const TransferFunction1D> transfer_function(
       int step, std::uint64_t params_hash,
       const std::function<TransferFunction1D()>& compute,
-      SharedStreamStats* session_stats = nullptr) IFET_EXCLUDES(mutex_);
+      StreamCounters* client = nullptr) IFET_EXCLUDES(mutex_);
 
   /// Drop every memoized product recorded under `params_hash`, across all
   /// three product kinds, and return how many entries were erased.
@@ -83,9 +85,6 @@ class DerivedCache {
   std::size_t shed_except(std::uint64_t keep_params) IFET_EXCLUDES(mutex_);
 
   std::size_t size() const IFET_EXCLUDES(mutex_);
-
-  /// Counter snapshot (derived_hits / derived_misses).
-  StreamStats stats() const IFET_EXCLUDES(mutex_);
 
  private:
   struct Key {
@@ -112,7 +111,7 @@ class DerivedCache {
   template <typename T>
   std::shared_ptr<const T> get_or_compute(
       MemoMap<T> DerivedCache::* map, int step, std::uint64_t params_hash,
-      const std::function<T()>& compute, SharedStreamStats* session_stats)
+      const std::function<T()>& compute, StreamCounters* client)
       IFET_EXCLUDES(mutex_);
 
   template <typename T>
@@ -123,11 +122,11 @@ class DerivedCache {
   std::size_t shed_in(MemoMap<T>& map, std::uint64_t keep_params)
       IFET_REQUIRES(mutex_);
 
+  StreamCounters& counters_;
   mutable OrderedMutex mutex_{MutexRank::kDerivedCache};
   MemoMap<Histogram> hists_ IFET_GUARDED_BY(mutex_);
   MemoMap<CumulativeHistogram> cumhists_ IFET_GUARDED_BY(mutex_);
   MemoMap<TransferFunction1D> tfs_ IFET_GUARDED_BY(mutex_);
-  StreamStats stats_ IFET_GUARDED_BY(mutex_);
 };
 
 }  // namespace ifet

@@ -6,8 +6,9 @@
 namespace ifet {
 
 Prefetcher::Prefetcher(ThreadPool& pool, CacheManager& cache,
+                       StreamCounters& counters,
                        std::function<VolumeF(int)> load)
-    : pool_(pool), cache_(cache), load_(std::move(load)) {
+    : pool_(pool), cache_(cache), counters_(counters), load_(std::move(load)) {
   IFET_REQUIRE(static_cast<bool>(load_), "Prefetcher: empty load function");
 }
 
@@ -21,38 +22,34 @@ void Prefetcher::schedule(int step) {
   {
     OrderedMutexLock lock(mutex_);
     if (!in_flight_.insert(step).second) return;  // already in flight
-    ++issued_;
   }
   auto task = [this, step] {
     // Worker-thread context: errors may not escape (ThreadPool::post tasks
     // must not throw). A failed load leaves no partial volume in the
     // cache; its error is parked in failed_ for take_failure().
-    double seconds = 0.0;
-    bool loaded = false;
     std::exception_ptr error;
     try {
       Stopwatch timer;
       VolumeF volume = load_(step);
-      seconds = timer.seconds();
+      const double seconds = timer.seconds();
       cache_.insert(step, std::move(volume), /*from_prefetch=*/true);
-      loaded = true;
+      counters_.prefetch_decode_seconds.add(seconds);
     } catch (...) {  // ifet-lint: allow(catch-all) — parked for take_failure
       // Any escape — std or not — must still run the erase/notify cleanup
       // below, or every waiter queued on this step blocks forever (the
       // regression tests/stream_test.cpp pins). The exception is parked,
       // not swallowed: take_failure() rethrows it on a fetching thread.
+      counters_.prefetch_failures.add();
       error = std::current_exception();
     }
     // notify_all must happen under the lock: ~Prefetcher may destroy the
     // condition variable the moment it observes in_flight_ empty, so the
     // erase and the notify have to be atomic with respect to that wait.
     OrderedMutexLock lock(mutex_);
-    if (loaded) {
-      decode_seconds_ += seconds;
-      failed_.erase(step);  // a stale failure must not shadow fresh data
-    } else {
-      ++failures_;
+    if (error) {
       failed_[step] = error;
+    } else {
+      failed_.erase(step);  // a stale failure must not shadow fresh data
     }
     in_flight_.erase(step);
     done_cv_.notify_all();
@@ -61,9 +58,10 @@ void Prefetcher::schedule(int step) {
     // Pool is shutting down: prefetch silently degrades to demand loading.
     OrderedMutexLock lock(mutex_);
     in_flight_.erase(step);
-    --issued_;
     done_cv_.notify_all();
+    return;
   }
+  counters_.prefetch_issued.add();
 }
 
 bool Prefetcher::wait(int step) {
@@ -94,15 +92,6 @@ std::exception_ptr Prefetcher::take_failure(int step) {
   std::exception_ptr error = it->second;
   failed_.erase(it);
   return error;
-}
-
-StreamStats Prefetcher::stats() const {
-  OrderedMutexLock lock(mutex_);
-  StreamStats out;
-  out.prefetch_issued = issued_;
-  out.prefetch_failures = failures_;
-  out.prefetch_decode_seconds = decode_seconds_;
-  return out;
 }
 
 }  // namespace ifet

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <condition_variable>
-#include <cstdint>
 #include <exception>
 #include <functional>
 #include <unordered_map>
@@ -32,9 +31,10 @@ namespace ifet {
 class Prefetcher {
  public:
   /// `load` decodes one timestep (called on worker threads; must be
-  /// thread-safe). Decoded steps are inserted into `cache`; both must
+  /// thread-safe). Decoded steps are inserted into `cache`; issued loads,
+  /// failures and decode time are added into `counters`. All three must
   /// outlive the Prefetcher.
-  Prefetcher(ThreadPool& pool, CacheManager& cache,
+  Prefetcher(ThreadPool& pool, CacheManager& cache, StreamCounters& counters,
              std::function<VolumeF(int)> load);
 
   /// Drains: blocks until every in-flight load has completed.
@@ -67,12 +67,10 @@ class Prefetcher {
   /// never failed (or its failure was already taken).
   std::exception_ptr take_failure(int step) IFET_EXCLUDES(mutex_);
 
-  /// Counter snapshot (prefetch_issued / failures / decode latency).
-  StreamStats stats() const IFET_EXCLUDES(mutex_);
-
  private:
   ThreadPool& pool_;
   CacheManager& cache_;
+  StreamCounters& counters_;
   /// User callback; always invoked with mutex_ released (it performs disk
   /// decode and may call back into the cache or the pool).
   std::function<VolumeF(int)> load_;
@@ -81,9 +79,6 @@ class Prefetcher {
   std::condition_variable_any done_cv_;
   std::unordered_set<int> in_flight_ IFET_GUARDED_BY(mutex_);
   std::unordered_map<int, std::exception_ptr> failed_ IFET_GUARDED_BY(mutex_);
-  std::uint64_t issued_ IFET_GUARDED_BY(mutex_) = 0;
-  std::uint64_t failures_ IFET_GUARDED_BY(mutex_) = 0;
-  double decode_seconds_ IFET_GUARDED_BY(mutex_) = 0.0;
 };
 
 }  // namespace ifet

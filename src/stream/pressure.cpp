@@ -14,7 +14,7 @@ namespace ifet {
 PressureMonitor::PressureMonitor(CacheManager& cache,
                                  AdmissionController& admission,
                                  DerivedCache& derived,
-                                 SharedStreamStats& aggregate,
+                                 StreamCounters& counters,
                                  std::uint64_t keep_params,
                                  std::size_t budget_bytes,
                                  std::size_t step_bytes,
@@ -22,7 +22,7 @@ PressureMonitor::PressureMonitor(CacheManager& cache,
     : cache_(cache),
       admission_(admission),
       derived_(derived),
-      aggregate_(aggregate),
+      counters_(counters),
       keep_params_(keep_params),
       budget_bytes_(budget_bytes),
       step_bytes_(step_bytes),
@@ -91,7 +91,7 @@ void PressureMonitor::engage_locked() {
                       100);
   }
 
-  aggregate_.count_pressure_transition();
+  counters_.pressure_transitions.add();
 }
 
 void PressureMonitor::release_locked() {
@@ -118,7 +118,7 @@ void PressureMonitor::release_locked() {
     }
   }
 
-  aggregate_.count_pressure_transition();
+  counters_.pressure_transitions.add();
 }
 
 PressureReport PressureMonitor::report() const {

@@ -44,7 +44,7 @@ namespace ifet {
 class AdmissionController;
 class CacheManager;
 class DerivedCache;
-class SharedStreamStats;
+struct StreamCounters;
 
 struct PressureConfig {
   /// Master switch; disabled, the monitor is a cheap no-op and the tier
@@ -78,10 +78,10 @@ class PressureMonitor {
   /// `keep_params` is the derived-product hash shedding must spare (the
   /// tier histogram hash); `budget_bytes` is the tier's configured cache
   /// budget (0 = unlimited, which disables the signal); `step_bytes` the
-  /// decoded payload of one step. `aggregate` gets one
-  /// count_pressure_transition() per enter/exit.
+  /// decoded payload of one step. Each enter or exit adds one
+  /// pressure_transitions to `counters` (the tier's set).
   PressureMonitor(CacheManager& cache, AdmissionController& admission,
-                  DerivedCache& derived, SharedStreamStats& aggregate,
+                  DerivedCache& derived, StreamCounters& counters,
                   std::uint64_t keep_params, std::size_t budget_bytes,
                   std::size_t step_bytes, const PressureConfig& config);
 
@@ -111,7 +111,7 @@ class PressureMonitor {
   CacheManager& cache_;
   AdmissionController& admission_;
   DerivedCache& derived_;
-  SharedStreamStats& aggregate_;
+  StreamCounters& counters_;
   const std::uint64_t keep_params_;
   const std::size_t budget_bytes_;
   const std::size_t step_bytes_;

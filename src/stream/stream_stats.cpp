@@ -1,6 +1,5 @@
 #include "stream/stream_stats.hpp"
 
-#include <algorithm>
 #include <iomanip>
 #include <sstream>
 
@@ -47,55 +46,30 @@ std::string StreamStats::summary() const {
   return os.str();
 }
 
-StreamStats& StreamStats::merge(const StreamStats& other) {
-  hits += other.hits;
-  misses += other.misses;
-  inserts += other.inserts;
-  evictions += other.evictions;
-  prefetch_issued += other.prefetch_issued;
-  prefetch_hits += other.prefetch_hits;
-  demand_loads += other.demand_loads;
-  derived_hits += other.derived_hits;
-  derived_misses += other.derived_misses;
-  if (other.budget_bytes != 0) budget_bytes = other.budget_bytes;
-  if (other.bytes_resident != 0) bytes_resident = other.bytes_resident;
-  peak_bytes_resident = std::max(peak_bytes_resident,
-                                 other.peak_bytes_resident);
-  if (other.steps_resident != 0) steps_resident = other.steps_resident;
-  if (other.pinned_steps != 0) pinned_steps = other.pinned_steps;
-  demand_decode_seconds += other.demand_decode_seconds;
-  prefetch_decode_seconds += other.prefetch_decode_seconds;
-  retries += other.retries;
-  load_failures += other.load_failures;
-  prefetch_failures += other.prefetch_failures;
-  checksum_verified += other.checksum_verified;
-  checksum_unverified += other.checksum_unverified;
-  checksum_failures += other.checksum_failures;
-  // Gauge, not a counter: only the VolumeStore layer reports it.
-  if (other.quarantined_steps != 0) quarantined_steps = other.quarantined_steps;
-  skipped_fetches += other.skipped_fetches;
-  nearest_good_substitutions += other.nearest_good_substitutions;
-  commands_rejected += other.commands_rejected;
-  commands_shed += other.commands_shed;
-  deadline_exceeded += other.deadline_exceeded;
-  pressure_transitions += other.pressure_transitions;
-  return *this;
-}
-
-StreamStats SharedStreamStats::snapshot() const {
+StreamStats StreamCounters::snapshot() const {
   StreamStats out;
-  out.hits = hits_.load(std::memory_order_relaxed);
-  out.misses = misses_.load(std::memory_order_relaxed);
-  out.derived_hits = derived_hits_.load(std::memory_order_relaxed);
-  out.derived_misses = derived_misses_.load(std::memory_order_relaxed);
-  out.skipped_fetches = skipped_fetches_.load(std::memory_order_relaxed);
-  out.nearest_good_substitutions =
-      nearest_good_substitutions_.load(std::memory_order_relaxed);
-  out.commands_rejected = commands_rejected_.load(std::memory_order_relaxed);
-  out.commands_shed = commands_shed_.load(std::memory_order_relaxed);
-  out.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
-  out.pressure_transitions =
-      pressure_transitions_.load(std::memory_order_relaxed);
+  out.hits = hits.get();
+  out.misses = misses.get();
+  out.evictions = evictions.get();
+  out.prefetch_issued = prefetch_issued.get();
+  out.prefetch_hits = prefetch_hits.get();
+  out.demand_loads = demand_loads.get();
+  out.derived_hits = derived_hits.get();
+  out.derived_misses = derived_misses.get();
+  out.demand_decode_seconds = demand_decode_seconds.get();
+  out.prefetch_decode_seconds = prefetch_decode_seconds.get();
+  out.retries = retries.get();
+  out.load_failures = load_failures.get();
+  out.prefetch_failures = prefetch_failures.get();
+  out.checksum_verified = checksum_verified.get();
+  out.checksum_unverified = checksum_unverified.get();
+  out.checksum_failures = checksum_failures.get();
+  out.skipped_fetches = skipped_fetches.get();
+  out.nearest_good_substitutions = nearest_good_substitutions.get();
+  out.commands_rejected = commands_rejected.get();
+  out.commands_shed = commands_shed.get();
+  out.deadline_exceeded = deadline_exceeded.get();
+  out.pressure_transitions = pressure_transitions.get();
   return out;
 }
 

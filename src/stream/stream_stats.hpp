@@ -1,11 +1,14 @@
 // Counters surfaced by the out-of-core streaming subsystem.
 //
-// Every layer of src/stream/ feeds one shared StreamStats snapshot so a
-// single struct answers "is the budget sized right, is prefetch hiding the
-// decode latency, and how much is resident right now". ifet_tool prints
-// the summary() line after streamed runs; perfbench reports the fields
-// as its stream.* metrics. docs/STREAMING.md explains how to read each
-// field.
+// StreamCounters is the one live counter set of a scope: a stream tier has
+// exactly one, which VolumeStore, CacheManager, Prefetcher, DerivedCache,
+// PressureMonitor and SessionManager add into, and each StreamedSequence
+// keeps one more for its client view. StreamStats is the value snapshot:
+// the counters plus the residency gauges the cache and store hold. It
+// answers "is the budget sized right, is prefetch hiding the decode
+// latency, and how much is resident right now". ifet_tool prints the
+// summary() line after streamed runs; perfbench reports the fields as its
+// stream.* metrics. docs/STREAMING.md explains how to read each field.
 #pragma once
 
 #include <atomic>
@@ -20,7 +23,6 @@ struct StreamStats {
   std::uint64_t hits = 0;        ///< Accesses served from resident entries.
   std::uint64_t misses = 0;      ///< Accesses that required a load (demand
                                  ///< or waiting on an in-flight prefetch).
-  std::uint64_t inserts = 0;     ///< Entries admitted into the cache.
   std::uint64_t evictions = 0;   ///< Entries dropped to respect the budget.
 
   // Prefetch effectiveness.
@@ -34,11 +36,11 @@ struct StreamStats {
   std::uint64_t derived_hits = 0;
   std::uint64_t derived_misses = 0;
 
-  // Residency (bytes of decoded volume payload).
+  // Residency gauges (bytes of decoded volume payload), read from the
+  // cache when the snapshot is taken.
   std::size_t budget_bytes = 0;         ///< 0 = unlimited.
   std::size_t bytes_resident = 0;
   std::size_t peak_bytes_resident = 0;
-  std::size_t steps_resident = 0;
   std::size_t pinned_steps = 0;
 
   // Decode latency (seconds spent in VolumeSource::generate / decompress).
@@ -55,11 +57,13 @@ struct StreamStats {
   std::uint64_t checksum_verified = 0;    ///< Payloads with a matching CRC.
   std::uint64_t checksum_unverified = 0;  ///< Legacy checksum-less payloads.
   std::uint64_t checksum_failures = 0;    ///< CRC mismatches observed.
-  std::size_t quarantined_steps = 0;      ///< Steps currently quarantined.
-  std::uint64_t skipped_fetches = 0;    ///< Quarantined fetches answered with
-                                        ///< "no data" (FailPolicy::kSkipStep).
-  std::uint64_t nearest_good_substitutions = 0;  ///< Quarantined fetches
-                                        ///< served by a healthy neighbour.
+  std::size_t quarantined_steps = 0;      ///< Gauge: steps quarantined now.
+  std::uint64_t skipped_fetches = 0;    ///< Quarantined fetches a client's
+                                        ///< FailPolicy::kSkipStep answered
+                                        ///< with "no data".
+  std::uint64_t nearest_good_substitutions = 0;  ///< Quarantined fetches a
+                                        ///< client's kNearestGood served
+                                        ///< from a healthy neighbour.
 
   // Overload resilience (docs/ROBUSTNESS.md, "Overload and deadlines").
   std::uint64_t commands_rejected = 0;  ///< Submits refused at a full strand
@@ -90,85 +94,40 @@ struct StreamStats {
 
   /// One-line human-readable summary (ifet_tool).
   std::string summary() const;
-
-  /// Merge counters from another snapshot (residency fields take the
-  /// other's values only when nonzero; used to combine cache + derived
-  /// layers into one report).
-  StreamStats& merge(const StreamStats& other);
 };
 
-/// Concurrently-mutable StreamStats counters for the clients of a
-/// StreamTier (docs/SERVER.md).
-///
-/// The per-layer StreamStats snapshots above are copied under their owning
-/// class's mutex, which is correct but gives every reader a lock
-/// dependency on every writer. Each StreamedSequence keeps one
-/// SharedStreamStats for its client, the tier one aggregate of overload
-/// counters, and command threads bump them lock-free: every counter is an
-/// independent relaxed atomic, so readers calling snapshot() (and
-/// summary(), which is snapshot-based) never observe a torn half-written
-/// counter no matter how many threads are mutating concurrently. Counters
-/// are monotonic totals; cross-counter exactness (hits+misses == accesses
-/// at one instant) is deliberately not promised — each field is exact, the
-/// set is a snapshot of independently-advancing totals.
-class SharedStreamStats {
+/// One monotonic total: a relaxed atomic, so adding is lock-free and
+/// allocation-free from any thread (IFET_HOT paths included).
+template <typename T>
+class Total {
  public:
-  SharedStreamStats() = default;
-  SharedStreamStats(const SharedStreamStats&) = delete;
-  SharedStreamStats& operator=(const SharedStreamStats&) = delete;
-
-  /// One sequence access: resident (hit) or loaded/awaited (miss).
-  void count_access(bool hit) {
-    (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-  }
-  /// One derived-product request: memoized (hit) or computed (miss).
-  void count_derived(bool hit) {
-    (hit ? derived_hits_ : derived_misses_)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Quarantined fetch answered with "no data" (FailPolicy::kSkipStep).
-  void count_skipped_fetch() {
-    skipped_fetches_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Quarantined fetch served by a healthy neighbour (kNearestGood).
-  void count_substitution() {
-    nearest_good_substitutions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Submit refused at a full strand queue (typed Overloaded response).
-  void count_rejected() {
-    commands_rejected_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Queued sheddable command dropped to admit newer work (kShedOldest).
-  void count_shed() {
-    commands_shed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Command failed with the typed DeadlineExceeded.
-  void count_deadline_exceeded() {
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// One pressure enter or exit transition applied (process aggregate).
-  void count_pressure_transition() {
-    pressure_transitions_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Consistent value-copy of the counters; safe to call while any number
-  /// of server threads mutate.
-  StreamStats snapshot() const;
-
-  /// Snapshot-based one-liner: never reads a live counter twice.
-  std::string summary() const { return snapshot().summary(); }
+  void add(T n = T{1}) { value_.fetch_add(n, std::memory_order_relaxed); }
+  T get() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> derived_hits_{0};
-  std::atomic<std::uint64_t> derived_misses_{0};
-  std::atomic<std::uint64_t> skipped_fetches_{0};
-  std::atomic<std::uint64_t> nearest_good_substitutions_{0};
-  std::atomic<std::uint64_t> commands_rejected_{0};
-  std::atomic<std::uint64_t> commands_shed_{0};
-  std::atomic<std::uint64_t> deadline_exceeded_{0};
-  std::atomic<std::uint64_t> pressure_transitions_{0};
+  std::atomic<T> value_{};
+};
+
+/// The live counters of one scope (a tier or one client): one Total per
+/// counter field of StreamStats, under the same name. Every total is
+/// exact, but a snapshot taken while threads add is a set of
+/// independently advancing totals, not one instant (hits + misses may
+/// lag a concurrent access by one).
+struct StreamCounters {
+  Total<std::uint64_t> hits, misses, evictions;
+  Total<std::uint64_t> prefetch_issued, prefetch_hits, demand_loads;
+  Total<std::uint64_t> derived_hits, derived_misses;
+  Total<double> demand_decode_seconds, prefetch_decode_seconds;
+  Total<std::uint64_t> retries, load_failures, prefetch_failures;
+  Total<std::uint64_t> checksum_verified, checksum_unverified,
+      checksum_failures;
+  Total<std::uint64_t> skipped_fetches, nearest_good_substitutions;
+  Total<std::uint64_t> commands_rejected, commands_shed, deadline_exceeded;
+  Total<std::uint64_t> pressure_transitions;
+
+  /// Value copy of every counter; the gauges stay zero (the cache and the
+  /// store fill theirs into their own stats()).
+  StreamStats snapshot() const;
 };
 
 }  // namespace ifet

@@ -10,13 +10,16 @@
 // other's work; a single-user sequence builds a private tier (unlimited
 // pin quota, pressure off) and is its only client.
 //
-// The store is always configured with FailPolicy::kSkipStep. That is the
-// MECHANISM level: a quarantined step answers nullptr and never throws
-// past the retry machinery, so the tier itself takes no position on what
-// a missing step means. POLICY is per client: each StreamedSequence
-// applies its own FailPolicy on top (throw / skip / nearest-good), which
-// is how one client choosing `skip` can never alter another client's
-// `nearest-good` view of the same quarantined step.
+// The tier is mechanism: a quarantined step answers its original typed
+// error, and the tier takes no position on what a missing step means.
+// POLICY is per client: each StreamedSequence applies its own FailPolicy
+// (throw / skip / nearest-good), which is how one client choosing `skip`
+// can never alter another client's `nearest-good` view of the same
+// quarantined step.
+//
+// Counting: the tier has one StreamCounters set (owned by the store),
+// which every layer and the SessionManager add into; stats() is its
+// snapshot plus the residency gauges.
 #pragma once
 
 #include <cstdint>
@@ -78,24 +81,22 @@ class StreamTier {
   /// monitor is disabled or the state is steady).
   void poll_pressure() { pressure_->poll(); }
 
-  /// Tier-wide overload counters (rejected, shed, deadline-exceeded,
-  /// pressure transitions); each client keeps its own SharedStreamStats.
-  SharedStreamStats& aggregate() { return aggregate_; }
+  /// The tier's one counter set; each client keeps one more of its own.
+  StreamCounters& counters() { return store_->counters(); }
 
   /// Params hash of the tier's histogram products — shared by every
   /// client (bins and value range are tier-global), hence the one hash
   /// the SessionManager must never retire from the DerivedCache.
   std::uint64_t hist_params() const { return hist_params_; }
 
-  /// Combined store + derived counter snapshot (process-wide view).
-  StreamStats stats() const;
+  /// Counter snapshot plus residency gauges (process-wide view).
+  StreamStats stats() const { return store_->stats(); }
 
  private:
   StreamTierConfig config_;
   std::unique_ptr<VolumeStore> store_;
   DerivedCache derived_;
   AdmissionController admission_;
-  SharedStreamStats aggregate_;
   std::uint64_t hist_params_ = 0;
   /// Constructed last (needs hist_params_ and references every sibling);
   /// unique_ptr because the monitor is immovable and hist_params_ is only

@@ -51,38 +51,64 @@ std::unique_ptr<StreamedSequence> StreamedSequence::open_cvol(
       std::make_shared<CompressedFileSource>(path), config);
 }
 
-std::shared_ptr<const VolumeF> StreamedSequence::nearest_loadable(
+std::shared_ptr<const VolumeF> StreamedSequence::fetch_loadable(
     int step) const {
-  // The tier store skips quarantined candidates (nullptr, never a throw),
-  // so the search widens until a neighbour answers.
+  try {
+    return store().fetch(step);
+  } catch (const DeadlineExceeded&) {
+    // The caller gave up; the step is healthy (util/io_error.hpp orders
+    // this catch first). Never skipped, never substituted.
+    throw;
+  } catch (const IoError&) {
+    return nullptr;  // quarantined: the caller decides what that means
+  }
+}
+
+std::pair<int, std::shared_ptr<const VolumeF>>
+StreamedSequence::nearest_loadable(int step) const {
   for (int d = 1; d < num_steps(); ++d) {
     for (const int candidate : {step - d, step + d}) {
       if (candidate < 0 || candidate >= num_steps()) continue;
-      if (auto neighbour = store().fetch(candidate)) return neighbour;
+      if (auto neighbour = fetch_loadable(candidate)) {
+        return {candidate, std::move(neighbour)};
+      }
     }
   }
   throw CorruptDataError("StreamedSequence: no loadable step near " +
                          std::to_string(step));
 }
 
-std::shared_ptr<const VolumeF> StreamedSequence::fetch_with_policy(
-    int step) const {
-  auto volume = store().fetch(step);  // tier policy: skip => nullptr
-  if (volume) return volume;
+std::pair<int, std::shared_ptr<const VolumeF>>
+StreamedSequence::resolve_quarantined(int step) const {
   switch (fail_policy_) {
     case FailPolicy::kThrow:
       throw CorruptDataError(
           "StreamedSequence: step " + std::to_string(step) +
           " is quarantined (this client's fail policy is kThrow)");
     case FailPolicy::kSkipStep:
-      client_stats_.count_skipped_fetch();
-      return nullptr;
+      return {-1, nullptr};
     case FailPolicy::kNearestGood:
       break;
   }
-  volume = nearest_loadable(step);
-  client_stats_.count_substitution();
+  return nearest_loadable(step);
+}
+
+std::shared_ptr<const VolumeF> StreamedSequence::fetch_with_policy(
+    int step) const {
+  if (auto volume = fetch_loadable(step)) return volume;
+  auto volume = resolve_quarantined(step).second;
+  count(volume ? &StreamCounters::nearest_good_substitutions
+               : &StreamCounters::skipped_fetches);
   return volume;
+}
+
+std::shared_ptr<const BrickIndex> StreamedSequence::brick_index(
+    int step) const {
+  if (!store().is_quarantined(step)) return store().brick_index(step);
+  // The container still serves the quarantined step's own index, which
+  // describes voxels this client is never given.
+  const int answer = resolve_quarantined(step).first;
+  return answer < 0 ? nullptr : store().brick_index(answer);
 }
 
 std::vector<int> StreamedSequence::move_window_locked(
@@ -128,7 +154,7 @@ const VolumeF* StreamedSequence::try_step(int step) const {
   // fetch never double-counts in the cache's own counters. The probe can
   // race an eviction — it feeds stats, not correctness.
   const bool resident = store().cache().resident(step);
-  client_stats_.count_access(resident);
+  (resident ? client_counters_.hits : client_counters_.misses).add();
   tier_.admission().note_access(client_, step, resident);
 
   auto volume = fetch_with_policy(step);
@@ -162,12 +188,12 @@ const CumulativeHistogram& StreamedSequence::cumulative_histogram(
   auto cumhist = derived_cache().cumulative_histogram(
       step, tier_.hist_params(),
       [&]() -> CumulativeHistogram {
-        auto volume = store().fetch(step);
-        if (!volume) volume = nearest_loadable(step);
+        auto volume = fetch_loadable(step);
+        if (!volume) volume = nearest_loadable(step).second;
         return CumulativeHistogram(
             Histogram::of(*volume, histogram_bins(), lo, hi));
       },
-      &client_stats_);
+      &client_counters_);
   OrderedMutexLock lock(mutex_);
   auto [it, inserted] = cumhists_.emplace(step, std::move(cumhist));
   (void)inserted;  // an earlier call memoized the same product
@@ -181,11 +207,11 @@ Histogram StreamedSequence::histogram(int step) const {
   auto hist = derived_cache().histogram(
       step, tier_.hist_params(),
       [&]() -> Histogram {
-        auto volume = store().fetch(step);
-        if (!volume) volume = nearest_loadable(step);
+        auto volume = fetch_loadable(step);
+        if (!volume) volume = nearest_loadable(step).second;
         return Histogram::of(*volume, histogram_bins(), lo, hi);
       },
-      &client_stats_);
+      &client_counters_);
   return *hist;
 }
 

@@ -13,8 +13,9 @@
 // decodes overlap compute via the Prefetcher, and derived products
 // (histograms, cumulative histograms) are memoized in the tier's
 // DerivedCache so an evicted volume never has to come back just to answer
-// a histogram query. The tier's store is policy-free; each sequence
-// applies its own FailPolicy on top and counts its own accesses.
+// a histogram query. The tier's store is policy-free: this class is the
+// one place a FailPolicy is applied to a quarantined step, and it counts
+// each outcome once into its client counters and once into the tier's.
 //
 // Reference validity: step(t) pins a window of `pin_radius` steps around t
 // (recentring only when t falls outside the current window, so the
@@ -110,18 +111,25 @@ class StreamedSequence final : public VolumeSequence {
 
   /// Brick metadata via the store: ingest-time container section when
   /// present (no payload decode), else built from the decoded step;
-  /// memoized in the store.
-  std::shared_ptr<const BrickIndex> brick_index(int step) const override {
-    return store().brick_index(step);
-  }
+  /// memoized in the store. A quarantined step answers under this
+  /// client's policy, so the index always describes the voxels step()
+  /// serves: the substitute's index under kNearestGood, nullptr under
+  /// kSkipStep.
+  std::shared_ptr<const BrickIndex> brick_index(int step) const override;
 
   void hint_window(int lo, int hi) const override IFET_EXCLUDES(mutex_);
   void prefetch_hint(int step) const override { store().prefetch(step); }
 
-  /// The tier's combined store + derived + overload counter snapshot.
+  /// The tier's counter snapshot (every client of the tier together).
   StreamStats stats() const { return tier_.stats(); }
-  /// This client's access/derived/fault counters (lock-free to read).
-  SharedStreamStats& client_stats() const { return client_stats_; }
+  /// This client's counters: accesses, derived products, policy outcomes
+  /// and the server's overload outcomes (lock-free to add and snapshot).
+  StreamCounters& client_stats() const { return client_counters_; }
+  /// Adds one to `field` in this client's counters and in the tier's.
+  void count(Total<std::uint64_t> StreamCounters::* field) const {
+    (client_counters_.*field).add();
+    (tier_.counters().*field).add();
+  }
   /// This client's admission ledger snapshot (pins, denials, reloads).
   AdmissionStats admission_stats() const {
     return tier_.admission().client_stats(client_);
@@ -135,12 +143,23 @@ class StreamedSequence final : public VolumeSequence {
   StreamedSequence(std::unique_ptr<StreamTier> owned, int pin_radius,
                    FailPolicy fail_policy);
 
+  /// The store's fetch, with a quarantined step (retries exhausted) as
+  /// nullptr. A timeout is not a data failure: DeadlineExceeded passes.
+  std::shared_ptr<const VolumeF> fetch_loadable(int step) const;
+
   /// Tier fetch + this client's FailPolicy: nullptr only under kSkipStep.
   std::shared_ptr<const VolumeF> fetch_with_policy(int step) const;
 
+  /// The one FailPolicy site: the step that answers for quarantined `step`
+  /// and its voxels. Throws under kThrow, {-1, nullptr} under kSkipStep,
+  /// the nearest loadable step under kNearestGood.
+  std::pair<int, std::shared_ptr<const VolumeF>> resolve_quarantined(
+      int step) const;
+
   /// Nearest loadable neighbour of a quarantined step (step - d before
   /// step + d); serves kNearestGood and the derived products alike.
-  std::shared_ptr<const VolumeF> nearest_loadable(int step) const;
+  std::pair<int, std::shared_ptr<const VolumeF>> nearest_loadable(
+      int step) const;
 
   /// Move the window to [lo, hi] (clamped): drop held references outside
   /// it into `dropped` (declared before the caller's lock guard, so any
@@ -161,7 +180,7 @@ class StreamedSequence final : public VolumeSequence {
   const int pin_radius_;
   const FailPolicy fail_policy_;
   int client_ = -1;
-  mutable SharedStreamStats client_stats_;
+  mutable StreamCounters client_counters_;
 
   /// Held across the admission (35) and cache (30) calls of a window move,
   /// so racing moves reach the cache in the order admission computed them.

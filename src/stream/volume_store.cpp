@@ -5,63 +5,19 @@
 #include <thread>
 
 #include "io/checksum.hpp"
-#include "io/compressed.hpp"
-#include "io/volume_io.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/io_error.hpp"
 #include "util/timer.hpp"
-#include "volume/ops.hpp"
 
 namespace ifet {
-
-VolFileSetSource::VolFileSetSource(std::vector<std::string> paths)
-    : paths_(std::move(paths)) {
-  IFET_REQUIRE(!paths_.empty(), "VolFileSetSource: no files");
-  float lo = 0.0f, hi = 0.0f;
-  bool first = true;
-  for (const auto& path : paths_) {
-    VolumeF v = read_vol(path);
-    if (first) {
-      dims_ = v.dims();
-    } else {
-      IFET_REQUIRE(v.dims() == dims_,
-                   "VolFileSetSource: inconsistent dims in " + path);
-    }
-    auto [flo, fhi] = ifet::value_range(v);
-    lo = first ? flo : std::min(lo, flo);
-    hi = first ? fhi : std::max(hi, fhi);
-    first = false;
-  }
-  range_ = {static_cast<double>(lo), static_cast<double>(hi)};
-}
-
-VolFileSetSource::VolFileSetSource(std::vector<std::string> paths,
-                                   std::pair<double, double> value_range)
-    : paths_(std::move(paths)), range_(value_range) {
-  IFET_REQUIRE(!paths_.empty(), "VolFileSetSource: no files");
-  IFET_REQUIRE(range_.second > range_.first,
-               "VolFileSetSource: degenerate value range");
-  VolumeF first = read_vol(paths_.front());
-  dims_ = first.dims();
-}
-
-VolumeF VolFileSetSource::generate(int step) const {
-  IFET_REQUIRE(step >= 0 && step < num_steps(),
-               "VolFileSetSource: step out of range");
-  VolumeF v = read_vol(paths_[static_cast<std::size_t>(step)]);
-  IFET_REQUIRE(v.dims() == dims_,
-               "VolFileSetSource: file changed dims on re-read: " +
-                   paths_[static_cast<std::size_t>(step)]);
-  return v;
-}
 
 VolumeStore::VolumeStore(std::shared_ptr<const VolumeSource> source,
                          const VolumeStoreConfig& config)
     : source_(std::move(source)),
       config_(config),
-      cache_(config.budget_bytes),
-      prefetcher_(ThreadPool::global(), cache_,
+      cache_(counters_, config.budget_bytes),
+      prefetcher_(ThreadPool::global(), cache_, counters_,
                   [this](int step) {
                     return load_with_retry(step, /*prefetch_context=*/true);
                   }) {
@@ -77,18 +33,6 @@ VolumeStore::VolumeStore(std::shared_ptr<const VolumeSource> source,
                       StepState::kUnknown);
 }
 
-std::unique_ptr<VolumeStore> VolumeStore::open_cvol(
-    const std::string& path, const VolumeStoreConfig& config) {
-  return std::make_unique<VolumeStore>(
-      std::make_shared<CompressedFileSource>(path), config);
-}
-
-std::unique_ptr<VolumeStore> VolumeStore::open_vol_files(
-    std::vector<std::string> paths, const VolumeStoreConfig& config) {
-  return std::make_unique<VolumeStore>(
-      std::make_shared<VolFileSetSource>(std::move(paths)), config);
-}
-
 VolumeF VolumeStore::timed_load(int step, bool prefetch_context) {
   // Loads run on the fetching/prefetching thread, so the thread-local
   // checksum counters attribute verification state to THIS step without
@@ -100,14 +44,14 @@ VolumeF VolumeStore::timed_load(int step, bool prefetch_context) {
                "VolumeStore: source produced wrong dimensions");
   const double seconds = timer.seconds();
   const ChecksumCounters after = checksum_counters();
+  if (!prefetch_context) {
+    counters_.demand_loads.add();
+    counters_.demand_decode_seconds.add(seconds);
+  }
+  counters_.checksum_verified.add(after.verified - before.verified);
+  counters_.checksum_unverified.add(after.unverified - before.unverified);
   OrderedMutexLock lock(mutex_);
   ++total_loads_;
-  if (!prefetch_context) {
-    ++demand_loads_;
-    demand_decode_seconds_ += seconds;
-  }
-  checksum_verified_ += after.verified - before.verified;
-  checksum_unverified_ += after.unverified - before.unverified;
   // A procedural source (no disk payload) counts as verified: there was
   // never a byte that could rot.
   step_states_[static_cast<std::size_t>(step)] =
@@ -131,19 +75,13 @@ VolumeF VolumeStore::load_with_retry(int step, bool prefetch_context) {
       note_failure(step, std::current_exception());
       throw;
     } catch (const IoError&) {
-      const ChecksumCounters after = checksum_counters();
-      {
-        OrderedMutexLock lock(mutex_);
-        checksum_failures_ += after.mismatches - before.mismatches;
-      }
+      counters_.checksum_failures.add(checksum_counters().mismatches -
+                                      before.mismatches);
       if (attempt >= config_.max_retries) {
         note_failure(step, std::current_exception());
         throw;
       }
-      {
-        OrderedMutexLock lock(mutex_);
-        ++retries_;
-      }
+      counters_.retries.add();
       if (config_.retry_backoff_ms > 0.0) {
         // Deterministic exponential backoff, no jitter: base * 2^attempt —
         // capped by the caller's remaining deadline budget (unlimited for
@@ -163,16 +101,28 @@ VolumeF VolumeStore::load_with_retry(int step, bool prefetch_context) {
 }
 
 void VolumeStore::note_failure(int step, std::exception_ptr error) {
+  counters_.load_failures.add();
   OrderedMutexLock lock(mutex_);
-  ++load_failures_;
   quarantine_[step] = error;
   step_states_[static_cast<std::size_t>(step)] = StepState::kQuarantined;
 }
 
-std::shared_ptr<const VolumeF> VolumeStore::fetch_resident(int step) {
+std::shared_ptr<const VolumeF> VolumeStore::fetch(int step) {
+  IFET_REQUIRE(step >= 0 && step < num_steps(),
+               "VolumeStore::fetch: step out of range");
+  std::exception_ptr quarantined;
+  {
+    OrderedMutexLock lock(mutex_);
+    auto it = quarantine_.find(step);
+    if (it != quarantine_.end()) quarantined = it->second;
+  }
+  if (quarantined) std::rethrow_exception(quarantined);
+
   // The caller's scoped deadline (unlimited when no scope is installed —
   // see util/deadline.hpp) bounds both blocking paths: the in-flight
-  // prefetch wait and the demand decode below.
+  // prefetch wait and the demand decode below. A timeout is not a data
+  // failure: it never quarantines, and the same fetch succeeds later with
+  // a fresh budget.
   const Deadline deadline = DeadlineScope::current();
   auto volume = cache_.lookup(step);
   if (!volume && prefetcher_.wait(step, deadline)) {
@@ -193,32 +143,6 @@ std::shared_ptr<const VolumeF> VolumeStore::fetch_resident(int step) {
     // inserted first, so a retry with a fresh budget hits the cache.
     deadline.check("VolumeStore demand load (completed late)");
   }
-  return volume;
-}
-
-std::shared_ptr<const VolumeF> VolumeStore::fetch(int step) {
-  IFET_REQUIRE(step >= 0 && step < num_steps(),
-               "VolumeStore::fetch: step out of range");
-  std::exception_ptr quarantined;
-  {
-    OrderedMutexLock lock(mutex_);
-    auto it = quarantine_.find(step);
-    if (it != quarantine_.end()) quarantined = it->second;
-  }
-  if (quarantined) return resolve_unavailable(step, quarantined);
-
-  std::shared_ptr<const VolumeF> volume;
-  try {
-    volume = fetch_resident(step);
-  } catch (const DeadlineExceeded&) {
-    // A timeout is not a data failure: never quarantined, never resolved
-    // through the FailPolicy — the typed error surfaces to the caller and
-    // the same fetch succeeds later with a fresh budget.
-    throw;
-  } catch (const IoError&) {
-    // Retries are exhausted and the step is quarantined; apply the policy.
-    return resolve_unavailable(step, std::current_exception());
-  }
 
   int direction;
   {
@@ -226,7 +150,6 @@ std::shared_ptr<const VolumeF> VolumeStore::fetch(int step) {
     direction = step >= last_fetched_step_ ? 1 : -1;
     last_fetched_step_ = step;
   }
-  const Deadline deadline = DeadlineScope::current();
   for (int k = 1; k <= config_.lookahead; ++k) {
     // Lookahead is advisory; don't spend a caller's exhausted budget on it
     // (matters on the synchronous prefetch path, which decodes inline).
@@ -234,45 +157,6 @@ std::shared_ptr<const VolumeF> VolumeStore::fetch(int step) {
     prefetch(step + direction * k);
   }
   return volume;
-}
-
-std::shared_ptr<const VolumeF> VolumeStore::resolve_unavailable(
-    int step, std::exception_ptr error) {
-  switch (config_.fail_policy) {
-    case FailPolicy::kThrow:
-      std::rethrow_exception(error);
-    case FailPolicy::kSkipStep: {
-      OrderedMutexLock lock(mutex_);
-      ++skipped_fetches_;
-      return nullptr;
-    }
-    case FailPolicy::kNearestGood:
-      break;
-  }
-  // Outward search: step-d before step+d, so ties resolve toward data the
-  // consumer has already seen (deterministic regardless of cache state).
-  for (int d = 1; d < num_steps(); ++d) {
-    const int candidates[2] = {step - d, step + d};
-    for (int candidate : candidates) {
-      if (candidate < 0 || candidate >= num_steps()) continue;
-      if (is_quarantined(candidate)) continue;
-      try {
-        auto volume = fetch_resident(candidate);
-        OrderedMutexLock lock(mutex_);
-        ++nearest_good_substitutions_;
-        return volume;
-      } catch (const DeadlineExceeded&) {
-        // Budget gone mid-search: stop widening and surface the timeout —
-        // the candidate is healthy, substituting nothing is wrong.
-        throw;
-      } catch (const IoError&) {
-        // The candidate just failed (and is now quarantined itself); keep
-        // widening the search.
-      }
-    }
-  }
-  throw CorruptDataError("VolumeStore: no loadable step near quarantined step " +
-                         std::to_string(step));
 }
 
 void VolumeStore::prefetch(int step) {
@@ -311,9 +195,7 @@ std::shared_ptr<const BrickIndex> VolumeStore::brick_index(int step) {
   std::shared_ptr<const BrickIndex> index = source_->brick_metadata(step);
   const bool from_container = index != nullptr;
   if (!from_container) {
-    auto volume = fetch(step);
-    if (volume == nullptr) return nullptr;  // kSkipStep quarantined step
-    index = std::make_shared<const BrickIndex>(BrickIndex::build(*volume));
+    index = std::make_shared<const BrickIndex>(BrickIndex::build(*fetch(step)));
   }
   OrderedMutexLock lock(mutex_);
   ++(from_container ? brick_metadata_reads_ : brick_builds_);
@@ -339,18 +221,8 @@ std::size_t VolumeStore::load_count() const {
 
 StreamStats VolumeStore::stats() const {
   StreamStats out = cache_.stats();
-  out.merge(prefetcher_.stats());
   OrderedMutexLock lock(mutex_);
-  out.demand_loads = demand_loads_;
-  out.demand_decode_seconds = demand_decode_seconds_;
-  out.retries = retries_;
-  out.load_failures = load_failures_;
-  out.checksum_verified = checksum_verified_;
-  out.checksum_unverified = checksum_unverified_;
-  out.checksum_failures = checksum_failures_;
   out.quarantined_steps = quarantine_.size();
-  out.skipped_fetches = skipped_fetches_;
-  out.nearest_good_substitutions = nearest_good_substitutions_;
   return out;
 }
 

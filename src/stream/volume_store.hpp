@@ -1,18 +1,21 @@
 // Paged, lazily-loading backend over the volume I/O layer.
 //
 // VolumeStore is the single choke point between the 4D pipelines and the
-// disk: it owns a VolumeSource (a compressed .cvol sequence, a set of .vol
-// files, or any procedural source), a CacheManager enforcing the byte
-// budget, and a Prefetcher overlapping decode with compute. Consumers must
-// not call io read functions directly (enforced by the ifet_lint
-// `direct-volume-load` rule) — fetch() is the only way to a decoded step,
-// so every byte that enters memory is accounted, evictable, and
-// prefetchable.
+// disk: it owns a VolumeSource (a compressed .cvol sequence or any
+// procedural source), a CacheManager enforcing the byte budget, a
+// Prefetcher overlapping decode with compute, and the tier's one
+// StreamCounters set every layer adds into. Consumers must not call io
+// read functions directly (enforced by the ifet_lint `direct-volume-load`
+// rule) — fetch() is the only way to a decoded step, so every byte that
+// enters memory is accounted, evictable, and prefetchable.
+//
+// The store is mechanism only: it retries, quarantines and reports. What a
+// quarantined step means to a consumer (throw, skip, substitute) is the
+// consumer's FailPolicy, applied by StreamedSequence.
 #pragma once
 
 #include <exception>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -23,31 +26,6 @@
 #include "volume/sequence.hpp"
 
 namespace ifet {
-
-/// VolumeSource over one self-describing .vol file per timestep (the
-/// layout the public flow data sets ship in). The global value range is
-/// scanned once at open time unless supplied.
-class VolFileSetSource final : public VolumeSource {
- public:
-  /// `paths[t]` is the file of step t. When `value_range` is not supplied
-  /// every file is read once to establish the sequence-global range (one
-  /// full pass — pass the range explicitly for terascale inputs).
-  explicit VolFileSetSource(std::vector<std::string> paths);
-  VolFileSetSource(std::vector<std::string> paths,
-                   std::pair<double, double> value_range);
-
-  Dims dims() const override { return dims_; }
-  int num_steps() const override {
-    return static_cast<int>(paths_.size());
-  }
-  std::pair<double, double> value_range() const override { return range_; }
-  VolumeF generate(int step) const override;
-
- private:
-  std::vector<std::string> paths_;
-  Dims dims_{};
-  std::pair<double, double> range_{0.0, 1.0};
-};
 
 struct VolumeStoreConfig {
   /// Byte budget for decoded steps; 0 = unlimited (fully resident).
@@ -65,22 +43,12 @@ struct VolumeStoreConfig {
   /// Base delay before the first retry; doubles per attempt (deterministic,
   /// jitterless — see docs/ROBUSTNESS.md). 0 retries immediately.
   double retry_backoff_ms = 0.0;
-  /// What fetch() does for a step whose load exhausted its retries.
-  FailPolicy fail_policy = FailPolicy::kThrow;
 };
 
 class VolumeStore {
  public:
   VolumeStore(std::shared_ptr<const VolumeSource> source,
               const VolumeStoreConfig& config = {});
-
-  /// Open a compressed sequence container (io/compressed).
-  static std::unique_ptr<VolumeStore> open_cvol(
-      const std::string& path, const VolumeStoreConfig& config = {});
-
-  /// Open a set of per-step .vol files (io/volume_io).
-  static std::unique_ptr<VolumeStore> open_vol_files(
-      std::vector<std::string> paths, const VolumeStoreConfig& config = {});
 
   const VolumeSource& source() const { return *source_; }
   Dims dims() const { return source_->dims(); }
@@ -96,10 +64,9 @@ class VolumeStore {
   /// held, independent of eviction.
   ///
   /// Loads that throw a retryable IoError are retried (config.max_retries,
-  /// exponential backoff); a step that exhausts its retries is quarantined
-  /// and config.fail_policy decides the outcome — rethrow the original
-  /// error (kThrow), return nullptr (kSkipStep), or return the nearest
-  /// loadable step's volume (kNearestGood).
+  /// exponential backoff); a step that exhausts its retries is quarantined,
+  /// and this and every later fetch of it throws the original typed error
+  /// without touching the source again.
   std::shared_ptr<const VolumeF> fetch(int step);
 
   /// Schedule an async load of `step` without blocking (bounds-clamped
@@ -114,8 +81,8 @@ class VolumeStore {
   /// carries one (a seek + read of a few KB — the payload is never
   /// decoded), else built once from the decoded step via fetch(). Memoized
   /// for the store's lifetime (indices are ~0.2% of a volume, so they are
-  /// not budget-accounted or evictable). Under FailPolicy::kSkipStep a
-  /// quarantined legacy step yields nullptr, like fetch().
+  /// not budget-accounted or evictable). The fallback build of a
+  /// quarantined step throws its load error, like fetch().
   std::shared_ptr<const BrickIndex> brick_index(int step)
       IFET_EXCLUDES(mutex_);
 
@@ -129,7 +96,11 @@ class VolumeStore {
   /// VolumeSequence::generation_count reports.
   std::size_t load_count() const IFET_EXCLUDES(mutex_);
 
-  /// Combined snapshot: cache + prefetcher + robustness counters.
+  /// The tier's one counter set (cache, prefetch, load, fault, derived,
+  /// pressure and overload counters alike).
+  StreamCounters& counters() { return counters_; }
+
+  /// Counter snapshot plus the residency gauges and quarantined_steps.
   StreamStats stats() const IFET_EXCLUDES(mutex_);
 
   /// Per-step verified/unverified/quarantined report.
@@ -140,8 +111,8 @@ class VolumeStore {
 
  private:
   /// Decodes one step via the source (mutex_ is only taken AFTER the
-  /// decode, to bump the counters — the source call is user code and runs
-  /// lock-free).
+  /// decode, to record the step's state — the source call is user code
+  /// and runs lock-free).
   VolumeF timed_load(int step, bool prefetch_context) IFET_EXCLUDES(mutex_);
 
   /// timed_load wrapped in the retry/backoff policy. Exhaustion (or a
@@ -149,27 +120,18 @@ class VolumeStore {
   VolumeF load_with_retry(int step, bool prefetch_context)
       IFET_EXCLUDES(mutex_);
 
-  /// The pre-policy fetch path: cache hit, await prefetch, demand load.
-  std::shared_ptr<const VolumeF> fetch_resident(int step)
-      IFET_EXCLUDES(mutex_);
-
-  /// Apply config.fail_policy to a step whose load failed for good.
-  std::shared_ptr<const VolumeF> resolve_unavailable(int step,
-                                                     std::exception_ptr error)
-      IFET_EXCLUDES(mutex_);
-
   void note_failure(int step, std::exception_ptr error) IFET_EXCLUDES(mutex_);
 
   std::shared_ptr<const VolumeSource> source_;
   VolumeStoreConfig config_;
+  /// Declared before every layer that adds into it.
+  StreamCounters counters_;
   CacheManager cache_;
 
   mutable OrderedMutex mutex_{MutexRank::kVolumeStore};
   int last_fetched_step_ IFET_GUARDED_BY(mutex_) = -1;
-  std::uint64_t demand_loads_ IFET_GUARDED_BY(mutex_) = 0;
   std::uint64_t total_loads_ IFET_GUARDED_BY(mutex_) = 0;
-  double demand_decode_seconds_ IFET_GUARDED_BY(mutex_) = 0.0;
-  /// Original load error per quarantined step (kThrow rethrows it).
+  /// Original load error per quarantined step (fetch rethrows it).
   std::unordered_map<int, std::exception_ptr> quarantine_
       IFET_GUARDED_BY(mutex_);
   std::vector<StepState> step_states_ IFET_GUARDED_BY(mutex_);
@@ -177,18 +139,11 @@ class VolumeStore {
       IFET_GUARDED_BY(mutex_);
   std::uint64_t brick_metadata_reads_ IFET_GUARDED_BY(mutex_) = 0;
   std::uint64_t brick_builds_ IFET_GUARDED_BY(mutex_) = 0;
-  std::uint64_t retries_ IFET_GUARDED_BY(mutex_) = 0;
-  std::uint64_t load_failures_ IFET_GUARDED_BY(mutex_) = 0;
-  std::uint64_t checksum_verified_ IFET_GUARDED_BY(mutex_) = 0;
-  std::uint64_t checksum_unverified_ IFET_GUARDED_BY(mutex_) = 0;
-  std::uint64_t checksum_failures_ IFET_GUARDED_BY(mutex_) = 0;
-  std::uint64_t skipped_fetches_ IFET_GUARDED_BY(mutex_) = 0;
-  std::uint64_t nearest_good_substitutions_ IFET_GUARDED_BY(mutex_) = 0;
 
   /// Declared LAST on purpose: its destructor drains every in-flight
   /// async load, and those loads (load_with_retry on worker threads) take
-  /// mutex_ and write step_states_/counters above — so the prefetcher
-  /// must be destroyed before any state its tasks touch.
+  /// mutex_ and write step_states_ and the counters above — so the
+  /// prefetcher must be destroyed before any state its tasks touch.
   Prefetcher prefetcher_;
 };
 

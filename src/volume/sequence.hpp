@@ -109,7 +109,9 @@ class VolumeSequence {
   /// ingest-time metadata from the backing container when present (served
   /// without decoding the payload), else built from the decoded volume;
   /// memoized either way. nullptr means "no metadata" and callers build
-  /// from the volume themselves (Raycaster::prepare_plan does).
+  /// from the volume themselves (Raycaster::prepare_plan does). The index
+  /// describes the voxels step() serves, a substitute's included, once
+  /// step() has settled whether `step` loads: ask after step().
   virtual std::shared_ptr<const BrickIndex> brick_index(int step) const = 0;
 
   /// Declare that the caller will interleave accesses to steps in

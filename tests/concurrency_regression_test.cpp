@@ -71,7 +71,8 @@ TEST(ConcurrencyRegressionTest, SyncPrefetchLoaderMayReenterSequence) {
 // the same cache), which re-enters the mutex. The fix computes outside
 // the lock; both products must land in the cache.
 TEST(ConcurrencyRegressionTest, DerivedCacheComputeMayReenterCache) {
-  DerivedCache cache;
+  StreamCounters counters;
+  DerivedCache cache(counters);
   const VolumeF volume = step_volume(42);
   const std::uint64_t params = 7;
 
@@ -85,7 +86,7 @@ TEST(ConcurrencyRegressionTest, DerivedCacheComputeMayReenterCache) {
 
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(cache.size(), 2u);  // histogram + cumulative histogram
-  EXPECT_EQ(cache.stats().derived_misses, 2u);
+  EXPECT_EQ(counters.snapshot().derived_misses, 2u);
 }
 
 // FlatMlpCache::get used to copy the network's weights while holding the

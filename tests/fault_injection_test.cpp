@@ -9,6 +9,7 @@
 // kNearestGood while kThrow surfaces the CorruptDataError.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -17,6 +18,7 @@
 #include "core/iatf.hpp"
 #include "core/track_events.hpp"
 #include "core/tracking.hpp"
+#include "render/raycaster.hpp"
 #include "stream/fault_injection.hpp"
 #include "stream/streamed_sequence.hpp"
 #include "stream/volume_store.hpp"
@@ -51,6 +53,15 @@ VolumeStoreConfig sync_store_config() {
   VolumeStoreConfig c;
   c.lookahead = 1;
   c.async_prefetch = false;
+  return c;
+}
+
+/// The sequence form of sync_store_config(), under `policy`.
+StreamConfig sync_sequence_config(FailPolicy policy) {
+  StreamConfig c;
+  c.lookahead = 1;
+  c.async_prefetch = false;
+  c.fail_policy = policy;
   return c;
 }
 
@@ -234,9 +245,7 @@ TEST(VolumeStoreRetry, ExhaustionQuarantinesTheStep) {
 TEST(FailPolicyMatrix, ThrowSurfacesCorruptDataError) {
   auto faulty = std::make_shared<FaultInjectingSource>(
       blob_source(), std::vector<FaultSpec>{{2, FaultKind::kCorrupt, 1}});
-  VolumeStoreConfig config = sync_store_config();
-  config.fail_policy = FailPolicy::kThrow;
-  VolumeStore store(faulty, config);
+  VolumeStore store(faulty, sync_store_config());
   EXPECT_NE(store.fetch(0), nullptr);
   EXPECT_THROW(store.fetch(2), CorruptDataError);
 }
@@ -244,30 +253,29 @@ TEST(FailPolicyMatrix, ThrowSurfacesCorruptDataError) {
 TEST(FailPolicyMatrix, SkipStepReturnsNoData) {
   auto faulty = std::make_shared<FaultInjectingSource>(
       blob_source(), std::vector<FaultSpec>{{2, FaultKind::kCorrupt, 1}});
-  VolumeStoreConfig config = sync_store_config();
-  config.fail_policy = FailPolicy::kSkipStep;
-  VolumeStore store(faulty, config);
-  EXPECT_EQ(store.fetch(2), nullptr);
-  EXPECT_EQ(store.fetch(2), nullptr);  // stable on repeat
-  EXPECT_NE(store.fetch(3), nullptr);  // neighbours unaffected
-  const StreamStats stats = store.stats();
+  StreamedSequence sequence(faulty,
+                            sync_sequence_config(FailPolicy::kSkipStep));
+  EXPECT_EQ(sequence.try_step(2), nullptr);
+  EXPECT_EQ(sequence.try_step(2), nullptr);  // stable on repeat
+  EXPECT_NE(sequence.try_step(3), nullptr);  // neighbours unaffected
+  const StreamStats stats = sequence.stats();
   EXPECT_GE(stats.skipped_fetches, 2u);
   EXPECT_EQ(stats.quarantined_steps, 1u);
-  EXPECT_EQ(store.step_health().quarantined(), std::vector<int>{2});
+  EXPECT_EQ(sequence.store().step_health().quarantined(),
+            std::vector<int>{2});
 }
 
 TEST(FailPolicyMatrix, NearestGoodSubstitutesNeighbour) {
   auto inner = blob_source();
   auto faulty = std::make_shared<FaultInjectingSource>(
       inner, std::vector<FaultSpec>{{2, FaultKind::kCorrupt, 1}});
-  VolumeStoreConfig config = sync_store_config();
-  config.fail_policy = FailPolicy::kNearestGood;
-  VolumeStore store(faulty, config);
-  auto volume = store.fetch(2);
+  StreamedSequence sequence(faulty,
+                            sync_sequence_config(FailPolicy::kNearestGood));
+  const VolumeF* volume = sequence.try_step(2);
   ASSERT_NE(volume, nullptr);
   // Outward search prefers step - d, so step 1 answers for step 2.
   EXPECT_TRUE(volumes_equal(*volume, inner->generate(1)));
-  EXPECT_GE(store.stats().nearest_good_substitutions, 1u);
+  EXPECT_GE(sequence.stats().nearest_good_substitutions, 1u);
 }
 
 TEST(FailPolicyMatrix, NearestGoodSkipsOverQuarantinedNeighbours) {
@@ -276,26 +284,25 @@ TEST(FailPolicyMatrix, NearestGoodSkipsOverQuarantinedNeighbours) {
       inner, std::vector<FaultSpec>{{1, FaultKind::kCorrupt, 1},
                                     {2, FaultKind::kCorrupt, 1},
                                     {3, FaultKind::kCorrupt, 1}});
-  VolumeStoreConfig config = sync_store_config();
-  config.fail_policy = FailPolicy::kNearestGood;
-  VolumeStore store(faulty, config);
-  auto volume = store.fetch(2);
+  StreamedSequence sequence(faulty,
+                            sync_sequence_config(FailPolicy::kNearestGood));
+  const VolumeF* volume = sequence.try_step(2);
   ASSERT_NE(volume, nullptr);
   // 1 and 3 are corrupt too; the search widens to step 0.
   EXPECT_TRUE(volumes_equal(*volume, inner->generate(0)));
-  EXPECT_EQ(store.stats().quarantined_steps, 3u);
+  EXPECT_EQ(sequence.stats().quarantined_steps, 3u);
 }
 
 TEST(StepHealthReport, TracksVerifiedAndQuarantinedStates) {
   auto faulty = std::make_shared<FaultInjectingSource>(
       blob_source(), std::vector<FaultSpec>{{2, FaultKind::kCorrupt, 1}});
-  VolumeStoreConfig config = sync_store_config();
+  StreamConfig config = sync_sequence_config(FailPolicy::kSkipStep);
   config.lookahead = 0;  // touch exactly the steps the test fetches
-  config.fail_policy = FailPolicy::kSkipStep;
-  VolumeStore store(faulty, config);
-  (void)store.fetch(0);
-  (void)store.fetch(2);
-  const StepHealth health = store.step_health();
+  config.pin_radius = 0;
+  StreamedSequence sequence(faulty, config);
+  (void)sequence.try_step(0);
+  (void)sequence.try_step(2);
+  const StepHealth health = sequence.store().step_health();
   ASSERT_EQ(health.states.size(), static_cast<std::size_t>(kSteps));
   EXPECT_EQ(health.states[0], StepState::kVerified);  // procedural source
   EXPECT_EQ(health.states[2], StepState::kQuarantined);
@@ -404,6 +411,75 @@ TEST(GracefulDegradation, IatfTrainsAcrossAGap) {
   iatf.add_key_frame(kSteps - 1, key);
   iatf.train(10);
   EXPECT_NO_THROW(iatf.evaluate(2));  // the gap step itself
+}
+
+/// A 64x32x32 blob crossing the box 16 voxels per step, whose step-`bad`
+/// payload fails its CRC while the step's brick record (it has its own CRC)
+/// is intact: generate(bad) throws, brick_metadata(bad) serves the true
+/// index of the step nobody can load.
+class CorruptPayloadSource final : public VolumeSource {
+ public:
+  explicit CorruptPayloadSource(int bad) : bad_(bad) {}
+  Dims dims() const override { return Dims{64, 32, 32}; }
+  int num_steps() const override { return 4; }
+  std::pair<double, double> value_range() const override { return {0.0, 1.0}; }
+  VolumeF generate(int step) const override {
+    if (step == bad_) throw CorruptDataError("payload CRC mismatch");
+    return blob(step);
+  }
+  std::shared_ptr<const BrickIndex> brick_metadata(int step) const override {
+    return std::make_shared<const BrickIndex>(BrickIndex::build(blob(step)));
+  }
+
+ private:
+  VolumeF blob(int step) const {
+    return testing::blob_volume(dims(), Vec3{8.0 + 16.0 * step, 16.0, 16.0},
+                                4.0, 1.0f);
+  }
+  int bad_;
+};
+
+TEST(GracefulDegradation, NearestGoodRenderMatchesUnskippedFrame) {
+  StreamConfig config;
+  config.lookahead = 0;
+  config.async_prefetch = false;
+  config.fail_policy = FailPolicy::kNearestGood;
+  StreamedSequence sequence(std::make_shared<CorruptPayloadSource>(2), config);
+
+  TransferFunction1D tf(0.0, 1.0);
+  tf.add_band(0.5, 1.0, 0.9, 0.05);  // zero below 0.45: bricks cull
+  const ColorMap colors;
+  const Camera camera(0.5, 0.35, 2.4);
+  RenderSettings skipping;
+  skipping.width = 96;
+  skipping.height = 96;
+  RenderSettings unskipped = skipping;
+  unskipped.empty_space_skipping = false;
+
+  // Step 2 renders step 1's voxels; skipping must march them through
+  // step 1's brick index, not the quarantined step's.
+  RenderStats stats;
+  const ImageRgb8 skipped = Raycaster(skipping).render_step(
+      sequence, 2, tf, colors, camera, nullptr, &stats);
+  const ImageRgb8 reference =
+      Raycaster(unskipped).render_step(sequence, 2, tf, colors, camera);
+  EXPECT_LT(stats.bricks_active, stats.bricks_total);  // skipping fired
+  ASSERT_EQ(skipped.pixels.size(), reference.pixels.size());
+  std::size_t differing = 0;
+  std::size_t lit = 0;
+  for (std::size_t p = 0; p < reference.pixels.size(); p += 3) {
+    if (!std::equal(&skipped.pixels[p], &skipped.pixels[p] + 3,
+                    &reference.pixels[p])) {
+      ++differing;
+    }
+    if (reference.pixels[p] || reference.pixels[p + 1] ||
+        reference.pixels[p + 2]) {
+      ++lit;
+    }
+  }
+  EXPECT_EQ(differing, 0u);
+  EXPECT_GT(lit, 0u);
+  EXPECT_TRUE(sequence.store().is_quarantined(2));
 }
 
 // ---------------------------------------------------------------------------

@@ -130,9 +130,10 @@ TEST(Deadline, ScopeNestsAndRestores) {
 // and record NO failure — the bytes land in cache for the retry.
 TEST(Overload, PrefetcherWaitDeadlineDoesNotPoison) {
   ThreadPool pool(2);
-  CacheManager cache;
+  StreamCounters counters;
+  CacheManager cache(counters);
   const auto source = ramp_source(4);
-  Prefetcher prefetcher(pool, cache, [&source](int step) {
+  Prefetcher prefetcher(pool, cache, counters, [&source](int step) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     return source->generate(step);
   });
@@ -514,10 +515,10 @@ TEST(Overload, QuotaClampFairAcrossClientChurn) {
 // --- Pressure monitor hysteresis ------------------------------------------
 
 struct PressureRig {
-  CacheManager cache{4 * kStepBytes};
+  StreamCounters counters;
+  CacheManager cache{counters, 4 * kStepBytes};
   AdmissionController adm{kStepBytes, 2 * kStepBytes, 16};
-  DerivedCache derived;
-  SharedStreamStats aggregate;
+  DerivedCache derived{counters};
   static constexpr std::uint64_t kKeepParams = 111;
 
   void apply(const WindowDelta& delta) {
@@ -542,7 +543,7 @@ TEST(Overload, PressureEngagesShedsClampsAndReleases) {
 
   PressureConfig config;
   config.enabled = true;
-  PressureMonitor monitor(rig.cache, rig.adm, rig.derived, rig.aggregate,
+  PressureMonitor monitor(rig.cache, rig.adm, rig.derived, rig.counters,
                           PressureRig::kKeepParams, 4 * kStepBytes,
                           kStepBytes, config);
   EXPECT_EQ(monitor.sample(), 0);
@@ -567,7 +568,7 @@ TEST(Overload, PressureEngagesShedsClampsAndReleases) {
   EXPECT_EQ(report.pins_clamped, 2u);   // One pin revoked per client.
   EXPECT_EQ(rig.adm.quota_scale_percent(), 50);
   EXPECT_EQ(rig.adm.quota_steps(), 1u);
-  EXPECT_EQ(rig.aggregate.snapshot().pressure_transitions, 1u);
+  EXPECT_EQ(rig.counters.snapshot().pressure_transitions, 1u);
 
   // Demand at FULL quota is still 4 (the clamp does not relieve its own
   // signal), so the monitor stays engaged — no oscillation.
@@ -583,14 +584,14 @@ TEST(Overload, PressureEngagesShedsClampsAndReleases) {
   EXPECT_EQ(report.pins_restored, 1u);  // Client A's revoked pin returns.
   EXPECT_EQ(rig.adm.quota_scale_percent(), 100);
   EXPECT_EQ(rig.adm.quota_steps(), 2u);
-  EXPECT_EQ(rig.aggregate.snapshot().pressure_transitions, 2u);
+  EXPECT_EQ(rig.counters.snapshot().pressure_transitions, 2u);
 }
 
 TEST(Overload, PressureHysteresisBandHolds) {
   PressureRig rig;
   PressureConfig config;
   config.enabled = true;
-  PressureMonitor monitor(rig.cache, rig.adm, rig.derived, rig.aggregate,
+  PressureMonitor monitor(rig.cache, rig.adm, rig.derived, rig.counters,
                           PressureRig::kKeepParams, 4 * kStepBytes,
                           kStepBytes, config);
 
@@ -673,19 +674,41 @@ TEST(Overload, WatchdogObservesOverdueCommand) {
   config.command_threads = 1;
   // Manual scans only — deterministic.
   config.watchdog_interval_ms = 0.0;
-  SessionManager manager(slow_source(4, 150), config);
+  config.watchdog_factor = 2.0;
+  // Step 0's load holds until the test releases it, so however loaded the
+  // machine, the command is still inside it when the scan comes.
+  auto release = std::make_shared<std::atomic<bool>>(false);
+  auto ramp = ramp_source(4);
+  SessionManager manager(
+      std::make_shared<CallbackSource>(
+          kDims, 4, std::pair<double, double>{0.0, 1.0},
+          [ramp, release](int step) {
+            while (step == 0 && !release->load()) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+            return ramp->generate(step);
+          }),
+      config);
   const int id = manager.create_session();
 
   Command query;
   query.kind = CommandKind::kHistogram;
   query.step = 0;
-  // Budget 5 ms: survives the start-of-command check, then sits inside
-  // the 150 ms demand load — overdue (4 x 5 ms) long before it returns.
-  query.deadline_ms = 5.0;
-  manager.submit(id, query);
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  const WatchdogReport scan = manager.watchdog_scan_now();
-  EXPECT_EQ(scan.scans, 1u);
+  // Budget 100 ms: ample for the queue wait and the start-of-command
+  // check, then overdue (2 x 100 ms) while it sits inside the held load.
+  query.deadline_ms = 100.0;
+  std::atomic<bool> done{false};
+  manager.submit(id, query, [&done](const ServerResult&) { done = true; });
+  // Scan until the watchdog sees the command overdue, or the command ends
+  // (it only can by failing before its load).
+  WatchdogReport scan;
+  std::uint64_t scans = 0;
+  do {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    scan = manager.watchdog_scan_now();
+    ++scans;
+  } while (scan.stuck_observations == 0 && !done.load() && scans < 10000);
+  release->store(true);
   EXPECT_GE(scan.stuck_observations, 1u);
   EXPECT_EQ(scan.last_session, id);
   EXPECT_EQ(scan.last_kind, static_cast<int>(CommandKind::kHistogram));
@@ -698,7 +721,7 @@ TEST(Overload, WatchdogObservesOverdueCommand) {
   const WatchdogReport idle = manager.watchdog_scan_now();
   EXPECT_EQ(idle.stuck_observations, scan.stuck_observations);
   manager.drain(id);
-  EXPECT_EQ(manager.watchdog_report().scans, 2u);
+  EXPECT_EQ(manager.watchdog_report().scans, scans + 1);
 }
 
 TEST(Overload, WatchdogBackgroundThreadScans) {

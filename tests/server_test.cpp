@@ -185,7 +185,8 @@ TEST(SessionManager, CrossClientDedupTfRequests) {
 // Satellite: DerivedCache invalidation is scoped to the retiring hash.
 
 TEST(DerivedCache, InvalidateIsScopedToParamsHash) {
-  DerivedCache cache;
+  StreamCounters counters;
+  DerivedCache cache(counters);
   auto make_hist = [] { return Histogram(4, 0.0, 1.0); };
   auto h_a = cache.histogram(0, 111, make_hist);
   auto h_a1 = cache.histogram(1, 111, make_hist);
@@ -200,9 +201,9 @@ TEST(DerivedCache, InvalidateIsScopedToParamsHash) {
   EXPECT_EQ(h_a1->bins(), 4);
 
   // Hash 222 was never touched: still a hit.
-  const StreamStats before = cache.stats();
+  const StreamStats before = counters.snapshot();
   auto again = cache.histogram(0, 222, make_hist);
-  EXPECT_EQ(cache.stats().derived_hits, before.derived_hits + 1);
+  EXPECT_EQ(counters.snapshot().derived_hits, before.derived_hits + 1);
   EXPECT_EQ(again.get(), h_b.get());
 }
 
@@ -391,18 +392,18 @@ TEST(SessionManager, OutOfRangeHintWindowIsRefused) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: SharedStreamStats is safe for concurrent multi-session use.
+// StreamCounters is safe for concurrent multi-session use.
 
-TEST(SharedStreamStats, ConcurrentCountersSumExactly) {
-  SharedStreamStats stats;
+TEST(StreamCounters, ConcurrentCountersSumExactly) {
+  StreamCounters stats;
   constexpr int kThreads = 8;
   constexpr std::uint64_t kPerThread = 20000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&stats, t] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        stats.count_access(i % 2 == 0);
-        stats.count_derived(t % 2 == 0);
+        (i % 2 == 0 ? stats.hits : stats.misses).add();
+        (t % 2 == 0 ? stats.derived_hits : stats.derived_misses).add();
         if (i % 100 == 0) {
           // Readers interleave with writers; the snapshot must be a
           // plain value copy, never torn.
@@ -417,7 +418,7 @@ TEST(SharedStreamStats, ConcurrentCountersSumExactly) {
   EXPECT_EQ(snap.hits + snap.misses, kThreads * kPerThread);
   EXPECT_EQ(snap.hits, kThreads * kPerThread / 2);
   EXPECT_EQ(snap.derived_hits + snap.derived_misses, kThreads * kPerThread);
-  EXPECT_NE(stats.summary().find("hit rate"), std::string::npos);
+  EXPECT_NE(snap.summary().find("hit rate"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

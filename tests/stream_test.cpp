@@ -9,11 +9,13 @@
 #include "core/tracking.hpp"
 #include "stream/cache_manager.hpp"
 #include "stream/derived_cache.hpp"
+#include "stream/fault_injection.hpp"
 #include "stream/streamed_sequence.hpp"
 #include "stream/volume_store.hpp"
 #include "test_helpers.hpp"
 #include "util/alloc_guard.hpp"
 #include "util/error.hpp"
+#include "util/io_error.hpp"
 
 // Counting operator new/delete for this binary: the warm-hit contract
 // below asserts the IFET_HOT cache lookup never allocates.
@@ -43,7 +45,8 @@ using testing::drifting_blob_source;
 // CacheManager
 
 TEST(CacheManager, LruEvictionOrder) {
-  CacheManager cache(3 * kStepBytes);
+  StreamCounters counters;
+  CacheManager cache(counters, 3 * kStepBytes);
   cache.insert(0, step_volume(0));
   cache.insert(1, step_volume(1));
   cache.insert(2, step_volume(2));
@@ -61,7 +64,8 @@ TEST(CacheManager, LruEvictionOrder) {
 }
 
 TEST(CacheManager, ByteAccounting) {
-  CacheManager cache(3 * kStepBytes);
+  StreamCounters counters;
+  CacheManager cache(counters, 3 * kStepBytes);
   for (int s = 0; s < 8; ++s) cache.insert(s, step_volume(s));
   EXPECT_EQ(cache.resident_steps(), 3u);
   EXPECT_EQ(cache.resident_bytes(), 3 * kStepBytes);
@@ -70,14 +74,16 @@ TEST(CacheManager, ByteAccounting) {
 }
 
 TEST(CacheManager, UnlimitedBudgetNeverEvicts) {
-  CacheManager cache(0);
+  StreamCounters counters;
+  CacheManager cache(counters, 0);
   for (int s = 0; s < 32; ++s) cache.insert(s, step_volume(s));
   EXPECT_EQ(cache.resident_steps(), 32u);
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(CacheManager, PinnedEntrySurvivesEviction) {
-  CacheManager cache(2 * kStepBytes);
+  StreamCounters counters;
+  CacheManager cache(counters, 2 * kStepBytes);
   cache.insert(0, step_volume(0));
   cache.pin(0);
   cache.insert(1, step_volume(1));
@@ -91,14 +97,16 @@ TEST(CacheManager, PinnedEntrySurvivesEviction) {
 }
 
 TEST(CacheManager, PinOnNonResidentStepAppliesAtInsert) {
-  CacheManager cache(2 * kStepBytes);
+  StreamCounters counters;
+  CacheManager cache(counters, 2 * kStepBytes);
   cache.pin(5);
   for (int s = 0; s < 8; ++s) cache.insert(s, step_volume(s));
   EXPECT_TRUE(cache.resident(5));
 }
 
 TEST(CacheManager, WindowPinningProtectsTheWindow) {
-  CacheManager cache(3 * kStepBytes);
+  StreamCounters counters;
+  CacheManager cache(counters, 3 * kStepBytes);
   for (int s = 1; s <= 3; ++s) cache.pin(s);
   for (int s = 0; s < 6; ++s) cache.insert(s, step_volume(s));
   EXPECT_TRUE(cache.resident(1));
@@ -122,7 +130,8 @@ TEST(CacheManager, WindowPinningProtectsTheWindow) {
 }
 
 TEST(CacheManager, UnpinEvictsOverBudget) {
-  CacheManager cache(2 * kStepBytes);
+  StreamCounters counters;
+  CacheManager cache(counters, 2 * kStepBytes);
   for (int s = 0; s < 3; ++s) {
     cache.pin(s);
     cache.insert(s, step_volume(s));
@@ -139,7 +148,8 @@ TEST(CacheManager, UnpinEvictsOverBudget) {
 
 TEST(CacheManager, WarmHitsAllocateNothing) {
   // The LRU refresh on a hit is a list splice, not erase + push_front.
-  CacheManager cache(3 * kStepBytes);
+  StreamCounters counters;
+  CacheManager cache(counters, 3 * kStepBytes);
   for (int s = 0; s < 3; ++s) cache.insert(s, step_volume(s), false);
   (void)cache.lookup(0);  // one hit before the guarded window opens
   std::size_t hits = 0;
@@ -155,7 +165,8 @@ TEST(CacheManager, WarmHitsAllocateNothing) {
 }
 
 TEST(CacheManager, EvictionKeepsReaderReferencesAlive) {
-  CacheManager cache(1 * kStepBytes);
+  StreamCounters counters;
+  CacheManager cache(counters, 1 * kStepBytes);
   auto held = cache.insert(0, step_volume(0));
   cache.insert(1, step_volume(1));  // evicts 0
   EXPECT_FALSE(cache.resident(0));
@@ -248,17 +259,17 @@ TEST(VolumeStore, BrickIndexServedFromContainerWithoutDecode) {
   VolumeStoreConfig cfg;
   cfg.lookahead = 0;
   cfg.async_prefetch = false;
-  auto store = VolumeStore::open_cvol(path, cfg);
-  const auto bricks = store->brick_index(3);
+  VolumeStore store(std::make_shared<CompressedFileSource>(path), cfg);
+  const auto bricks = store.brick_index(3);
   ASSERT_NE(bricks, nullptr);
   EXPECT_EQ(bricks->volume_dims(), kDims);
   // The v2 container serves the index from its brick section: no payload
   // was decoded, and the memo absorbs repeat lookups.
-  EXPECT_EQ(store->load_count(), 0u);
-  EXPECT_EQ(store->brick_metadata_reads(), 1u);
-  EXPECT_EQ(store->brick_builds(), 0u);
-  EXPECT_EQ(store->brick_index(3).get(), bricks.get());
-  EXPECT_EQ(store->brick_metadata_reads(), 1u);
+  EXPECT_EQ(store.load_count(), 0u);
+  EXPECT_EQ(store.brick_metadata_reads(), 1u);
+  EXPECT_EQ(store.brick_builds(), 0u);
+  EXPECT_EQ(store.brick_index(3).get(), bricks.get());
+  EXPECT_EQ(store.brick_metadata_reads(), 1u);
   std::remove(path.c_str());
 }
 
@@ -289,7 +300,8 @@ TEST(VolumeStore, BrickIndexFallbackBuildsFromDecodedStep) {
 // DerivedCache
 
 TEST(DerivedCache, MemoizesPerStepAndParams) {
-  DerivedCache cache;
+  StreamCounters counters;
+  DerivedCache cache(counters);
   int computes = 0;
   auto compute = [&] {
     ++computes;
@@ -303,8 +315,8 @@ TEST(DerivedCache, MemoizesPerStepAndParams) {
   cache.histogram(2, 42, compute);   // different step
   cache.histogram(1, 43, compute);   // different params hash
   EXPECT_EQ(computes, 3);
-  EXPECT_EQ(cache.stats().derived_hits, 1u);
-  EXPECT_EQ(cache.stats().derived_misses, 3u);
+  EXPECT_EQ(counters.snapshot().derived_hits, 1u);
+  EXPECT_EQ(counters.snapshot().derived_misses, 3u);
 }
 
 TEST(DerivedCache, TransferFunctionsShareAcrossCriteria) {
@@ -316,12 +328,13 @@ TEST(DerivedCache, TransferFunctionsShareAcrossCriteria) {
   iatf.add_key_frame(0, key);
   iatf.train(5);
 
-  DerivedCache derived;
+  StreamCounters counters;
+  DerivedCache derived(counters);
   AdaptiveTfCriterion a(iatf, 0.25, &derived);
   AdaptiveTfCriterion b(iatf, 0.25, &derived);
   a.accept(1, 0.7);
   b.accept(1, 0.7);  // second criterion reuses the memoized TF
-  EXPECT_EQ(derived.stats().derived_hits, 1u);
+  EXPECT_EQ(counters.snapshot().derived_hits, 1u);
 }
 
 TEST(Iatf, ParamsHashChangesWithTraining) {
@@ -405,6 +418,192 @@ TEST(StreamedSequence, RejectsInvertedWindowHint) {
     EXPECT_EQ(seq->admission_stats().pinned_steps, 0u);
   }
   EXPECT_EQ(tier.admission().demanded_pin_steps(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Counter snapshots: every counter field of a tier, of its clients and of
+// their admission ledgers is pinned, so any change to what the stream tier
+// counts, or where, changes a number here. Decode timings are wall clock:
+// only "> 0 where any decode was timed" is pinned.
+
+void expect_counters(const StreamStats& got, const StreamStats& want) {
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.prefetch_issued, want.prefetch_issued);
+  EXPECT_EQ(got.prefetch_hits, want.prefetch_hits);
+  EXPECT_EQ(got.demand_loads, want.demand_loads);
+  EXPECT_EQ(got.derived_hits, want.derived_hits);
+  EXPECT_EQ(got.derived_misses, want.derived_misses);
+  EXPECT_EQ(got.budget_bytes, want.budget_bytes);
+  EXPECT_EQ(got.bytes_resident, want.bytes_resident);
+  EXPECT_EQ(got.peak_bytes_resident, want.peak_bytes_resident);
+  EXPECT_EQ(got.pinned_steps, want.pinned_steps);
+  for (const auto& [g, w] :
+       {std::pair{got.demand_decode_seconds, want.demand_decode_seconds},
+        std::pair{got.prefetch_decode_seconds,
+                  want.prefetch_decode_seconds}}) {
+    if (w > 0.0) {
+      EXPECT_GT(g, 0.0);
+    } else {
+      EXPECT_EQ(g, 0.0);
+    }
+  }
+  EXPECT_EQ(got.retries, want.retries);
+  EXPECT_EQ(got.load_failures, want.load_failures);
+  EXPECT_EQ(got.prefetch_failures, want.prefetch_failures);
+  EXPECT_EQ(got.checksum_verified, want.checksum_verified);
+  EXPECT_EQ(got.checksum_unverified, want.checksum_unverified);
+  EXPECT_EQ(got.checksum_failures, want.checksum_failures);
+  EXPECT_EQ(got.quarantined_steps, want.quarantined_steps);
+  EXPECT_EQ(got.skipped_fetches, want.skipped_fetches);
+  EXPECT_EQ(got.nearest_good_substitutions, want.nearest_good_substitutions);
+  EXPECT_EQ(got.commands_rejected, want.commands_rejected);
+  EXPECT_EQ(got.commands_shed, want.commands_shed);
+  EXPECT_EQ(got.deadline_exceeded, want.deadline_exceeded);
+  EXPECT_EQ(got.pressure_transitions, want.pressure_transitions);
+}
+
+void expect_admission(const AdmissionStats& got, const AdmissionStats& want) {
+  EXPECT_EQ(got.denied_pins, want.denied_pins);
+  EXPECT_EQ(got.reloads, want.reloads);
+  EXPECT_EQ(got.pressure_unpins, want.pressure_unpins);
+  EXPECT_EQ(got.pinned_steps, want.pinned_steps);
+  EXPECT_EQ(got.pinned_bytes, want.pinned_bytes);
+}
+
+
+TEST(StreamCounters, SnapshotsArePinned) {
+  {
+    SCOPED_TRACE("single-user sequence");
+    StreamConfig cfg;
+    cfg.budget_bytes = 3 * kStepBytes;
+    cfg.lookahead = 2;
+    cfg.async_prefetch = false;
+    StreamedSequence seq(counter_source(8), cfg);
+    for (int s = 0; s < 8; ++s) (void)seq.step(s);
+    (void)seq.step(3);  // evicted since: a reload
+    seq.hint_window(5, 7);
+    for (int s = 0; s < 4; ++s) (void)seq.histogram(s);
+    for (int s = 2; s < 6; ++s) (void)seq.cumulative_histogram(s);
+
+    expect_counters(seq.stats(),
+                    {.hits = 6, .misses = 11, .evictions = 35,
+                     .prefetch_hits = 5, .demand_loads = 11,
+                     .derived_misses = 8, .budget_bytes = 768,
+                     .bytes_resident = 768, .peak_bytes_resident = 768,
+                     .pinned_steps = 3, .demand_decode_seconds = 1.0});
+    expect_counters(seq.client_stats().snapshot(),
+                    {.hits = 5, .misses = 4, .derived_misses = 8});
+    expect_admission(seq.admission_stats(),
+                     {.pinned_steps = 3, .pinned_bytes = 768});
+  }
+  {
+    SCOPED_TRACE("two server sessions");
+    const Dims dims{8, 8, 8};
+    const int steps = 6;
+    SessionManagerConfig config;
+    config.tier.budget_bytes = 3 * dims.count() * sizeof(float);
+    config.tier.async_prefetch = false;
+    SessionManager manager(drifting_blob_source(dims, steps), config);
+    const int a = manager.create_session();
+    const int b = manager.create_session();
+    for (const Command& command : testing::canonical_script(dims, steps)) {
+      ASSERT_TRUE(manager.execute(a, command).ok);
+      ASSERT_TRUE(manager.execute(b, command).ok);
+    }
+
+    expect_counters(manager.tier().stats(),
+                    {.hits = 32, .misses = 5, .evictions = 37,
+                     .prefetch_hits = 8, .demand_loads = 5,
+                     .derived_hits = 34, .derived_misses = 12,
+                     .budget_bytes = 6144, .bytes_resident = 6144,
+                     .peak_bytes_resident = 12288, .pinned_steps = 3,
+                     .demand_decode_seconds = 1.0});
+    expect_counters(
+        manager.session_stats(a),
+        {.hits = 14, .misses = 1, .derived_hits = 8, .derived_misses = 12});
+    expect_counters(manager.session_stats(b),
+                    {.hits = 15, .misses = 0, .derived_hits = 14});
+    expect_admission(manager.session_admission(a),
+                     {.reloads = 1, .pinned_steps = 3, .pinned_bytes = 6144});
+    expect_admission(manager.session_admission(b),
+                     {.reloads = 0, .pinned_steps = 3, .pinned_bytes = 6144});
+  }
+}
+
+// The fault counters under each FailPolicy. The tier's skipped_fetches and
+// nearest_good_substitutions count the policy outcomes of its clients, not
+// every quarantined fetch: the nearest-good probes and the histogram's
+// substitution below are not outcomes.
+TEST(StreamCounters, FaultCountersCountPolicyOutcomes) {
+  const Dims dims{8, 8, 8};
+  const int steps = 8;
+  struct Case {
+    FailPolicy policy;
+    int thrown;
+    StreamStats tier;
+    StreamStats client;
+  };
+  // Step 5 is quarantined by the lookahead of step 3; every other step
+  // retries its one transient fault.
+  const Case cases[] = {
+      {FailPolicy::kThrow, 1,
+       {.hits = 5, .misses = 3, .evictions = 10, .prefetch_hits = 5,
+        .demand_loads = 3, .derived_misses = 1, .budget_bytes = 6144,
+        .bytes_resident = 6144, .peak_bytes_resident = 6144,
+        .pinned_steps = 2, .demand_decode_seconds = 1.0, .retries = 9,
+        .load_failures = 1, .quarantined_steps = 1},
+       {.hits = 5, .misses = 3, .derived_misses = 1}},
+      {FailPolicy::kSkipStep, 0,
+       {.hits = 5, .misses = 3, .evictions = 10, .prefetch_hits = 5,
+        .demand_loads = 3, .derived_misses = 1, .budget_bytes = 6144,
+        .bytes_resident = 6144, .peak_bytes_resident = 6144,
+        .pinned_steps = 2, .demand_decode_seconds = 1.0, .retries = 9,
+        .load_failures = 1, .quarantined_steps = 1, .skipped_fetches = 1},
+       {.hits = 5, .misses = 3, .derived_misses = 1, .skipped_fetches = 1}},
+      {FailPolicy::kNearestGood, 0,
+       {.hits = 6, .misses = 3, .evictions = 9, .prefetch_hits = 5,
+        .demand_loads = 3, .derived_misses = 1, .budget_bytes = 6144,
+        .bytes_resident = 6144, .peak_bytes_resident = 6144,
+        .pinned_steps = 1, .demand_decode_seconds = 1.0, .retries = 9,
+        .load_failures = 1, .quarantined_steps = 1,
+        .nearest_good_substitutions = 1},
+       {.hits = 5, .misses = 3, .derived_misses = 1,
+        .nearest_good_substitutions = 1}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(fail_policy_name(c.policy));
+    StreamConfig cfg;
+    cfg.budget_bytes = 3 * dims.count() * sizeof(float);
+    cfg.lookahead = 2;
+    cfg.async_prefetch = false;
+    cfg.fail_policy = c.policy;
+    StreamedSequence seq(
+        std::make_shared<FaultInjectingSource>(
+            drifting_blob_source(dims, steps),
+            parse_fault_schedule("transient@all:1,corrupt@5")),
+        cfg);
+    int thrown = 0;
+    for (int s = 0; s < steps; ++s) {
+      try {
+        (void)seq.try_step(s);
+      } catch (const CorruptDataError&) {
+        ++thrown;
+      }
+    }
+    // Derived products substitute under every policy; not an outcome.
+    (void)seq.histogram(5);
+
+    EXPECT_EQ(thrown, c.thrown);
+    const StreamStats tier = seq.stats();
+    const StreamStats client = seq.client_stats().snapshot();
+    expect_counters(tier, c.tier);
+    expect_counters(client, c.client);
+    EXPECT_EQ(tier.skipped_fetches, client.skipped_fetches);
+    EXPECT_EQ(tier.nearest_good_substitutions,
+              client.nearest_good_substitutions);
+  }
 }
 
 /// The acceptance bar: IATF, classification, and tracking produce

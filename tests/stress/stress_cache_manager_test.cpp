@@ -32,7 +32,8 @@ VolumeF step_volume(int step) {
 }
 
 TEST(CacheManagerStress, MixedTrafficFromManyThreads) {
-  CacheManager cache(4 * kStepBytes);
+  StreamCounters counters;
+  CacheManager cache(counters, 4 * kStepBytes);
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 3000;
   constexpr int kKeySpace = 16;
@@ -94,7 +95,8 @@ TEST(CacheManagerStress, MixedTrafficFromManyThreads) {
 }
 
 TEST(CacheManagerStress, PinnedEntriesSurviveConcurrentEvictionPressure) {
-  CacheManager cache(2 * kStepBytes);
+  StreamCounters counters;
+  CacheManager cache(counters, 2 * kStepBytes);
   cache.insert(100, step_volume(100));
   cache.pin(100);
   constexpr int kThreads = 6;

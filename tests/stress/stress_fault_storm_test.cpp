@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "stream/fault_injection.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "stream/volume_store.hpp"
 #include "util/io_error.hpp"
 #include "volume/sequence.hpp"
@@ -76,21 +77,21 @@ TEST(FaultStormStress, TransientFaultsUnderConcurrentFetches) {
 }
 
 TEST(FaultStormStress, QuarantineUnderSkipPolicyStaysConsistent) {
-  // A permanently corrupt step in the middle of the scan: every thread
-  // must see nullptr for it (kSkipStep) and correct data everywhere else,
-  // no matter who trips the quarantine first or how often the prefetcher
-  // touches it.
+  // A permanently corrupt step in the middle of the scan: every thread's
+  // kSkipStep client of one shared tier must see nullptr for it and
+  // correct data everywhere else, no matter who trips the quarantine
+  // first or how often the prefetcher touches it.
   constexpr int kBadStep = 11;
   auto faulty = std::make_shared<FaultInjectingSource>(
       step_source(),
       std::vector<FaultSpec>{{kBadStep, FaultKind::kCorrupt, 1}});
-  VolumeStoreConfig cfg;
+  StreamTierConfig cfg;
   cfg.budget_bytes = 4 * kStepBytes;
   cfg.lookahead = 2;
   cfg.async_prefetch = true;
   cfg.max_retries = 1;
-  cfg.fail_policy = FailPolicy::kSkipStep;
-  VolumeStore store(faulty, cfg);
+  StreamTier tier(faulty, cfg);
+  VolumeStore& store = tier.store();
 
   constexpr int kThreads = 6;
   std::atomic<int> bad_values{0};
@@ -98,11 +99,13 @@ TEST(FaultStormStress, QuarantineUnderSkipPolicyStaysConsistent) {
   std::vector<std::thread> clients;
   clients.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&store, &bad_values, &bad_skips, t] {
+    clients.emplace_back([&tier, &bad_values, &bad_skips, t] {
+      const StreamedSequence sequence(tier, /*pin_radius=*/0,
+                                      FailPolicy::kSkipStep);
       for (int pass = 0; pass < 20; ++pass) {
         for (int s = 0; s < kSteps; ++s) {
           const int step = (t % 2 == 0) ? s : kSteps - 1 - s;
-          auto v = store.fetch(step);
+          const VolumeF* v = sequence.try_step(step);
           if (step == kBadStep) {
             if (v != nullptr) bad_skips.fetch_add(1);
           } else if (v == nullptr ||
@@ -117,7 +120,7 @@ TEST(FaultStormStress, QuarantineUnderSkipPolicyStaysConsistent) {
   EXPECT_EQ(bad_values.load(), 0);
   EXPECT_EQ(bad_skips.load(), 0);
   EXPECT_TRUE(store.is_quarantined(kBadStep));
-  const StreamStats stats = store.stats();
+  const StreamStats stats = tier.stats();
   EXPECT_EQ(stats.quarantined_steps, 1u);
   EXPECT_GT(stats.skipped_fetches, 0u);
   EXPECT_EQ(store.step_health().quarantined(), std::vector<int>{kBadStep});

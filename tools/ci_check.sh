@@ -2,10 +2,11 @@
 # One-command tier-1 verification (docs/CORRECTNESS.md):
 #   1. default preset: configure, build, full ctest (includes ifet_lint
 #      and the lint fixture regressions)
-#   2. fault injection: the fault_injection_test binary, then an
-#      ifet_tool track over a fixture with injected faults under
-#      --fail-policy=skip, asserting retries happened and the run exits
-#      cleanly (docs/ROBUSTNESS.md)
+#   2. fault injection: the fault_injection_test binary, then ifet_tool
+#      track over a fixture with injected faults, under --fail-policy=skip
+#      (retries happened, the run exits cleanly) and --fail-policy=nearest
+#      (the quarantined step is reported substituted, never skipped)
+#      (docs/ROBUSTNESS.md)
 #   3. hot-path lint: the cross-TU callgraph pass (ifet_lint --only=hot-path)
 #      over src/ with the checked-in baseline, publishing the JSON report
 #      as build/ci_hot_path_lint.json (docs/STATIC_ANALYSIS.md)
@@ -21,8 +22,9 @@
 #      flood), the AllocGuard zero-allocation contracts (FlatMlp
 #      forward_batch, Raycaster::render_rows, CacheManager hits), the
 #      ReplayCheck determinism suites (classifier, render, tracker), the
-#      brick-skip bitwise equivalence, and the shared-tier server and
-#      streaming suites (docs/CORRECTNESS.md)
+#      brick-skip bitwise equivalence, the shared-tier server and
+#      streaming suites, and the overload and fault-injection suites
+#      (docs/CORRECTNESS.md)
 #   6. thread-safety: clang build with -Wthread-safety promoted to errors
 #      over the IFET_GUARDED_BY annotations (docs/STATIC_ANALYSIS.md);
 #      skips if clang is not installed
@@ -77,19 +79,24 @@ stage_fault() {
   # then the CLI driven over a fixture with one transient fault per step
   # plus a permanently corrupt step under --fail-policy=skip. The run must
   # exit 0 AND report nonzero retries — a clean exit that never retried
-  # would mean the schedule silently stopped injecting.
+  # would mean the schedule silently stopped injecting. The same track
+  # under --fail-policy=nearest must report the step substituted: the
+  # counters record the client's policy outcome, never a skip.
   local build_dir="$ROOT/build"
   local fixture="$build_dir/ci_fault_fixture.cvol"
+  local track_args=(--seed=12,8,8 --band=0.4:1.0 --budget-mb=1 --lookahead=2
+    --inject-faults=transient@all:1,corrupt@7 --max-retries=2 --backoff-ms=0)
   "$build_dir/tests/fault_injection_test" &&
     "$build_dir/tools/ifet_tool" gen --dataset=swirl --size=16 \
       --cvol="$fixture" &&
-    "$build_dir/tools/ifet_tool" track "$fixture" \
-      --seed=12,8,8 --band=0.4:1.0 --budget-mb=1 --lookahead=2 \
-      --inject-faults=transient@all:1,corrupt@7 \
-      --max-retries=2 --backoff-ms=0 --fail-policy=skip \
-      >"$build_dir/ci_fault_track.out" 2>&1 &&
+    "$build_dir/tools/ifet_tool" track "$fixture" "${track_args[@]}" \
+      --fail-policy=skip >"$build_dir/ci_fault_track.out" 2>&1 &&
     grep -E 'faults: [1-9][0-9]* retries' "$build_dir/ci_fault_track.out" &&
-    grep -E '1 quarantined' "$build_dir/ci_fault_track.out"
+    grep -E '1 quarantined' "$build_dir/ci_fault_track.out" &&
+    "$build_dir/tools/ifet_tool" track "$fixture" "${track_args[@]}" \
+      --fail-policy=nearest >"$build_dir/ci_fault_nearest.out" 2>&1 &&
+    grep -E '[1-9][0-9]* substituted' "$build_dir/ci_fault_nearest.out" &&
+    ! grep -E 'skipped' "$build_dir/ci_fault_nearest.out"
 }
 
 stage_hot_path_lint() {
@@ -134,12 +141,13 @@ stage_tsan() {
   # so the same runs race the pool, the strands, the prefetcher and the
   # AllocGuard's atomics: stress detectors, allocation contracts, replay
   # checks across pool widths, skip-vs-scalar frames with the row pool
-  # racing, and both StreamedSequence constructors (private and shared
-  # tier) including four readers racing one sequence's window.
+  # racing, both StreamedSequence constructors (private and shared tier)
+  # including four readers racing one sequence's window, and the overload
+  # and fault suites, whose prefetch workers add into the tier counters.
   local tests="stress_cache_manager_test stress_fault_storm_test \
 stress_thread_pool_test stress_server_test flat_mlp_test \
 classifier_digest_test stream_test server_test concurrency_regression_test \
-render_test brick_index_test tracking_test"
+render_test brick_index_test tracking_test overload_test fault_injection_test"
   # shellcheck disable=SC2086
   cmake --preset tsan &&
     cmake --build --preset tsan -j "$JOBS" --target $tests &&
