@@ -191,7 +191,8 @@ void DataSpaceClassifier::sweep(const FeatureContext& ctx, std::size_t rows,
   const std::shared_ptr<const FlatMlp> flat = flat_cache_.get(network_);
   const int width = assembler.width();
   const int outputs = config_.outputs;
-  parallel_for_ranges(0, rows, [&](std::size_t r0, std::size_t r1) {
+  ThreadPool::global().parallel_for_static(
+      0, rows, [&](std::size_t r0, std::size_t r1) {
     // Per-worker batch buffers: allocated once per range and reused for
     // every batch in it — zero heap traffic per voxel.
     FlatMlp::Scratch scratch;

@@ -196,10 +196,4 @@ void parallel_for(std::size_t begin, std::size_t end,
       });
 }
 
-void parallel_for_ranges(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& range_body) {
-  ThreadPool::global().parallel_for_static(begin, end, range_body);
-}
-
 }  // namespace ifet

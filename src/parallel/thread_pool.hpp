@@ -4,8 +4,10 @@
 // embarrassingly parallel and proposes a PC cluster for batch processing;
 // Sec 7 relies on the GPU for per-voxel work. We provide the shared-memory
 // equivalent: a fixed thread pool with static and dynamically-chunked
-// parallel loops. All per-voxel passes in the library (classification,
-// rendering, region statistics) run through these helpers.
+// parallel loops. A loop whose cost is uneven across its range (the ray
+// caster's image rows) takes dynamic chunks; loops of uniform cost (the
+// classifier sweep's rows, per-z-slice generators, filters, gradients)
+// split statically (docs/PERFORMANCE.md, "Scheduling").
 //
 // Design notes (per C++ Core Guidelines CP.*): tasks never share mutable
 // state except through the caller-provided body; joins are explicit; the
@@ -130,36 +132,5 @@ class ThreadPool::ScopedGlobalWidth {
 /// Convenience: per-index parallel loop on the global pool, static schedule.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
-
-/// Convenience: range-based parallel loop on the global pool.
-void parallel_for_ranges(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& range_body);
-
-/// Parallel reduction: each worker folds its range into a local accumulator
-/// seeded with `identity`; partials are combined with `combine` in
-/// deterministic (range-order) sequence.
-template <typename T, typename Fold, typename Combine>
-T parallel_reduce(std::size_t begin, std::size_t end, T identity, Fold fold,
-                  Combine combine) {
-  ThreadPool& pool = ThreadPool::global();
-  const std::size_t n = end > begin ? end - begin : 0;
-  if (n == 0) return identity;
-  const std::size_t num_parts =
-      std::min<std::size_t>(pool.size() == 0 ? 1 : pool.size(), n);
-  std::vector<T> partials(num_parts, identity);
-  pool.parallel_for_static(0, num_parts, [&](std::size_t p0, std::size_t p1) {
-    for (std::size_t p = p0; p < p1; ++p) {
-      std::size_t lo = begin + n * p / num_parts;
-      std::size_t hi = begin + n * (p + 1) / num_parts;
-      T acc = identity;
-      for (std::size_t i = lo; i < hi; ++i) acc = fold(acc, i);
-      partials[p] = acc;
-    }
-  });
-  T result = identity;
-  for (const T& p : partials) result = combine(result, p);
-  return result;
-}
 
 }  // namespace ifet

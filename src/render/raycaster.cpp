@@ -40,6 +40,10 @@ struct WorldBox {
   }
 };
 
+/// Image rows per task of the pooled render: small enough to balance an
+/// image whose cost sits in a few bands, large enough to amortize a grab.
+constexpr std::size_t kRenderChunkRows = 4;
+
 inline std::uint8_t to_byte(double v) {
   return static_cast<std::uint8_t>(clamp(v, 0.0, 1.0) * 255.0 + 0.5);
 }
@@ -455,8 +459,11 @@ ImageRgb8 Raycaster::render_impl(const VolumeF& volume,
   std::atomic<std::size_t> early{0};
   std::atomic<std::size_t> skipped{0};
 
-  parallel_for_ranges(
-      0, static_cast<std::size_t>(settings_.height),
+  // Dynamic row chunks: a row's cost follows the volume's footprint, which
+  // the middle rows hold, so equal static bands would idle the workers
+  // that drew the edge bands.
+  ThreadPool::global().parallel_for_dynamic(
+      0, static_cast<std::size_t>(settings_.height), kRenderChunkRows,
       [&](std::size_t row0, std::size_t row1) {
         RenderRowCounters counters;
         render_rows(plan, static_cast<int>(row0), static_cast<int>(row1),

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,36 +76,6 @@ TEST(ThreadPool, NestedParallelismDoesNotDeadlock) {
     parallel_for(0, 50, [&](std::size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 200);
-}
-
-TEST(ParallelReduce, SumsCorrectly) {
-  const std::size_t n = 100000;
-  auto result = parallel_reduce<long long>(
-      0, n, 0LL,
-      [](long long acc, std::size_t i) {
-        return acc + static_cast<long long>(i);
-      },
-      [](long long a, long long b) { return a + b; });
-  EXPECT_EQ(result, static_cast<long long>(n) * (n - 1) / 2);
-}
-
-TEST(ParallelReduce, EmptyRangeGivesIdentity) {
-  auto result = parallel_reduce<int>(
-      10, 10, 42, [](int acc, std::size_t) { return acc + 1; },
-      [](int a, int b) { return a + b; });
-  EXPECT_EQ(result, 42);
-}
-
-TEST(ParallelReduce, MaxReduction) {
-  std::vector<double> values(5000);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = static_cast<double>((i * 2654435761u) % 10007);
-  }
-  auto result = parallel_reduce<double>(
-      0, values.size(), -1.0,
-      [&](double acc, std::size_t i) { return std::max(acc, values[i]); },
-      [](double a, double b) { return std::max(a, b); });
-  EXPECT_EQ(result, *std::max_element(values.begin(), values.end()));
 }
 
 TEST(ThreadPool, SizeMatchesRequest) {

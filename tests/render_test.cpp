@@ -328,51 +328,100 @@ TEST(RenderRowsContract, WarmRowsAllocateNothingAndMatchRender) {
   }
 }
 
+/// Digest of one replay trial over the argon scene: every variant's frame
+/// rendered through the pool (which splits rows differently at every
+/// width), then through render_rows with its row chunks marched in a
+/// deterministic shuffle when the trial asks for it (rows only write their
+/// own pixels).
+std::uint64_t replay_digest(
+    const ReplayTrial& trial,
+    const std::vector<testing::RenderVariant>& variants) {
+  const testing::ArgonRenderScene& scene = testing::argon_render_scene();
+  ThreadPool::ScopedGlobalWidth width(trial.threads);
+  DigestSink sink;
+  for (const testing::RenderVariant& v : variants) {
+    const Raycaster caster(v.settings);
+    const ImageRgb8 pooled =
+        v.certainty != nullptr
+            ? caster.render_classified(scene.volume, *v.certainty, scene.tf,
+                                       scene.colors, scene.camera)
+            : caster.render(scene.volume, scene.tf, scene.colors,
+                            scene.camera, v.highlight);
+    sink.span(pooled.pixels.data(), pooled.pixels.size());
+    const Raycaster::Plan plan =
+        caster.prepare_plan(scene.volume, scene.tf, scene.colors,
+                            scene.camera, v.highlight, v.certainty);
+    constexpr int kChunkRows = 8;
+    const std::size_t chunks =
+        (static_cast<std::size_t>(v.settings.height) + kChunkRows - 1) /
+        kChunkRows;
+    std::vector<std::size_t> order(chunks);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (trial.shuffled) order = replay_permutation(chunks, 0xCA57);
+    ImageRgb8 direct(v.settings.width, v.settings.height);
+    Raycaster::RenderRowCounters counters;
+    for (const std::size_t c : order) {
+      const int lo = static_cast<int>(c) * kChunkRows;
+      const int hi = std::min(lo + kChunkRows, v.settings.height);
+      caster.render_rows(plan, lo, hi, direct, counters);
+    }
+    sink.span(direct.pixels.data(), direct.pixels.size());
+  }
+  return sink.value();
+}
+
+std::vector<std::size_t> replay_widths() {
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return {1, 4, hw};
+}
+
 /// Perturbed replay of the IFET_DETERMINISTIC render kernels
 /// (util/determinism.hpp): every variant renders bitwise-identical frames
 /// across pool widths {1, 4, hardware}, cold and warm caches, and shuffled
 /// row-chunk order through render_rows. The pinned digest changes only
 /// when the frames do.
 TEST(RenderReplay, VariantsDigestIdenticallyAcrossSchedules) {
-  const testing::ArgonRenderScene& scene = testing::argon_render_scene();
-  const std::vector<testing::RenderVariant> variants = scene.variants();
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  const ReplayCheck check("raycaster_variants", {1, 4, hw});
-  const ReplayReport report = check.run([&](const ReplayTrial& trial) {
-    ThreadPool::ScopedGlobalWidth width(trial.threads);
-    DigestSink sink;
-    for (const testing::RenderVariant& v : variants) {
-      const Raycaster caster(v.settings);
-      // Pooled frame: the pool splits rows differently at every width.
-      const ImageRgb8 pooled = caster.render(scene.volume, scene.tf,
-                                             scene.colors, scene.camera,
-                                             v.highlight);
-      sink.span(pooled.pixels.data(), pooled.pixels.size());
-      // Row-kernel frame, chunks marched in a deterministic shuffle when
-      // the trial asks for it: rows only write their own pixels.
-      const Raycaster::Plan plan = caster.prepare_plan(
-          scene.volume, scene.tf, scene.colors, scene.camera, v.highlight);
-      constexpr int kChunkRows = 8;
-      const std::size_t chunks =
-          (static_cast<std::size_t>(v.settings.height) + kChunkRows - 1) /
-          kChunkRows;
-      std::vector<std::size_t> order(chunks);
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      if (trial.shuffled) order = replay_permutation(chunks, 0xCA57);
-      ImageRgb8 direct(v.settings.width, v.settings.height);
-      Raycaster::RenderRowCounters counters;
-      for (const std::size_t c : order) {
-        const int lo = static_cast<int>(c) * kChunkRows;
-        const int hi = std::min(lo + kChunkRows, v.settings.height);
-        caster.render_rows(plan, lo, hi, direct, counters);
-      }
-      sink.span(direct.pixels.data(), direct.pixels.size());
-    }
-    return sink.value();
-  });
+  const std::vector<testing::RenderVariant> variants =
+      testing::argon_render_scene().variants();
+  const ReplayCheck check("raycaster_variants", replay_widths());
+  const ReplayReport report = check.run(
+      [&](const ReplayTrial& trial) { return replay_digest(trial, variants); });
   EXPECT_TRUE(report.ok) << report.summary();
   EXPECT_EQ(report.reference_digest, 0x59399ea6283e9149ull)
+      << report.summary();
+}
+
+/// The frames opacity correction shapes, pinned on their own: shaded and
+/// overlay frames at a half-voxel step (a correction exponent other than
+/// one), a frame with the correction off, and a pre-classified frame whose
+/// graded certainty makes every sample's opacity continuous.
+TEST(RenderReplay, OpacityCorrectionVariantsArePinned) {
+  const testing::ArgonRenderScene& scene = testing::argon_render_scene();
+  const Dims d = scene.volume.dims();
+  VolumeF certainty(d);
+  for (int k = 0; k < d.z; ++k) {
+    for (int j = 0; j < d.y; ++j) {
+      for (int i = 0; i < d.x; ++i) {
+        certainty.at(i, j, k) = static_cast<float>(
+            0.2 + 0.8 * (i + j + k) / static_cast<double>(d.x + d.y + d.z));
+      }
+    }
+  }
+  RenderSettings half = scene.variants()[0].settings;
+  half.step_voxels = 0.5;
+  RenderSettings uncorrected = scene.variants()[0].settings;
+  uncorrected.opacity_correction = false;
+  const std::vector<testing::RenderVariant> variants = {
+      {"front-to-back shaded, half step", half, nullptr},
+      {"tracking overlay, half step", half, &scene.overlay},
+      {"opacity correction off", uncorrected, nullptr},
+      {"graded certainty, half step", half, nullptr, &certainty}};
+  const ReplayCheck check("raycaster_opacity_correction", replay_widths());
+  const ReplayReport report = check.run(
+      [&](const ReplayTrial& trial) { return replay_digest(trial, variants); });
+  EXPECT_TRUE(report.ok) << report.summary();
+  EXPECT_EQ(report.reference_digest, 0xd03d7ace43d88bc5ull)
       << report.summary();
 }
 

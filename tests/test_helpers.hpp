@@ -225,7 +225,8 @@ inline void expect_match_isolated(
 struct RenderVariant {
   const char* name;
   RenderSettings settings;
-  const HighlightLayer* highlight;  ///< Null: no tracking overlay.
+  const HighlightLayer* highlight;     ///< Null: no tracking overlay.
+  const VolumeF* certainty = nullptr;  ///< Non-null: render_classified.
 };
 
 /// The 64^3 argon-bubble scene of the render contracts: step 225 of the

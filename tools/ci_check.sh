@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command tier-1 verification (docs/CORRECTNESS.md):
 #   1. default preset: configure, build, full ctest (includes ifet_lint
-#      and the lint fixture regressions)
+#      and the lint fixture regressions), then the shape of the committed
+#      benchmark trajectory (BENCH_<workload>.json)
 #   2. fault injection: the fault_injection_test binary, then ifet_tool
 #      track over a fixture with injected faults, under --fail-policy=skip
 #      (retries happened, the run exits cleanly) and --fail-policy=nearest
@@ -71,7 +72,61 @@ run_stage() {  # run_stage <name> <command...>
 stage_default() {
   cmake --preset default &&
     cmake --build --preset default -j "$JOBS" &&
-    ctest --preset default -j "$JOBS"
+    ctest --preset default -j "$JOBS" &&
+    check_bench_trajectory
+}
+
+check_bench_trajectory() {
+  # Each BENCH_<workload>.json at the root is a JSON array with one point
+  # per perfbench run; `result` is the JSON line perfbench/run.py printed.
+  # The untraced points of one PR must carry the same metric names, so
+  # they stay comparable with each other, and those of the file's newest
+  # PR exactly the end-to-end names BENCHMARK.json lists now. Older points
+  # keep the names they were measured with: the files are append-only.
+  python3 - "$ROOT" <<'PY'
+import glob, json, os, sys
+
+root = sys.argv[1]
+with open(os.path.join(root, "BENCHMARK.json")) as f:
+    want = {m["name"] for m in json.load(f)["end_to_end"]}
+keys = {"pr", "side", "commit", "seed", "seconds", "trace", "result"}
+bad = []
+for path in sorted(glob.glob(os.path.join(root, "BENCH_*.json"))):
+    name = os.path.basename(path)
+    try:
+        with open(path) as f:
+            points = json.load(f)
+    except ValueError as e:
+        bad.append("%s: not JSON: %s" % (name, e))
+        continue
+    if not isinstance(points, list):
+        bad.append("%s: not a JSON array" % name)
+        continue
+    names_of_pr = {}  # pr -> (index, metric names) of its first untraced point
+    for i, point in enumerate(points):
+        if not isinstance(point, dict) or not keys <= set(point):
+            bad.append("%s[%d]: a point needs the keys %s"
+                       % (name, i, sorted(keys)))
+            continue
+        if point["trace"] != 0:
+            continue
+        got = set(point["result"].get("metrics", {}))
+        first, names = names_of_pr.setdefault(point["pr"], (i, got))
+        if got != names:
+            bad.append("%s[%d]: metrics %s differ from those of %s[%d], a "
+                       "point of the same pr" % (name, i, sorted(got), name,
+                                                 first))
+    if names_of_pr:
+        newest = max(names_of_pr)
+        first, names = names_of_pr[newest]
+        if names != want:
+            bad.append("%s: pr %s's metrics %s differ from BENCHMARK.json's "
+                       "end_to_end %s" % (name, newest, sorted(names),
+                                          sorted(want)))
+for line in bad:
+    print("bench trajectory: " + line)
+sys.exit(1 if bad else 0)
+PY
 }
 
 stage_fault() {

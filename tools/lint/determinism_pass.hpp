@@ -29,9 +29,8 @@
 //   det-float-reduce    std::reduce/transform_reduce, parallel execution
 //                       policies, atomic<float/double> accumulation —
 //                       floating-point addition does not associate, so
-//                       reduction order must be fixed (the ThreadPool's
-//                       parallel_reduce combines partials in range order
-//                       and is fine).
+//                       reduction order must be fixed (per-part partials
+//                       combined on one thread in part order are fine).
 //   det-env             getenv/locale: results must not depend on the
 //                       launch environment.
 //
