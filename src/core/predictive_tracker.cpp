@@ -26,9 +26,10 @@ PredictiveTracker::PredictiveTracker(const VolumeSequence& sequence,
 
 Mask PredictiveTracker::criterion_mask(int step) const {
   const VolumeF& volume = sequence_.step(step);
+  const StepCriterion accept = criterion_.at_step(step);
   Mask mask(volume.dims());
   for (std::size_t i = 0; i < volume.size(); ++i) {
-    mask[i] = criterion_.accept(step, volume[i]) ? 1 : 0;
+    mask[i] = accept(volume[i]) ? 1 : 0;
   }
   return mask;
 }

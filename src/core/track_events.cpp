@@ -1,8 +1,8 @@
 #include "core/track_events.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -53,41 +53,72 @@ FeatureHistory build_feature_history(const TrackResult& track,
   FeatureHistory history;
   if (track.masks.empty()) return history;
 
-  // Label each step and remember node index per (step, label).
-  std::map<int, Labeling> labelings;
-  std::map<std::pair<int, std::int32_t>, int> node_of;
+  // One pass over the masks in step order with two labelings live: the
+  // previous step's and this one's, in reused buffers. node_index[k][l] is
+  // the node index of label l in labeling k.
+  Volume<std::int32_t> labels[2];
+  std::vector<int> node_index[2];
+  std::vector<std::uint32_t> worklist;
+  std::vector<std::pair<std::uint64_t, std::size_t>> overlap;
+  int prev_step = 0;
+  int cur = 0;
   for (const auto& [step, mask] : track.masks) {
-    Labeling labeling = label_components(mask);
-    for (const auto& comp : labeling.components) {
+    const std::vector<ComponentInfo> components =
+        label_components_into(mask, nullptr, labels[cur], worklist);
+    node_index[cur].assign(components.size() + 1, -1);
+    for (const auto& comp : components) {
       FeatureNode node;
       node.step = step;
       node.label = comp.label;
       node.info = comp;
-      node_of[{step, comp.label}] = static_cast<int>(history.nodes.size());
+      node_index[cur][static_cast<std::size_t>(comp.label)] =
+          static_cast<int>(history.nodes.size());
       history.nodes.push_back(std::move(node));
     }
-    labelings.emplace(step, std::move(labeling));
-  }
 
-  // Connect consecutive steps by voxel overlap.
-  for (auto it = labelings.begin(); it != labelings.end(); ++it) {
-    auto next = std::next(it);
-    if (next == labelings.end() || next->first != it->first + 1) continue;
-    const Labeling& a = it->second;
-    const Labeling& b = next->second;
-    std::map<std::pair<std::int32_t, std::int32_t>, std::size_t> overlap;
-    for (std::size_t v = 0; v < a.labels.size(); ++v) {
-      std::int32_t la = a.labels[v];
-      std::int32_t lb = b.labels[v];
-      if (la > 0 && lb > 0) ++overlap[{la, lb}];
+    // Connect consecutive steps by voxel overlap. Each voxel both steps
+    // hold counts its (la, lb) pair, adding to the last entry when the
+    // pair repeats, so the list holds one entry per change of pair in
+    // scan order: a few per step for large components, never more than
+    // the overlapping voxels. Sorted and summed, the pairs come out in
+    // (la, lb) order.
+    const int prev = 1 - cur;
+    if (!node_index[prev].empty() && step == prev_step + 1) {
+      const Volume<std::int32_t>& a = labels[prev];
+      const Volume<std::int32_t>& b = labels[cur];
+      overlap.clear();
+      for (std::size_t v = 0; v < mask.size(); ++v) {
+        if (eight_clear(mask, v)) {
+          v += 7;
+          continue;
+        }
+        const std::int32_t la = a[v];
+        const std::int32_t lb = b[v];
+        if (la <= 0 || lb <= 0) continue;
+        const std::uint64_t pair = static_cast<std::uint64_t>(la) << 32 |
+                                   static_cast<std::uint32_t>(lb);
+        if (!overlap.empty() && overlap.back().first == pair) {
+          ++overlap.back().second;
+        } else {
+          overlap.emplace_back(pair, 1);
+        }
+      }
+      std::sort(overlap.begin(), overlap.end());
+      for (std::size_t i = 0; i < overlap.size();) {
+        const std::uint64_t pair = overlap[i].first;
+        std::size_t count = 0;
+        for (; i < overlap.size() && overlap[i].first == pair; ++i) {
+          count += overlap[i].second;
+        }
+        if (count < min_overlap) continue;
+        const int from = node_index[prev][pair >> 32];
+        const int to = node_index[cur][pair & 0xFFFFFFFFu];
+        history.nodes[static_cast<std::size_t>(from)].children.push_back(to);
+        history.nodes[static_cast<std::size_t>(to)].parents.push_back(from);
+      }
     }
-    for (const auto& [pair, count] : overlap) {
-      if (count < min_overlap) continue;
-      int na = node_of.at({it->first, pair.first});
-      int nb = node_of.at({next->first, pair.second});
-      history.nodes[static_cast<std::size_t>(na)].children.push_back(nb);
-      history.nodes[static_cast<std::size_t>(nb)].parents.push_back(na);
-    }
+    prev_step = step;
+    cur = prev;
   }
 
   // Classify events.

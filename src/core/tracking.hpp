@@ -15,8 +15,7 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
-#include <functional>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <vector>
@@ -29,20 +28,50 @@
 
 namespace ifet {
 
+/// A tracking criterion resolved for one step: the voxel test as plain
+/// data, so growing makes no virtual call and no lookup per voxel.
+class StepCriterion {
+ public:
+  /// Accept values in [lo, hi].
+  static StepCriterion range(double lo, double hi) {
+    return StepCriterion(nullptr, lo, hi);
+  }
+  /// Accept values whose opacity in `tf` is at least `cut`; `tf` must
+  /// outlive the predicate.
+  static StepCriterion opacity_at_least(const TransferFunction1D& tf,
+                                        double cut) {
+    return StepCriterion(&tf, cut, 0.0);
+  }
+
+  bool operator()(double value) const {
+    if (tf_ != nullptr) return tf_->opacity(value) >= lo_;
+    return value >= lo_ && value <= hi_;
+  }
+
+ private:
+  StepCriterion(const TransferFunction1D* tf, double lo, double hi)
+      : tf_(tf), lo_(lo), hi_(hi) {}
+
+  const TransferFunction1D* tf_;
+  double lo_, hi_;  ///< The range, or the opacity cut in lo_.
+};
+
 /// Voxel-inclusion predicate for tracking.
 class TrackingCriterion {
  public:
   virtual ~TrackingCriterion() = default;
+  /// The voxel test at time `step`, valid while this criterion lives.
+  virtual StepCriterion at_step(int step) const = 0;
   /// True if a voxel with `value` at time `step` belongs to the feature.
-  virtual bool accept(int step, double value) const = 0;
+  bool accept(int step, double value) const { return at_step(step)(value); }
 };
 
 /// Conventional tracking: a constant value range for all steps.
 class FixedRangeCriterion final : public TrackingCriterion {
  public:
   FixedRangeCriterion(double lo, double hi) : lo_(lo), hi_(hi) {}
-  bool accept(int, double value) const override {
-    return value >= lo_ && value <= hi_;
+  StepCriterion at_step(int) const override {
+    return StepCriterion::range(lo_, hi_);
   }
 
  private:
@@ -60,7 +89,7 @@ class AdaptiveTfCriterion final : public TrackingCriterion {
  public:
   AdaptiveTfCriterion(const Iatf& iatf, double opacity_cut = 0.25,
                       DerivedCache* derived = nullptr);
-  bool accept(int step, double value) const override;
+  StepCriterion at_step(int step) const override;
 
  private:
   const TransferFunction1D& tf_for(int step) const;
@@ -69,7 +98,7 @@ class AdaptiveTfCriterion final : public TrackingCriterion {
   double opacity_cut_;
   DerivedCache* derived_;
   /// Per-criterion memo; holds shared_ptrs from `derived_` (or privately
-  /// synthesized TFs) so the per-voxel hot path is one map lookup.
+  /// synthesized TFs), so a step resolves its TF once.
   mutable std::map<int, std::shared_ptr<const TransferFunction1D>> tf_cache_;
 };
 
@@ -106,27 +135,23 @@ class Tracker {
   TrackResult track_from_mask(const Mask& seeds, int seed_step) const;
 
  private:
-  /// Intra-step region-growing worklists, hoisted out of the per-step loop
-  /// so steady-state growth reuses their capacity instead of constructing
-  /// fresh vectors every step. total_voxels accumulates across steps (the
-  /// max_voxels cap is global to the track).
+  /// Region-growing buffers, hoisted out of the per-step loop so steady-
+  /// state growth reuses their capacity. total_voxels accumulates across
+  /// steps (the max_voxels cap is global to the track).
   struct GrowState {
-    std::deque<Index3> frontier;      ///< BFS worklist within one step
-    std::vector<Index3> newly_added;  ///< voxels accepted at this step
+    /// Linear indices of the voxels accepted at this step, in BFS order:
+    /// the queue is newly_added[head..].
+    std::vector<std::uint32_t> newly_added;
     std::size_t total_voxels = 0;
   };
 
-  /// 3D BFS within `step`: seed from `candidates`, grow through the six
-  /// spatial neighbors, record acceptances in `mask` and
+  /// 3D BFS within one step: seed from `candidates` (linear indices), grow
+  /// through the six spatial neighbors, record acceptances in `mask` and
   /// `state.newly_added` (cleared by the caller). The region-growing
   /// inner loop — hot once the step's volume is resident.
-  void grow_step(int step, const VolumeF& volume,
-                 const std::vector<Index3>& candidates, Mask& mask,
+  void grow_step(StepCriterion accept, const VolumeF& volume,
+                 const std::vector<std::uint32_t>& candidates, Mask& mask,
                  GrowState& state) const;
-
-  /// Accept `p` into the region if unvisited and the criterion holds.
-  void try_add_voxel(int step, const Index3& p, const VolumeF& volume,
-                     Mask& mask, GrowState& state) const;
 
   const VolumeSequence& sequence_;
   const TrackingCriterion& criterion_;

@@ -4,27 +4,52 @@ namespace ifet {
 
 namespace {
 
+/// Slicing-by-8 tables: entries[0] is the bytewise table; entries[k][i] is
+/// the CRC of byte i followed by k zero bytes, so eight table lookups
+/// advance the sum by eight bytes.
 struct Crc32Table {
-  std::uint32_t entries[256];
+  std::uint32_t entries[8][256];
   Crc32Table() {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      entries[0][i] = c;
+    }
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        const std::uint32_t c = entries[k - 1][i];
+        entries[k][i] = entries[0][c & 0xFFu] ^ (c >> 8);
+      }
     }
   }
 };
+
+/// Little-endian 32-bit word at `p` (one load on little-endian hosts).
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   static const Crc32Table table;
+  const auto& t = table.entries;
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const std::uint32_t lo = load_le32(bytes) ^ c;
+    const std::uint32_t hi = load_le32(bytes + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
   for (std::size_t i = 0; i < size; ++i) {
-    c = table.entries[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+    c = t[0][(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

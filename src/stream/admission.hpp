@@ -1,10 +1,11 @@
 // Per-client pin admission control for the shared streaming tier.
 //
 // Every StreamedSequence is a client of a StreamTier and pins a small
-// window of steps ({t-1, t, t+1} for 4D region growing) on the tier's ONE
-// CacheManager — the multi-tenant server (docs/SERVER.md) runs one client
-// per session on a shared tier; a single-user sequence is the only client
-// of a private tier with an unlimited quota. Pins are exempt from
+// window of steps ({t-1, t, t+1} by default; 4D region growing hints one
+// that leans ahead of its sweep) on the tier's ONE CacheManager — the
+// multi-tenant server (docs/SERVER.md) runs one client per session on a
+// shared tier; a single-user sequence is the only client of a private
+// tier with an unlimited quota. Pins are exempt from
 // eviction, so without a per-client ceiling a single client hinting a huge
 // window would pin the whole budget and starve every other tenant into
 // perpetual reload. The AdmissionController is that ceiling: it keeps a

@@ -9,8 +9,8 @@
 //
 // Pins are counted: an entry with a nonzero pin count is never evicted,
 // and pins from several clients on one step compose. The sliding window
-// of 4D region growing ({t-1, t, t+1}) is a set of such pins, moved by
-// each StreamedSequence as admission deltas (stream/admission.hpp).
+// of 4D region growing is a set of such pins, moved by each
+// StreamedSequence as admission deltas (stream/admission.hpp).
 //
 // Thread safety: every method is internally synchronized; the stress suite
 // (tests/stress/stress_cache_manager_test.cpp) hammers it under TSan, the

@@ -18,9 +18,9 @@
 // each outcome once into its client counters and once into the tier's.
 //
 // Reference validity: step(t) pins a window of `pin_radius` steps around t
-// (recentring only when t falls outside the current window, so the
-// {t-1, t, t+1} access pattern of 4D region growing never thrashes);
-// hint_window() sets the window explicitly. Window pins go through the
+// (recentring only when t falls outside the current window, so a
+// {t-1, t, t+1} access pattern never thrashes); hint_window() sets the
+// window explicitly, as 4D region growing does. Window pins go through the
 // tier's AdmissionController, so steps past the client's pin quota are
 // denied a pin: they still load and return exact bytes, they are just
 // evictable. References returned for steps inside the window stay valid
@@ -47,7 +47,7 @@ struct StreamConfig {
   /// Steps prefetched ahead of each access in the scan direction.
   int lookahead = 2;
   /// Auto-pinned window half-width around the last accessed step; 1 keeps
-  /// {t-1, t, t+1} resident for 4D region growing.
+  /// {t-1, t, t+1} resident.
   int pin_radius = 1;
   /// Overlap prefetch decode with compute on the shared thread pool; off =
   /// synchronous lookahead (deterministic, for tests). Sources whose

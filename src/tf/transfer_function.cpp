@@ -1,7 +1,6 @@
 #include "tf/transfer_function.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hpp"
 
@@ -50,26 +49,9 @@ double TransferFunction1D::entry_value(int i) const {
   return lo_ + (i + 0.5) * (hi_ - lo_) / kEntries;
 }
 
-int TransferFunction1D::entry_of(double value) const {
-  double t = (value - lo_) / (hi_ - lo_);
-  double e = std::floor(t * kEntries);
-  // Clamp in double space: casting out-of-int-range doubles (notably the
-  // +/-inf bounds of NaN-contaminated brick ranges) to int is undefined
-  // and on x86 collapses +inf to INT_MIN, which would clamp to entry 0
-  // instead of the last entry. NaN takes the !(e > 0) branch, so NaN
-  // values deterministically read entry 0.
-  if (!(e > 0.0)) return 0;
-  if (e >= static_cast<double>(kEntries)) return kEntries - 1;
-  return static_cast<int>(e);
-}
-
 void TransferFunction1D::set_opacity_entry(int i, double alpha) {
   IFET_REQUIRE(i >= 0 && i < kEntries, "set_opacity_entry: index range");
   opacity_[static_cast<std::size_t>(i)] = clamp(alpha, 0.0, 1.0);
-}
-
-double TransferFunction1D::opacity(double value) const {
-  return opacity_[static_cast<std::size_t>(entry_of(value))];
 }
 
 void TransferFunction1D::add_trapezoid(double v0, double v1, double v2,

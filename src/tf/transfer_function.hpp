@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -50,15 +51,29 @@ class TransferFunction1D {
 
   /// Data value at the center of entry `i`.
   double entry_value(int i) const;
-  /// Entry index for a data value (clamped).
-  int entry_of(double value) const;
+  /// Entry index for a data value (clamped). Inline: tracking calls it
+  /// per voxel.
+  int entry_of(double value) const {
+    const double t = (value - lo_) / (hi_ - lo_);
+    const double e = std::floor(t * kEntries);
+    // Clamp in double space: casting out-of-int-range doubles (notably the
+    // +/-inf bounds of NaN-contaminated brick ranges) to int is undefined
+    // and on x86 collapses +inf to INT_MIN, which would clamp to entry 0
+    // instead of the last entry. NaN takes the !(e > 0) branch, so NaN
+    // values deterministically read entry 0.
+    if (!(e > 0.0)) return 0;
+    if (e >= static_cast<double>(kEntries)) return kEntries - 1;
+    return static_cast<int>(e);
+  }
 
   /// Opacity of entry `i`.
   double opacity_entry(int i) const { return opacity_[static_cast<size_t>(i)]; }
   void set_opacity_entry(int i, double alpha);
 
   /// Opacity for a data value (nearest-entry lookup, like a 1D texture).
-  double opacity(double value) const;
+  double opacity(double value) const {
+    return opacity_[static_cast<std::size_t>(entry_of(value))];
+  }
 
   /// Author a trapezoid "tent": opacity ramps 0 -> peak over [v0, v1],
   /// holds over [v1, v2], ramps back to 0 over [v2, v3]. This is the shape

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "math/vec.hpp"
@@ -42,6 +43,24 @@ struct Labeling {
 /// If `values` is non-null it must match the mask dims and is integrated
 /// into ComponentInfo::value_sum.
 Labeling label_components(const Mask& mask, const VolumeF* values = nullptr);
+
+/// label_components into buffers the caller owns and may reuse: `labels`
+/// is overwritten with the mask's labels (reallocated only when its dims
+/// differ) and `worklist` is flood-fill scratch. Labels are numbered in
+/// scan order of each component's first voxel; the components come back
+/// sorted largest-first.
+std::vector<ComponentInfo> label_components_into(
+    const Mask& mask, const VolumeF* values, Volume<std::int32_t>& labels,
+    std::vector<std::uint32_t>& worklist);
+
+/// True when the eight mask voxels from linear index `v` on are all clear
+/// (false when fewer than eight remain): scans of mostly clear masks step
+/// over such runs at once.
+inline bool eight_clear(const Mask& mask, std::size_t v) {
+  std::uint64_t eight = 1;
+  if (mask.size() - v >= 8) std::memcpy(&eight, &mask[v], 8);
+  return eight == 0;
+}
 
 /// Remove components smaller than `min_voxels` from a mask.
 Mask remove_small_components(const Mask& mask, std::size_t min_voxels);

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "io/checksum.hpp"
 #include "io/compressed.hpp"
@@ -212,6 +213,46 @@ std::string slurp(const std::string& path) {
 void dump(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Bit-at-a-time CRC-32 over the reflected polynomial 0xEDB88320: the
+/// definition crc32() must agree with for every length and alignment.
+std::uint32_t crc32_bytewise(const unsigned char* data, std::size_t size,
+                             std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(PayloadChecksums, Crc32MatchesBytewiseReference) {
+  const char check[] = "123456789";
+  EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
+
+  Rng rng(99);
+  std::vector<unsigned char> bytes(std::size_t{1} << 20);
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng.uniform(0.0, 256.0));
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const unsigned char* p = bytes.data() + offset;
+      EXPECT_EQ(crc32(p, length), crc32_bytewise(p, length, 0))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+  const std::uint32_t whole = crc32(bytes.data(), bytes.size());
+  EXPECT_EQ(whole, crc32_bytewise(bytes.data(), bytes.size(), 0));
+
+  // Chained: the sum of a prefix seeds the sum of the rest.
+  for (const std::size_t split : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{4093}, bytes.size() - 3}) {
+    const std::uint32_t head = crc32(bytes.data(), split);
+    EXPECT_EQ(crc32(bytes.data() + split, bytes.size() - split, head), whole)
+        << "split at " << split;
+  }
 }
 
 TEST(PayloadChecksums, BitFlippedCvolPayloadRejected) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "test_helpers.hpp"
+#include "util/determinism.hpp"
 #include "util/error.hpp"
 #include "volume/components.hpp"
 #include "volume/filters.hpp"
@@ -197,6 +198,45 @@ TEST_P(ComponentsPropertyTest, LabelingPartitionsTheMask) {
 
 INSTANTIATE_TEST_SUITE_P(Densities, ComponentsPropertyTest,
                          ::testing::Values(0.05, 0.2, 0.5, 0.8, 1.0));
+
+// Labeling of seeded random masks with a value volume, pinned bitwise:
+// the label volume, then every component's label, voxel count, bounding
+// box, centroid bits and value_sum bits in component order. value_sum
+// depends on the flood-fill visiting order, so the pin also holds that
+// order.
+TEST(Components, RandomMaskLabelingIsPinned) {
+  const Dims d{23, 19, 17};
+  const VolumeF values = random_volume(d, 2718, -1.0, 1.0);
+  const struct {
+    double fill;
+    std::uint64_t digest;
+  } cases[] = {{0.1, 0xfcc325141bb8671eull},
+               {0.5, 0x8de0326cfff12bc6ull},
+               {0.82, 0xb921e4ec41fe36aaull}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.fill);
+    Rng rng(1618);
+    Mask m(d);
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      m[i] = rng.uniform() < c.fill ? 1 : 0;
+    }
+    const Labeling lab = label_components(m, &values);
+    DigestSink sink;
+    sink.span(lab.labels.data().data(), lab.labels.size());
+    for (const ComponentInfo& info : lab.components) {
+      sink.pod(info.label);
+      sink.pod(info.voxel_count);
+      sink.pod(info.bbox_min);
+      sink.pod(info.bbox_max);
+      sink.pod(info.centroid.x);
+      sink.pod(info.centroid.y);
+      sink.pod(info.centroid.z);
+      sink.pod(info.value_sum);
+    }
+    EXPECT_GT(lab.components.size(), 1u);
+    EXPECT_EQ(sink.value(), c.digest);
+  }
+}
 
 }  // namespace
 }  // namespace ifet

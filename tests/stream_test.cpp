@@ -513,22 +513,24 @@ TEST(StreamCounters, SnapshotsArePinned) {
       ASSERT_TRUE(manager.execute(b, command).ok);
     }
 
+    // The script's kTrack sweeps its steps in order and leaves the
+    // tracker's five-step window pinned (one behind, three ahead).
     expect_counters(manager.tier().stats(),
-                    {.hits = 32, .misses = 5, .evictions = 37,
-                     .prefetch_hits = 8, .demand_loads = 5,
+                    {.hits = 26, .misses = 3, .evictions = 18,
+                     .prefetch_hits = 9, .demand_loads = 3,
                      .derived_hits = 34, .derived_misses = 12,
-                     .budget_bytes = 6144, .bytes_resident = 6144,
-                     .peak_bytes_resident = 12288, .pinned_steps = 3,
+                     .budget_bytes = 6144, .bytes_resident = 10240,
+                     .peak_bytes_resident = 12288, .pinned_steps = 5,
                      .demand_decode_seconds = 1.0});
     expect_counters(
         manager.session_stats(a),
-        {.hits = 14, .misses = 1, .derived_hits = 8, .derived_misses = 12});
+        {.hits = 11, .misses = 0, .derived_hits = 8, .derived_misses = 12});
     expect_counters(manager.session_stats(b),
-                    {.hits = 15, .misses = 0, .derived_hits = 14});
+                    {.hits = 11, .misses = 0, .derived_hits = 14});
     expect_admission(manager.session_admission(a),
-                     {.reloads = 1, .pinned_steps = 3, .pinned_bytes = 6144});
+                     {.reloads = 0, .pinned_steps = 5, .pinned_bytes = 10240});
     expect_admission(manager.session_admission(b),
-                     {.reloads = 0, .pinned_steps = 3, .pinned_bytes = 6144});
+                     {.reloads = 0, .pinned_steps = 5, .pinned_bytes = 10240});
   }
 }
 

@@ -175,29 +175,51 @@ TEST(Tracker, AdaptiveCriterionFollowsDecayingFeature) {
   EXPECT_GT(adaptive_result.voxels_at(39), 0u);
 }
 
+/// The argon bubble at 32^3 x 12, every step generated once and served
+/// from memory, so a check costs the tracking, not the argon generator.
+struct ArgonScene {
+  ArgonBubbleConfig cfg;
+  std::unique_ptr<ArgonBubbleSource> argon;
+  std::vector<VolumeF> volumes;
+  std::shared_ptr<CallbackSource> source;
+  /// The step the ring tracks are seeded at.
+  int grow_step = 0;
+
+  ArgonScene(const ArgonScene&) = delete;  // `source` refers to `volumes`
+  ArgonScene& operator=(const ArgonScene&) = delete;
+  ArgonScene() {
+    cfg.dims = Dims{32, 32, 32};
+    cfg.num_steps = 12;
+    argon = std::make_unique<ArgonBubbleSource>(cfg);
+    for (int s = 0; s < cfg.num_steps; ++s) {
+      volumes.push_back(argon->generate(s));
+    }
+    source = std::make_shared<CallbackSource>(
+        cfg.dims, cfg.num_steps, argon->value_range(),
+        [this](int step) { return volumes[static_cast<std::size_t>(step)]; });
+    grow_step = cfg.num_steps / 2;
+  }
+
+  /// The ring band around the ring at `grow_step`.
+  FixedRangeCriterion ring_criterion() const {
+    const double c = argon->ring_band_center(grow_step);
+    const double h = argon->ring_band_half_width();
+    return FixedRangeCriterion(c - h, c + h);
+  }
+};
+
 /// Perturbed replay of Tracker::grow_step (IFET_DETERMINISTIC): region
 /// growing on the argon bubble digests identically across pool widths
 /// {1, 4, hardware}, cold and warm caches (a fresh 3-step-budget sequence
 /// per trial; warm trials track twice through it) and repeated runs. The
-/// steps are generated once and served from memory, so the check costs
-/// the tracking, not the argon generator; the pinned digest proves the
-/// data is unchanged.
+/// pinned digest proves the data is unchanged.
 TEST(TrackerReplay, ArgonGrowDigestsIdenticallyAcrossSchedules) {
-  ArgonBubbleConfig cfg;
-  cfg.dims = Dims{32, 32, 32};
-  cfg.num_steps = 12;
-  const ArgonBubbleSource argon(cfg);
-  std::vector<VolumeF> volumes;
-  for (int s = 0; s < cfg.num_steps; ++s) volumes.push_back(argon.generate(s));
-  auto source = std::make_shared<CallbackSource>(
-      cfg.dims, cfg.num_steps, argon.value_range(),
-      [&volumes](int step) { return volumes[static_cast<std::size_t>(step)]; });
-
-  const int grow_step = cfg.num_steps / 2;
-  const double c = argon.ring_band_center(grow_step);
-  const double h = argon.ring_band_half_width();
-  const FixedRangeCriterion criterion(c - h, c + h);
-  const Mask seeds = argon.feature_mask(grow_step);
+  const ArgonScene scene;
+  const ArgonBubbleConfig& cfg = scene.cfg;
+  const std::shared_ptr<CallbackSource>& source = scene.source;
+  const int grow_step = scene.grow_step;
+  const FixedRangeCriterion criterion = scene.ring_criterion();
+  const Mask seeds = scene.argon->feature_mask(grow_step);
   StreamConfig tight;
   tight.budget_bytes = 3 * cfg.dims.count() * sizeof(float);
 
@@ -220,6 +242,104 @@ TEST(TrackerReplay, ArgonGrowDigestsIdenticallyAcrossSchedules) {
   EXPECT_TRUE(report.ok) << report.summary();
   EXPECT_EQ(report.reference_digest, 0x640fbfc93126609dull)
       << report.summary();
+}
+
+/// Digest of a feature history: each node's step, label, voxel count,
+/// bounding box and centroid bits with its parents and children in order,
+/// then the events in order.
+std::uint64_t history_digest(const FeatureHistory& history) {
+  DigestSink sink;
+  for (const FeatureNode& node : history.nodes) {
+    sink.pod(node.step);
+    sink.pod(node.label);
+    sink.pod(node.info.voxel_count);
+    sink.pod(node.info.bbox_min);
+    sink.pod(node.info.bbox_max);
+    sink.pod(node.info.centroid.x);
+    sink.pod(node.info.centroid.y);
+    sink.pod(node.info.centroid.z);
+    sink.pod(node.parents.size());
+    sink.span(node.parents.data(), node.parents.size());
+    sink.pod(node.children.size());
+    sink.span(node.children.data(), node.children.size());
+  }
+  for (const FeatureEvent& event : history.events) {
+    sink.pod(event.type);
+    sink.pod(event.step);
+    sink.pod(event.node);
+  }
+  return sink.value();
+}
+
+/// The feature tree of three tracks, pinned: node order, attributes and
+/// centroid bits, edge order and events. The scenes are the TrackerReplay
+/// ring track on the argon bubble, the Fig 9 vortex track of
+/// DetectsSplitOnVortexData, and a fixed-range band over the argon bubble
+/// that holds at least a quarter of every step, so steps of several
+/// components and large overlaps are part of the pin.
+TEST(FeatureHistoryReplay, TreesOfThreeTracksArePinned) {
+  const ArgonScene scene;
+  {
+    SCOPED_TRACE("argon ring");
+    StreamedSequence seq(scene.source);
+    const FixedRangeCriterion criterion = scene.ring_criterion();
+    const FeatureHistory history = build_feature_history(
+        Tracker(seq, criterion)
+            .track_from_mask(scene.argon->feature_mask(scene.grow_step),
+                             scene.grow_step));
+    EXPECT_EQ(history.steps().size(),
+              static_cast<std::size_t>(scene.cfg.num_steps));
+    EXPECT_EQ(history_digest(history), 0x9020c03a99f92f8eull);
+  }
+  {
+    SCOPED_TRACE("vortex split");
+    TurbulentVortexConfig vcfg;
+    vcfg.dims = Dims{32, 32, 32};
+    vcfg.num_steps = 25;
+    vcfg.split_step = 18;
+    auto source = std::make_shared<TurbulentVortexSource>(vcfg);
+    StreamedSequence seq(source);
+    const FixedRangeCriterion criterion(0.55, 1.0);
+    const Vec3 c = source->lobe_centers(0)[0];
+    const Index3 seed{static_cast<int>(c.x * 32), static_cast<int>(c.y * 32),
+                      static_cast<int>(c.z * 32)};
+    const FeatureHistory history =
+        build_feature_history(Tracker(seq, criterion).track(seed, 0));
+    EXPECT_FALSE(history.events_of(EventType::kSplit).empty());
+    EXPECT_EQ(history_digest(history), 0x9b4b782b8fb60827ull);
+  }
+  {
+    SCOPED_TRACE("argon band");
+    StreamedSequence seq(scene.source);
+    // [range lo, the largest value at cumulative fraction 0.35 over the
+    // steps], seeded at the step's lowest voxel.
+    const double lo = seq.value_range().first;
+    double top = lo;
+    for (int t = 0; t < seq.num_steps(); ++t) {
+      top = std::max(top,
+                     seq.cumulative_histogram(t).value_at_fraction(0.35));
+    }
+    const VolumeF& volume = seq.step(scene.grow_step);
+    const auto lowest = std::min_element(volume.data().begin(),
+                                         volume.data().end());
+    const Index3 seed = volume.coord_of(
+        static_cast<std::size_t>(lowest - volume.data().begin()));
+    const FixedRangeCriterion criterion(lo, top);
+    const TrackResult track =
+        Tracker(seq, criterion).track(seed, scene.grow_step);
+    ASSERT_EQ(track.masks.size(),
+              static_cast<std::size_t>(scene.cfg.num_steps));
+    for (const auto& [step, mask] : track.masks) {
+      EXPECT_GE(4 * mask_count(mask), mask.size()) << "step " << step;
+    }
+    const FeatureHistory history = build_feature_history(track);
+    int widest = 0;
+    for (int step : history.steps()) {
+      widest = std::max(widest, history.component_count(step));
+    }
+    EXPECT_GE(widest, 2);
+    EXPECT_EQ(history_digest(history), 0x3cdc8ced6d53a06bull);
+  }
 }
 
 TEST(TrackEvents, ContinuationChain) {

@@ -60,10 +60,9 @@ inline void run_conventions_pass(const SourceFile& file,
   static const std::regex volume_load_re(R"(\b(read_vol|read_raw)\s*\()");
   static const std::regex dims_param_re(
       R"([(,]\s*(const\s+)?(ifet::)?Dims\s*[&)\s,])");
-  // Longest alternatives first: std::regex picks the leftmost alternative,
-  // and `parallel_for` followed by `_ranges` must not stop the match.
+  // Longest alternatives first: std::regex picks the leftmost alternative.
   static const std::regex loop_re(
-      R"(\b(parallel_for_ranges|parallel_for_dynamic|parallel_for_static|parallel_for|for|while)\s*\()");
+      R"(\b(parallel_for_dynamic|parallel_for_static|parallel_for|for|while)\s*\()");
   static const std::regex scalar_forward_re(
       R"((\.|->)\s*forward(_scalar)?\s*\()");
 
