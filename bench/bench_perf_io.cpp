@@ -7,6 +7,7 @@
 // and end-to-end step latency; the quantized+RLE format moves a fraction
 // of the bytes at a bounded reconstruction error.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <memory>
@@ -15,6 +16,7 @@
 #include "io/compressed.hpp"
 #include "io/volume_io.hpp"
 #include "stream/volume_store.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -119,6 +121,50 @@ void BM_StreamedStep(benchmark::State& state) {
   state.counters["prefetch_hit_rate"] = stats.prefetch_hit_rate();
 }
 BENCHMARK(BM_StreamedStep)->Unit(benchmark::kMillisecond);
+
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+// Loads through the store under a 2-step budget with synchronous
+// lookahead: each fetch decodes the next step on this thread and evicts
+// the step two behind, whose buffer the load after it decodes into. Run
+// with MALLOC_MMAP_THRESHOLD_=131072 (perfbench's setting), under which a
+// fresh step buffer is a fresh mapping that faults on first touch.
+void BM_StoreLoadRecycled(benchmark::State& state) {
+  IoFixture& f = fixture();
+  VolumeStoreConfig cfg;
+  cfg.budget_bytes = 2 * 64 * 64 * 64 * sizeof(float);
+  cfg.lookahead = 1;
+  cfg.async_prefetch = false;
+  VolumeStore store(f.reader, cfg);
+  for (int s = 0; s < 8; ++s) (void)store.fetch(s);  // warm-up
+  const std::size_t loads_before = store.load_count();
+  const std::uint64_t recycled_before = store.stats().recycled_loads;
+  const long faults_before = minor_faults();
+  Stopwatch watch;
+  int s = 0;
+  for (auto _ : state) {
+    auto v = store.fetch(s);
+    benchmark::DoNotOptimize(v->data().data());
+    s = (s + 1) % 8;
+  }
+  const double seconds = watch.seconds();
+  const auto loads =
+      static_cast<double>(store.load_count() - loads_before);
+  state.counters["ms_per_load"] = loads > 0 ? seconds * 1e3 / loads : 0.0;
+  state.counters["faults_per_load"] =
+      loads > 0 ? static_cast<double>(minor_faults() - faults_before) / loads
+                : 0.0;
+  state.counters["recycled_frac"] =
+      loads > 0 ? static_cast<double>(store.stats().recycled_loads -
+                                      recycled_before) /
+                      loads
+                : 0.0;
+}
+BENCHMARK(BM_StoreLoadRecycled)->Unit(benchmark::kMillisecond);
 
 void BM_DecompressStep(benchmark::State& state) {
   ArgonBubbleConfig cfg;

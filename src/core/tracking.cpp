@@ -142,6 +142,9 @@ TrackResult Tracker::track_from_mask(const Mask& seeds, int seed_step) const {
   const Dims d = sequence_.dims();
   GrowState grow;
   std::vector<std::uint32_t> candidates;
+  // Voxels added per step (indexed by step - lo_step): a step's mask is
+  // non-empty exactly when this is.
+  std::vector<std::size_t> voxels_added(pending.size(), 0);
   // Monotone sweeps from the seed step: forward while pending steps lie
   // ahead, then back. Without a max_voxels cap growing reaches the same 4D
   // fixpoint in any step order; a sweep keeps the stream's lookahead
@@ -181,6 +184,8 @@ TrackResult Tracker::track_from_mask(const Mask& seeds, int seed_step) const {
     const StepCriterion accept = criterion_.at_step(step);
     grow.newly_added.clear();
     grow_step(accept, volume, candidates, mask, grow);
+    voxels_added[static_cast<std::size_t>(step - lo_step)] +=
+        grow.newly_added.size();
 
     // Temporal propagation: every voxel newly added at this step seeds the
     // same position at t-1 and t+1 (the 4D connectivity). A step ahead
@@ -207,7 +212,7 @@ TrackResult Tracker::track_from_mask(const Mask& seeds, int seed_step) const {
 
   // Drop steps the region never actually reached.
   for (auto it = result.masks.begin(); it != result.masks.end();) {
-    if (mask_count(it->second) == 0) {
+    if (voxels_added[static_cast<std::size_t>(it->first - lo_step)] == 0) {
       it = result.masks.erase(it);
     } else {
       ++it;

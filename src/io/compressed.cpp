@@ -1,8 +1,16 @@
 #include "io/compressed.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <array>
+#include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
 
 #include "io/checksum.hpp"
@@ -48,6 +56,137 @@ std::uint32_t read_u32(const std::uint8_t* p) {
   std::uint32_t v = 0;
   for (int b = 0; b < 4; ++b) v |= static_cast<std::uint32_t>(p[b]) << (8 * b);
   return v;
+}
+
+constexpr char kEndsEarly[] =
+    "decompress_volume: RLE stream ends mid-volume (truncated payload)";
+constexpr char kRunOverflows[] = "decompress_volume: run overflows volume";
+constexpr char kTrailingBytes[] = "decompress_volume: trailing payload bytes";
+
+/// The one run-length decode loop, shared by decompress_volume and
+/// CompressedFileSource::generate_into. The payload may arrive in pieces
+/// of any size: a run split across two pieces is carried into the next.
+/// The first malformed-stream error is held, not thrown, and stops the
+/// decode, so a reader can give a checksum verdict precedence over it.
+class RleDecoder {
+ public:
+  RleDecoder(QuantBits bits, float lo, float hi, std::span<float> out)
+      : wide_(bits != QuantBits::k8),
+        lo_(lo),
+        span_(hi > lo ? hi - lo : 1.0),
+        levels_(quant_levels(bits)),
+        out_(out.data()),
+        voxels_(out.size()) {
+    // 8-bit samples dequantize through a table holding, per level, the
+    // value the per-run expression gives for it.
+    if (!wide_) {
+      for (std::uint32_t q = 0; q < 256; ++q) table_[q] = dequantize(q);
+    }
+  }
+
+  void feed(const std::uint8_t* bytes, std::size_t size) {
+    if (error_ != nullptr) return;
+    const std::size_t stride = wide_ ? 3 : 2;
+    if (carried_ != 0) {
+      const std::size_t take = std::min(stride - carried_, size);
+      std::memcpy(carry_ + carried_, bytes, take);
+      carried_ += take;
+      bytes += take;
+      size -= take;
+      if (carried_ < stride) return;
+      carried_ = 0;
+      if (!runs(carry_, stride)) return;
+    }
+    const std::size_t whole = size - size % stride;
+    if (!runs(bytes, whole)) return;
+    carried_ = size - whole;
+    std::memcpy(carry_, bytes + whole, carried_);
+  }
+
+  /// The held error, or nullptr when the payload decoded exactly the
+  /// volume.
+  const char* finish() const {
+    if (error_ != nullptr) return error_;
+    if (voxel_ < voxels_) return kEndsEarly;
+    return carried_ != 0 ? kTrailingBytes : nullptr;
+  }
+
+ private:
+  float dequantize(std::uint32_t q) const {
+    return static_cast<float>(lo_ + span_ * q / static_cast<double>(levels_));
+  }
+
+  bool runs(const std::uint8_t* p, std::size_t size) {
+    return wide_ ? runs_of<2>(p, size) : runs_of<1>(p, size);
+  }
+
+  /// Decodes `size` bytes of whole (run, sample) records; false once the
+  /// stream is malformed.
+  template <std::size_t kSampleBytes>
+  bool runs_of(const std::uint8_t* p, std::size_t size) {
+    float* dst = out_ + voxel_;
+    float* const last = out_ + voxels_;
+    const char* error = nullptr;
+    for (const std::uint8_t* end = p + size; p != end; p += 1 + kSampleBytes) {
+      if (dst == last) {
+        error = kTrailingBytes;
+        break;
+      }
+      const std::uint32_t run = p[0];
+      float value;
+      if constexpr (kSampleBytes == 1) {
+        value = table_[p[1]];
+      } else {
+        value = dequantize(static_cast<std::uint32_t>(p[1]) |
+                           static_cast<std::uint32_t>(p[2]) << 8);
+      }
+      const auto left = static_cast<std::size_t>(last - dst);
+      if (run > left) {
+        error = kRunOverflows;
+        break;
+      }
+      if (left >= 8) {
+        // Eight stores whatever the run, so short runs take no branch: a
+        // shorter run's surplus lies where the next runs write.
+        for (int i = 0; i < 8; ++i) dst[i] = value;
+        for (std::uint32_t i = 8; i < run; ++i) dst[i] = value;
+      } else {
+        for (std::uint32_t i = 0; i < run; ++i) dst[i] = value;
+      }
+      dst += run;
+    }
+    voxel_ = static_cast<std::size_t>(dst - out_);
+    error_ = error;
+    return error == nullptr;
+  }
+
+  bool wide_;
+  float lo_;
+  double span_;
+  std::uint32_t levels_;
+  float* out_;
+  std::size_t voxels_;
+  std::size_t voxel_ = 0;
+  float table_[256] = {};
+  std::uint8_t carry_[3] = {};
+  std::size_t carried_ = 0;
+  const char* error_ = nullptr;
+};
+
+/// Reads up to `size` bytes at `offset`; fewer only at end of file or on
+/// a read error.
+std::size_t read_at(int fd, void* buffer, std::size_t size,
+                    std::uint64_t offset) {
+  auto* out = static_cast<std::uint8_t*>(buffer);
+  std::size_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::pread(fd, out + done, size - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    done += static_cast<std::size_t>(n);
+  }
+  return done;
 }
 
 }  // namespace
@@ -101,35 +240,10 @@ CompressedVolume compress_volume(const VolumeF& volume, QuantBits bits) {
 
 VolumeF decompress_volume(const CompressedVolume& compressed) {
   VolumeF out(compressed.dims);
-  const double span = compressed.value_hi > compressed.value_lo
-                          ? compressed.value_hi - compressed.value_lo
-                          : 1.0;
-  const std::uint32_t levels = quant_levels(compressed.bits);
-  const int sample_bytes = compressed.bits == QuantBits::k8 ? 1 : 2;
-  std::size_t cursor = 0;
-  std::size_t voxel = 0;
-  const auto& payload = compressed.payload;
-  while (voxel < out.size()) {
-    if (cursor + 1 + static_cast<std::size_t>(sample_bytes) > payload.size()) {
-      throw CorruptDataError(
-          "decompress_volume: RLE stream ends mid-volume (truncated "
-          "payload)");
-    }
-    std::uint32_t run = payload[cursor++];
-    std::uint32_t q = payload[cursor++];
-    if (sample_bytes == 2) {
-      q |= static_cast<std::uint32_t>(payload[cursor++]) << 8;
-    }
-    float value = static_cast<float>(
-        compressed.value_lo + span * q / static_cast<double>(levels));
-    if (voxel + run > out.size()) {
-      throw CorruptDataError("decompress_volume: run overflows volume");
-    }
-    for (std::uint32_t r = 0; r < run; ++r) out[voxel++] = value;
-  }
-  if (cursor != payload.size()) {
-    throw CorruptDataError("decompress_volume: trailing payload bytes");
-  }
+  RleDecoder decoder(compressed.bits, compressed.value_lo, compressed.value_hi,
+                     out.data());
+  decoder.feed(compressed.payload.data(), compressed.payload.size());
+  if (const char* error = decoder.finish()) throw CorruptDataError(error);
   return out;
 }
 
@@ -263,14 +377,25 @@ void CompressedSequenceWriter::close() {
   impl_->out.close();
 }
 
+CompressedFileSource::Descriptor::~Descriptor() {
+  if (fd >= 0) ::close(fd);
+}
+
 CompressedFileSource::CompressedFileSource(const std::string& path)
     : path_(path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
+  file_.fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (file_.fd < 0) {
     throw NotFoundError("CompressedFileSource: cannot open " + path);
   }
-  std::string line;
-  std::getline(in, line);
+  // The header is one text line, the binary index follows it.
+  char head[512] = {};
+  const std::size_t head_bytes = read_at(file_.fd, head, sizeof head, 0);
+  const void* newline = std::memchr(head, '\n', head_bytes);
+  const std::string line(head, newline != nullptr
+                                   ? static_cast<const char*>(newline) - head
+                                   : head_bytes);
+  const std::uint64_t index_offset =
+      line.size() + (newline != nullptr ? 1 : 0);
   std::istringstream header(line);
   std::string magic;
   header >> magic >> dims_.x >> dims_.y >> dims_.z >> num_steps_ >>
@@ -291,9 +416,7 @@ CompressedFileSource::CompressedFileSource(const std::string& path)
       v2 ? kIndexEntryBytesV2 : kIndexEntryBytesV1;
   std::vector<std::uint8_t> raw(static_cast<std::size_t>(num_steps_) *
                                 entry_bytes);
-  in.read(reinterpret_cast<char*>(raw.data()),
-          static_cast<std::streamsize>(raw.size()));
-  if (in.gcount() != static_cast<std::streamsize>(raw.size())) {
+  if (read_at(file_.fd, raw.data(), raw.size(), index_offset) != raw.size()) {
     throw CorruptDataError("CompressedFileSource: truncated index in " +
                            path);
   }
@@ -320,59 +443,105 @@ CompressedFileSource::CompressedFileSource(const std::string& path)
 }
 
 VolumeF CompressedFileSource::generate(int step) const {
+  VolumeF none;
+  return generate_into(step, none);
+}
+
+VolumeF CompressedFileSource::generate_into(int step,
+                                            VolumeF& storage) const {
   IFET_REQUIRE(step >= 0 && step < num_steps_,
                "CompressedFileSource: step out of range");
   const IndexEntry& entry = index_[static_cast<std::size_t>(step)];
-  std::ifstream in(path_, std::ios::binary);
-  if (!in.good()) {
-    throw NotFoundError("CompressedFileSource: cannot reopen " + path_);
+  const auto where = [&] {
+    return " for step " + std::to_string(step) + " in " + path_;
+  };
+  const auto truncated = [&] {
+    return CorruptDataError("CompressedFileSource: truncated record" +
+                            where());
+  };
+  // A malformed prefix of a record the file also cuts short reports the
+  // truncation, as it did when the whole record was read first.
+  const auto bad_prefix = [&](const char* what) {
+    struct stat st {};
+    if (::fstat(file_.fd, &st) == 0) {
+      const auto file_bytes = static_cast<std::uint64_t>(st.st_size);
+      if (entry.offset > file_bytes ||
+          file_bytes - entry.offset < entry.size) {
+        return truncated();
+      }
+    }
+    return CorruptDataError(std::string("CompressedFileSource: ") + what +
+                            where());
+  };
+
+  // One fixed buffer: the record streams through it chunk by chunk. Left
+  // uninitialized: only bytes a read has just filled are used.
+  std::array<std::uint8_t, kReadChunkBytes> chunk;
+  std::size_t got = static_cast<std::size_t>(
+      std::min<std::uint64_t>(entry.size, kReadChunkBytes));
+  if (read_at(file_.fd, chunk.data(), got, entry.offset) != got) {
+    throw truncated();
   }
-  in.seekg(static_cast<std::streamoff>(entry.offset));
-  std::vector<std::uint8_t> record(entry.size);
-  in.read(reinterpret_cast<char*>(record.data()),
-          static_cast<std::streamsize>(record.size()));
-  if (in.gcount() != static_cast<std::streamsize>(record.size())) {
-    throw CorruptDataError("CompressedFileSource: truncated record for step " +
-                           std::to_string(step) + " in " + path_);
+  // The prefix is checked against the index entry before any payload
+  // byte is used.
+  if (entry.size < kRecordPrefixBytes) throw bad_prefix("record too small");
+  const auto bits = static_cast<QuantBits>(chunk[0]);
+  float lo = 0.0f, hi = 0.0f;
+  std::memcpy(&lo, chunk.data() + 1, 4);
+  std::memcpy(&hi, chunk.data() + 5, 4);
+  const std::uint64_t payload_size = read_u64(chunk.data() + 9);
+  if (payload_size > entry.size - kRecordPrefixBytes) {
+    throw bad_prefix("payload size overruns record");
   }
-  if (record.size() < kRecordPrefixBytes) {
-    throw CorruptDataError("CompressedFileSource: record too small for step " +
-                           std::to_string(step) + " in " + path_);
+  const std::uint64_t checked_bytes = kRecordPrefixBytes + payload_size;
+  const bool with_crc = entry.size == checked_bytes + kRecordCrcBytes;
+  if (!with_crc && entry.size != checked_bytes) {
+    throw bad_prefix("payload size mismatch");
   }
-  CompressedVolume volume;
-  volume.dims = dims_;
-  volume.bits = static_cast<QuantBits>(record[0]);
-  std::memcpy(&volume.value_lo, record.data() + 1, 4);
-  std::memcpy(&volume.value_hi, record.data() + 5, 4);
-  const std::uint64_t payload_size = read_u64(record.data() + 9);
-  if (payload_size > record.size() - kRecordPrefixBytes) {
-    throw CorruptDataError(
-        "CompressedFileSource: payload size overruns record for step " +
-        std::to_string(step) + " in " + path_);
+
+  VolumeF out = !storage.empty() && storage.dims() == dims_
+                    ? std::move(storage)
+                    : VolumeF(dims_);
+  RleDecoder decoder(bits, lo, hi, out.data());
+  std::uint32_t crc = 0;
+  std::uint8_t stored_crc[kRecordCrcBytes] = {};
+  for (std::uint64_t pos = 0;;) {
+    // This chunk holds record bytes [pos, pos + got): checksummed up to
+    // checked_bytes, payload from kRecordPrefixBytes, then the CRC.
+    const std::size_t checked = static_cast<std::size_t>(std::min<
+        std::uint64_t>(got, checked_bytes - std::min(pos, checked_bytes)));
+    if (with_crc) crc = crc32(chunk.data(), checked, crc);
+    const std::size_t payload_from =
+        pos < kRecordPrefixBytes ? kRecordPrefixBytes - pos : 0;
+    if (checked > payload_from) {
+      decoder.feed(chunk.data() + payload_from, checked - payload_from);
+    }
+    for (std::size_t i = checked; i < got; ++i) {
+      stored_crc[pos + i - checked_bytes] = chunk[i];
+    }
+    pos += got;
+    if (pos == entry.size) break;
+    got = static_cast<std::size_t>(
+        std::min<std::uint64_t>(entry.size - pos, kReadChunkBytes));
+    if (read_at(file_.fd, chunk.data(), got, entry.offset + pos) != got) {
+      throw truncated();
+    }
   }
-  const std::size_t checked_bytes =
-      kRecordPrefixBytes + static_cast<std::size_t>(payload_size);
-  if (record.size() == checked_bytes + kRecordCrcBytes) {
-    const std::uint32_t expected = read_u32(record.data() + checked_bytes);
-    if (crc32(record.data(), checked_bytes) != expected) {
+
+  // The verdict: a checksummed frame's CRC outranks any decode error.
+  if (with_crc) {
+    if (crc != read_u32(stored_crc)) {
       ++checksum_counters().mismatches;
-      throw CorruptDataError(
-          "CompressedFileSource: checksum mismatch for step " +
-          std::to_string(step) + " in " + path_ +
-          " (frame corrupted on disk or in transit)");
+      throw CorruptDataError("CompressedFileSource: checksum mismatch" +
+                             where() +
+                             " (frame corrupted on disk or in transit)");
     }
     ++checksum_counters().verified;
-  } else if (record.size() == checked_bytes) {
-    ++checksum_counters().unverified;  // legacy checksum-less frame
   } else {
-    throw CorruptDataError(
-        "CompressedFileSource: payload size mismatch for step " +
-        std::to_string(step) + " in " + path_);
+    ++checksum_counters().unverified;  // legacy checksum-less frame
   }
-  volume.payload.assign(record.begin() + kRecordPrefixBytes,
-                        record.begin() + static_cast<std::ptrdiff_t>(
-                                             checked_bytes));
-  return decompress_volume(volume);
+  if (const char* error = decoder.finish()) throw CorruptDataError(error);
+  return out;
 }
 
 std::shared_ptr<const BrickIndex> CompressedFileSource::brick_metadata(
@@ -381,17 +550,11 @@ std::shared_ptr<const BrickIndex> CompressedFileSource::brick_metadata(
                "CompressedFileSource: step out of range");
   if (brick_size_ == 0) return nullptr;  // v1 container: no brick section
   const IndexEntry& entry = index_[static_cast<std::size_t>(step)];
-  std::ifstream in(path_, std::ios::binary);
-  if (!in.good()) {
-    throw NotFoundError("CompressedFileSource: cannot reopen " + path_);
-  }
-  // Seek + read of the small brick record only; the step's compressed
-  // payload is never read, let alone decoded.
-  in.seekg(static_cast<std::streamoff>(entry.brick_offset));
+  // A read of the small brick record only; the step's compressed payload
+  // is never read, let alone decoded.
   std::vector<std::uint8_t> record(entry.brick_size);
-  in.read(reinterpret_cast<char*>(record.data()),
-          static_cast<std::streamsize>(record.size()));
-  if (in.gcount() != static_cast<std::streamsize>(record.size())) {
+  if (read_at(file_.fd, record.data(), record.size(), entry.brick_offset) !=
+      record.size()) {
     throw CorruptDataError(
         "CompressedFileSource: truncated brick record for step " +
         std::to_string(step) + " in " + path_);

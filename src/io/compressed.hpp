@@ -96,18 +96,33 @@ class CompressedSequenceWriter {
 };
 
 /// Disk-backed VolumeSource decoding steps on demand.
+///
+/// The container is opened once, read-only, and held until destruction;
+/// every read is a pread at an index offset, so concurrent decodes share
+/// the descriptor without a lock and a file replaced after open is still
+/// read through the original one. A step's record streams through one
+/// fixed buffer of kReadChunkBytes: each chunk is checksummed and
+/// run-length decoded in the same pass, and the CRC verdict still comes
+/// before any decode error (docs/ROBUSTNESS.md).
 class CompressedFileSource final : public VolumeSource {
  public:
+  /// Size of the one buffer a record is read and decoded through.
+  static constexpr std::size_t kReadChunkBytes = 64 * 1024;
+
   explicit CompressedFileSource(const std::string& path);
 
   Dims dims() const override { return dims_; }
   int num_steps() const override { return num_steps_; }
   std::pair<double, double> value_range() const override { return range_; }
+  /// generate_into() with no storage to reuse.
   VolumeF generate(int step) const override;
+  /// Decodes `step` into `storage`'s buffer when it has this source's
+  /// dims (taking it, so `storage` is left empty), else into a fresh one.
+  VolumeF generate_into(int step, VolumeF& storage) const override;
 
-  /// Ingest-time brick metadata from the v2 brick section: a seek + read
-  /// + CRC check of the small brick record only — the compressed payload
-  /// is never touched. Returns nullptr for v1 files (no brick section).
+  /// Ingest-time brick metadata from the v2 brick section: a read + CRC
+  /// check of the small brick record only — the compressed payload is
+  /// never touched. Returns nullptr for v1 files (no brick section).
   std::shared_ptr<const BrickIndex> brick_metadata(int step) const override;
 
   /// Brick edge carried by the container header; 0 for legacy v1 files.
@@ -117,7 +132,18 @@ class CompressedFileSource final : public VolumeSource {
   std::size_t total_payload_bytes() const;
 
  private:
+  /// An open file descriptor, closed on destruction; not copyable, so
+  /// neither is the source.
+  struct Descriptor {
+    int fd = -1;
+    Descriptor() = default;
+    Descriptor(const Descriptor&) = delete;
+    Descriptor& operator=(const Descriptor&) = delete;
+    ~Descriptor();
+  };
+
   std::string path_;
+  Descriptor file_;
   Dims dims_{};
   int num_steps_ = 0;
   int brick_size_ = 0;  // 0 = v1 container, no brick section

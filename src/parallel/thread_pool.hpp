@@ -98,10 +98,10 @@ class ThreadPool {
       IFET_EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;
-  // Innermost-rank mutex (MutexRank::kThreadPool): tasks always run with
-  // the queue lock dropped, so no other ifet mutex is ever acquired while
-  // this one is held. condition_variable_any because the annotated
-  // OrderedMutex is BasicLockable, not std::mutex.
+  // MutexRank::kThreadPool, below only the spare-buffer leaf: tasks
+  // always run with the queue lock dropped, so no other ifet mutex is
+  // ever acquired while this one is held. condition_variable_any because
+  // the annotated OrderedMutex is BasicLockable, not std::mutex.
   OrderedMutex mutex_{MutexRank::kThreadPool};
   std::condition_variable_any cv_;
   std::queue<Task> queue_ IFET_GUARDED_BY(mutex_);

@@ -7,6 +7,31 @@
 
 namespace ifet {
 
+namespace {
+
+/// An entry's deleter: the volume's buffer goes to the spare list when it
+/// has room, and the volume is freed either way.
+struct ReturnToSpares {
+  std::shared_ptr<SpareVolumes> spares;
+  void operator()(VolumeF* volume) const {
+    spares->put(*volume);
+    delete volume;
+  }
+};
+
+}  // namespace
+
+void SpareVolumes::put(VolumeF& volume) {
+  OrderedMutexLock lock(mutex_);
+  if (count_ < kCapacity) kept_[count_++] = std::move(volume);
+}
+
+VolumeF SpareVolumes::take() {
+  OrderedMutexLock lock(mutex_);
+  if (count_ == 0) return {};
+  return std::move(kept_[--count_]);
+}
+
 CacheManager::CacheManager(StreamCounters& counters,
                            std::size_t budget_bytes)
     : counters_(counters), budget_bytes_(budget_bytes) {}
@@ -59,7 +84,8 @@ std::shared_ptr<const VolumeF> CacheManager::insert(int step, VolumeF volume,
   }
   Entry entry;
   entry.bytes = volume.size() * sizeof(float);
-  entry.volume = std::make_shared<const VolumeF>(std::move(volume));
+  entry.volume = std::shared_ptr<const VolumeF>(
+      new VolumeF(std::move(volume)), ReturnToSpares{spares_});
   entry.prefetched = from_prefetch;
   auto pending = pending_pins_.find(step);
   if (pending != pending_pins_.end()) {

@@ -18,8 +18,15 @@
 // time (docs/STATIC_ANALYSIS.md), and the mutex is a leaf in the rank
 // order — evicted payloads are destroyed after the lock is released, so
 // no multi-megabyte deallocation (or anything else) ever runs under it.
+//
+// Recycling: the buffer of an entry whose last reference drops goes onto
+// a bounded spare list (SpareVolumes) that the next load decodes into, so
+// a steady scan stops mapping and faulting in a fresh step per load. The
+// spares sit outside the byte budget: at most SpareVolumes::kCapacity
+// steps beyond it, between an eviction and the next load.
 #pragma once
 
+#include <array>
 #include <list>
 #include <memory>
 #include <unordered_map>
@@ -30,6 +37,29 @@
 #include "volume/volume.hpp"
 
 namespace ifet {
+
+/// At most kCapacity buffers of decoded steps that nothing references any
+/// more, kept for the next load to decode into. Every cache entry's
+/// deleter puts its volume here when the last reference drops, whether
+/// the cache's eviction or a reader's copy drops it, so a buffer is
+/// reused only once no reader can still see it. The mutex is the
+/// innermost leaf (MutexRank::kSpareVolumes): a last reference can drop
+/// under any lock.
+class SpareVolumes {
+ public:
+  static constexpr std::size_t kCapacity = 2;
+
+  /// Keeps `volume`'s buffer when there is room, leaving `volume` empty;
+  /// otherwise leaves it to the caller to free (outside the lock).
+  void put(VolumeF& volume) IFET_EXCLUDES(mutex_);
+  /// A kept buffer, or an empty volume when none is kept.
+  VolumeF take() IFET_EXCLUDES(mutex_);
+
+ private:
+  OrderedMutex mutex_{MutexRank::kSpareVolumes};
+  std::array<VolumeF, kCapacity> kept_ IFET_GUARDED_BY(mutex_);
+  std::size_t count_ IFET_GUARDED_BY(mutex_) = 0;
+};
 
 class CacheManager {
  public:
@@ -64,6 +94,10 @@ class CacheManager {
   std::shared_ptr<const VolumeF> insert(int step, VolumeF volume,
                                         bool from_prefetch = false)
       IFET_EXCLUDES(mutex_);
+
+  /// A spare step buffer for the next load to decode into
+  /// (VolumeSource::generate_into), or an empty volume when none is kept.
+  VolumeF take_spare() { return spares_->take(); }
 
   /// Counted pin: `step` survives eviction until unpinned. Pinning a
   /// non-resident step is remembered (applies when it is inserted).
@@ -105,6 +139,9 @@ class CacheManager {
       IFET_REQUIRES(mutex_);
 
   StreamCounters& counters_;
+  /// Shared with every entry's deleter, so a payload that outlives the
+  /// cache still returns its buffer safely.
+  std::shared_ptr<SpareVolumes> spares_ = std::make_shared<SpareVolumes>();
   mutable OrderedMutex mutex_{MutexRank::kCacheManager};
   std::size_t budget_bytes_ IFET_GUARDED_BY(mutex_);
   std::size_t resident_bytes_ IFET_GUARDED_BY(mutex_) = 0;

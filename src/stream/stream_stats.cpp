@@ -17,7 +17,8 @@ std::string StreamStats::summary() const {
        << " KiB resident (peak " << peak_bytes_resident / 1024 << "), ";
   }
   os << "prefetch " << prefetch_hits << "/" << (prefetch_hits + demand_loads)
-     << " (" << 100.0 * prefetch_hit_rate() << "% of loads), derived "
+     << " (" << 100.0 * prefetch_hit_rate() << "% of loads), "
+     << recycled_loads << " recycled, derived "
      << derived_hits << "/" << (derived_hits + derived_misses) << " memoized";
   if (retries != 0 || load_failures != 0 || checksum_failures != 0 ||
       quarantined_steps != 0 || skipped_fetches != 0 ||
@@ -54,6 +55,7 @@ StreamStats StreamCounters::snapshot() const {
   out.prefetch_issued = prefetch_issued.get();
   out.prefetch_hits = prefetch_hits.get();
   out.demand_loads = demand_loads.get();
+  out.recycled_loads = recycled_loads.get();
   out.derived_hits = derived_hits.get();
   out.derived_misses = derived_misses.get();
   out.demand_decode_seconds = demand_decode_seconds.get();

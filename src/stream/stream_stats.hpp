@@ -30,6 +30,10 @@ struct StreamStats {
   std::uint64_t prefetch_hits = 0;    ///< Misses covered by a prefetch
                                       ///< (completed or awaited in flight).
   std::uint64_t demand_loads = 0;     ///< Misses the caller decoded itself.
+  std::uint64_t recycled_loads = 0;   ///< Loads (demand or prefetch) that
+                                      ///< decoded into the buffer of an
+                                      ///< evicted step instead of a fresh
+                                      ///< one.
 
   // Derived-product memoization (histograms, cumulative histograms,
   // synthesized transfer functions).
@@ -116,6 +120,7 @@ class Total {
 struct StreamCounters {
   Total<std::uint64_t> hits, misses, evictions;
   Total<std::uint64_t> prefetch_issued, prefetch_hits, demand_loads;
+  Total<std::uint64_t> recycled_loads;
   Total<std::uint64_t> derived_hits, derived_misses;
   Total<double> demand_decode_seconds, prefetch_decode_seconds;
   Total<std::uint64_t> retries, load_failures, prefetch_failures;

@@ -39,11 +39,16 @@ VolumeF VolumeStore::timed_load(int step, bool prefetch_context) {
   // any cross-thread interference.
   const ChecksumCounters before = checksum_counters();
   Stopwatch timer;
-  VolumeF v = source_->generate(step);
+  // Decode into the buffer of a step nothing references any more, when
+  // the cache keeps one and the source can reuse it.
+  VolumeF spare = cache_.take_spare();
+  const bool offered = !spare.empty();
+  VolumeF v = source_->generate_into(step, spare);
   IFET_REQUIRE(v.dims() == source_->dims(),
                "VolumeStore: source produced wrong dimensions");
   const double seconds = timer.seconds();
   const ChecksumCounters after = checksum_counters();
+  if (offered && spare.empty()) counters_.recycled_loads.add();
   if (!prefetch_context) {
     counters_.demand_loads.add();
     counters_.demand_decode_seconds.add(seconds);

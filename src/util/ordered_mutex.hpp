@@ -56,7 +56,10 @@ enum class MutexRank : int {
   kFlatMlpCache = 60,      ///< FlatMlpCache rebuild slot
   kWatchdog = 70,          ///< SessionManager watchdog report state (leaf;
                            ///< never held while sampling session atomics)
-  kThreadPool = 90,        ///< ThreadPool queue (innermost leaf)
+  kThreadPool = 90,        ///< ThreadPool queue
+  kSpareVolumes = 95,      ///< CacheManager's spare step buffers (innermost
+                           ///< leaf: an entry's last reference, whose
+                           ///< deleter takes it, can drop under any lock)
 };
 
 namespace detail {

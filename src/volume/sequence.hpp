@@ -35,6 +35,16 @@ class VolumeSource {
   virtual std::pair<double, double> value_range() const = 0;
   virtual VolumeF generate(int step) const = 0;
 
+  /// generate(step), produced into caller-supplied `storage` (a volume of
+  /// any content) when the source can reuse its buffer: a source that
+  /// does takes the buffer and leaves `storage` empty. The default leaves
+  /// `storage` untouched. VolumeStore passes the buffer of an evicted
+  /// step, so a load need not map and fault in fresh pages.
+  virtual VolumeF generate_into(int step, VolumeF& storage) const {
+    (void)storage;
+    return generate(step);
+  }
+
   /// Ingest-time brick min/max metadata for `step`, when the backing
   /// container carries it (a v2 .cvol brick section — see io/compressed).
   /// The default (procedural sources, legacy files, raw .vol sets) returns

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -450,6 +452,214 @@ TEST(BrickSection, BitFlippedBrickRecordRejected) {
   // The payload section is untouched: the step still decodes cleanly.
   EXPECT_LE(max_abs_error(source.generate(0), reader.generate(0)),
             1.0 / 255.0);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Streamed decode: CompressedFileSource reads a record through one
+// kReadChunkBytes buffer, checksumming and decoding each chunk in turn.
+
+/// Bytes of a record before its payload: bits u8, lo f32, hi f32, size u64.
+constexpr std::size_t kRecordPrefix = 17;
+
+/// A volume whose RLE payload spans several read chunks: mostly runs of
+/// 1-3 voxels, now and then a stretch of 256-655 equal voxels (255-voxel
+/// runs), and a final run of 5 voxels (fewer than the 8 the decoder
+/// stores at once).
+VolumeF chunky_volume(std::uint64_t seed) {
+  const Dims d{64, 64, 56};
+  VolumeF v(d);
+  Rng rng(seed);
+  std::size_t i = 0;
+  const std::size_t tail = v.size() - 5;
+  while (i < tail) {
+    const std::size_t length = rng.uniform_index(400) == 0
+                                   ? 256 + rng.uniform_index(400)
+                                   : 1 + rng.uniform_index(3);
+    const auto value = static_cast<float>(rng.uniform());
+    for (std::size_t k = 0; k < length && i < tail; ++k) v[i++] = value;
+  }
+  for (; i < v.size(); ++i) v[i] = 2.0f;
+  return v;
+}
+
+/// The per-run reference decode: each run's value from the double
+/// expression, one voxel at a time.
+VolumeF reference_decode(const CompressedVolume& c) {
+  VolumeF out(c.dims);
+  const double span = c.value_hi > c.value_lo ? c.value_hi - c.value_lo : 1.0;
+  const bool wide = c.bits == QuantBits::k16;
+  const double levels = wide ? 65535.0 : 255.0;
+  std::size_t voxel = 0;
+  for (std::size_t p = 0; p < c.payload.size(); p += wide ? 3 : 2) {
+    std::uint32_t q = c.payload[p + 1];
+    if (wide) q |= static_cast<std::uint32_t>(c.payload[p + 2]) << 8;
+    const auto value = static_cast<float>(c.value_lo + span * q / levels);
+    for (std::uint32_t r = 0; r < c.payload[p]; ++r) out[voxel++] = value;
+  }
+  EXPECT_EQ(voxel, out.size());
+  return out;
+}
+
+bool bitwise_equal(const VolumeF& a, const VolumeF& b) {
+  return a.dims() == b.dims() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+TEST(StreamedDecode, GenerateMatchesDecompressBitwise) {
+  const std::string path = "/tmp/ifet_cseq_chunks.cvol";
+  CallbackSource source(Dims{64, 64, 56}, 2, {0.0, 2.0}, [](int step) {
+    return chunky_volume(700 + static_cast<std::uint64_t>(step));
+  });
+  for (const QuantBits bits : {QuantBits::k8, QuantBits::k16}) {
+    SCOPED_TRACE(bits == QuantBits::k8 ? "8-bit" : "16-bit");
+    write_compressed_sequence(source, path, bits);
+    CompressedFileSource reader(path);
+    for (int s = 0; s < 2; ++s) {
+      const CompressedVolume c = compress_volume(source.generate(s), bits);
+      // The fixture covers what the chunked decode must get right.
+      const std::size_t stride = bits == QuantBits::k8 ? 2 : 3;
+      const std::size_t record = kRecordPrefix + c.payload.size();
+      ASSERT_GT(record, 2 * CompressedFileSource::kReadChunkBytes);
+      bool long_run = false;
+      for (std::size_t p = 0; p < c.payload.size(); p += stride) {
+        long_run = long_run || c.payload[p] == 255;
+      }
+      EXPECT_TRUE(long_run);
+      EXPECT_EQ(c.payload[c.payload.size() - stride], 5);
+      if (bits == QuantBits::k16) {
+        // Bytes of a sample record before each chunk boundary: both
+        // splits of a 3-byte record occur (1+2 and 2+1).
+        bool split_1_2 = false, split_2_1 = false;
+        for (std::size_t b = CompressedFileSource::kReadChunkBytes;
+             b < record; b += CompressedFileSource::kReadChunkBytes) {
+          split_1_2 = split_1_2 || (b - kRecordPrefix) % 3 == 1;
+          split_2_1 = split_2_1 || (b - kRecordPrefix) % 3 == 2;
+        }
+        EXPECT_TRUE(split_1_2 && split_2_1);
+      }
+
+      const VolumeF want = reference_decode(c);
+      EXPECT_TRUE(bitwise_equal(decompress_volume(c), want)) << "step " << s;
+      EXPECT_TRUE(bitwise_equal(reader.generate(s), want)) << "step " << s;
+      // Into a used buffer of the right dims: it is taken, and every
+      // voxel is overwritten.
+      VolumeF storage(reader.dims(), std::nanf(""));
+      const float* buffer = storage.data().data();
+      const VolumeF into = reader.generate_into(s, storage);
+      EXPECT_TRUE(storage.empty());
+      EXPECT_EQ(into.data().data(), buffer);
+      EXPECT_TRUE(bitwise_equal(into, want)) << "step " << s;
+    }
+    // Storage of other dims is left with the caller.
+    VolumeF other(Dims{4, 4, 4});
+    (void)reader.generate_into(0, other);
+    EXPECT_EQ(other.size(), 64u);
+  }
+  std::remove(path.c_str());
+}
+
+/// File offset of step `step`'s record in a v2 container.
+std::uint64_t record_offset(const std::string& bytes, int step) {
+  const std::size_t index = bytes.find('\n') + 1 + 32 * step;
+  std::uint64_t offset = 0;
+  for (int b = 0; b < 8; ++b) {
+    offset |= static_cast<std::uint64_t>(
+                  static_cast<unsigned char>(bytes[index + b]))
+              << (8 * b);
+  }
+  return offset;
+}
+
+TEST(StreamedDecode, ChecksumVerdictPrecedesDecodeError) {
+  const std::string path = "/tmp/ifet_cseq_verdict.cvol";
+  CallbackSource source(Dims{64, 64, 56}, 1, {0.0, 2.0},
+                        [](int) { return chunky_volume(710); });
+  const CompressedVolume c = compress_volume(source.generate(0));
+  for (const bool with_checksum : {true, false}) {
+    SCOPED_TRACE(with_checksum ? "checksummed frame" : "checksum-less frame");
+    write_compressed_sequence(source, path, QuantBits::k8, with_checksum);
+    std::string bytes = slurp(path);
+    // The last run (5 voxels) becomes 255: it overflows the volume.
+    const std::size_t last_run =
+        record_offset(bytes, 0) + kRecordPrefix + c.payload.size() - 2;
+    ASSERT_EQ(static_cast<unsigned char>(bytes[last_run]), 5);
+    bytes[last_run] = static_cast<char>(255);
+    dump(path, bytes);
+
+    CompressedFileSource reader(path);
+    const ChecksumCounters before = checksum_counters();
+    try {
+      (void)reader.generate(0);
+      FAIL() << "a corrupt frame must be rejected";
+    } catch (const CorruptDataError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(with_checksum ? "checksum mismatch"
+                                        : "run overflows volume"),
+                std::string::npos)
+          << what;
+    }
+    EXPECT_EQ(checksum_counters().mismatches,
+              before.mismatches + (with_checksum ? 1 : 0));
+    EXPECT_EQ(checksum_counters().unverified,
+              before.unverified + (with_checksum ? 0 : 1));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StreamedDecode, TruncationAfterOpenNamesTheStep) {
+  const std::string path = "/tmp/ifet_cseq_cut.cvol";
+  CallbackSource source(Dims{64, 64, 56}, 3, {0.0, 2.0}, [](int step) {
+    return chunky_volume(720 + static_cast<std::uint64_t>(step));
+  });
+  const auto expect_truncated = [](const CompressedFileSource& reader) {
+    try {
+      (void)reader.generate(2);
+      FAIL() << "a truncated record must be rejected";
+    } catch (const CorruptDataError& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated record for step 2"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (const bool bad_prefix : {false, true}) {
+    SCOPED_TRACE(bad_prefix ? "corrupt prefix too" : "intact prefix");
+    write_compressed_sequence(source, path);
+    std::string bytes = slurp(path);
+    const std::uint64_t record = record_offset(bytes, 2);
+    if (bad_prefix) {
+      // A wrong payload size: the truncation still takes precedence, as
+      // when the whole record was read before the prefix was checked.
+      bytes[record + 9] = static_cast<char>(bytes[record + 9] ^ 0x01);
+      dump(path, bytes);
+    }
+    CompressedFileSource reader(path);
+    const VolumeF first = reader.generate(0);
+    // Cut the file in step 2's payload, past its first read chunk.
+    std::filesystem::resize_file(
+        path, record + CompressedFileSource::kReadChunkBytes + 1000);
+    expect_truncated(reader);
+    // The steps before the cut still read through the open descriptor.
+    EXPECT_TRUE(bitwise_equal(reader.generate(0), first));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StreamedDecode, ReplacedFileReadsThroughTheOpenDescriptor) {
+  const std::string path = "/tmp/ifet_cseq_replaced.cvol";
+  const std::string other = "/tmp/ifet_cseq_replacement.cvol";
+  const Dims d{8, 8, 8};
+  const auto writer = [d](float value) {
+    return CallbackSource(d, 1, {0.0, 1.0},
+                          [d, value](int) { return VolumeF(d, value); });
+  };
+  write_compressed_sequence(writer(0.25f), path);
+  CompressedFileSource reader(path);
+  write_compressed_sequence(writer(0.75f), other);
+  std::filesystem::rename(other, path);
+  EXPECT_EQ(reader.generate(0).at(3, 3, 3), 0.25f);
+  EXPECT_EQ(CompressedFileSource(path).generate(0).at(3, 3, 3), 0.75f);
   std::remove(path.c_str());
 }
 

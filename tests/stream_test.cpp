@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -273,6 +275,59 @@ TEST(VolumeStore, BrickIndexServedFromContainerWithoutDecode) {
   std::remove(path.c_str());
 }
 
+bool same_voxels(const VolumeF& a, const VolumeF& b) {
+  return a.dims() == b.dims() && a.size() == b.size() &&
+         std::equal(a.data().begin(), a.data().end(), b.data().begin());
+}
+
+/// A 12-step 16^3 .cvol of distinct random steps at `path`.
+std::shared_ptr<CompressedFileSource> random_cvol(const std::string& path) {
+  const Dims dims{16, 16, 16};
+  CallbackSource steps(dims, 12, {0.0, 1.0}, [dims](int step) {
+    return testing::random_volume(dims, 900 + static_cast<unsigned>(step));
+  });
+  write_compressed_sequence(steps, path);
+  return std::make_shared<CompressedFileSource>(path);
+}
+
+VolumeStoreConfig two_step_scan() {
+  VolumeStoreConfig cfg;
+  cfg.budget_bytes = 2 * 16 * 16 * 16 * sizeof(float);
+  cfg.lookahead = 1;
+  cfg.async_prefetch = false;
+  return cfg;
+}
+
+TEST(VolumeStore, HeldStepSurvivesEvictionWhileLoadsRecycle) {
+  const std::string path = "/tmp/ifet_stream_held.cvol";
+  auto source = random_cvol(path);
+  VolumeStore store(source, two_step_scan());
+  const std::shared_ptr<const VolumeF> held = store.fetch(0);
+  for (int s = 1; s <= 10; ++s) (void)store.fetch(s);
+  EXPECT_FALSE(store.cache().resident(0));
+  // Recycling ran while step 0 was held, yet never took its buffer.
+  EXPECT_GT(store.stats().recycled_loads, 0u);
+  EXPECT_TRUE(same_voxels(*held, source->generate(0)));
+  std::remove(path.c_str());
+}
+
+TEST(VolumeStore, TightBudgetScanDecodesIntoSpares) {
+  const std::string path = "/tmp/ifet_stream_spares.cvol";
+  auto source = random_cvol(path);
+  VolumeStore store(source, two_step_scan());
+  for (int s = 0; s < 12; ++s) {
+    EXPECT_TRUE(same_voxels(*store.fetch(s), source->generate(s)))
+        << "step " << s;
+  }
+  // Every load after the first few finds the buffer of an evicted step.
+  const StreamStats stats = store.stats();
+  EXPECT_EQ(store.load_count(), 12u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.recycled_loads, 0u);
+  EXPECT_LE(stats.recycled_loads, store.load_count());
+  std::remove(path.c_str());
+}
+
 TEST(VolumeStore, BrickIndexFallbackBuildsFromDecodedStep) {
   // A procedural source has no container metadata; the store must build
   // the index from the fetched step — once.
@@ -433,6 +488,7 @@ void expect_counters(const StreamStats& got, const StreamStats& want) {
   EXPECT_EQ(got.prefetch_issued, want.prefetch_issued);
   EXPECT_EQ(got.prefetch_hits, want.prefetch_hits);
   EXPECT_EQ(got.demand_loads, want.demand_loads);
+  EXPECT_EQ(got.recycled_loads, want.recycled_loads);
   EXPECT_EQ(got.derived_hits, want.derived_hits);
   EXPECT_EQ(got.derived_misses, want.derived_misses);
   EXPECT_EQ(got.budget_bytes, want.budget_bytes);
@@ -487,10 +543,13 @@ TEST(StreamCounters, SnapshotsArePinned) {
     for (int s = 0; s < 4; ++s) (void)seq.histogram(s);
     for (int s = 2; s < 6; ++s) (void)seq.cumulative_histogram(s);
 
+    // A procedural source ignores the spare buffers it is offered, so no
+    // load counts as recycled.
     expect_counters(seq.stats(),
                     {.hits = 6, .misses = 11, .evictions = 35,
                      .prefetch_hits = 5, .demand_loads = 11,
-                     .derived_misses = 8, .budget_bytes = 768,
+                     .recycled_loads = 0, .derived_misses = 8,
+                     .budget_bytes = 768,
                      .bytes_resident = 768, .peak_bytes_resident = 768,
                      .pinned_steps = 3, .demand_decode_seconds = 1.0});
     expect_counters(seq.client_stats().snapshot(),
@@ -518,7 +577,8 @@ TEST(StreamCounters, SnapshotsArePinned) {
     expect_counters(manager.tier().stats(),
                     {.hits = 26, .misses = 3, .evictions = 18,
                      .prefetch_hits = 9, .demand_loads = 3,
-                     .derived_hits = 34, .derived_misses = 12,
+                     .recycled_loads = 0, .derived_hits = 34,
+                     .derived_misses = 12,
                      .budget_bytes = 6144, .bytes_resident = 10240,
                      .peak_bytes_resident = 12288, .pinned_steps = 5,
                      .demand_decode_seconds = 1.0});

@@ -10,13 +10,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <cstdio>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "io/compressed.hpp"
 #include "stream/cache_manager.hpp"
 #include "stream/volume_store.hpp"
+#include "util/rng.hpp"
 #include "volume/sequence.hpp"
 
 namespace ifet {
@@ -150,6 +157,86 @@ TEST(CacheManagerStress, ConcurrentFetchesThroughVolumeStore) {
   for (auto& c : clients) c.join();
   EXPECT_EQ(bad_values.load(), 0);
   EXPECT_GT(store.stats().evictions, 0u);
+}
+
+TEST(CacheManagerStress, ReadersDropPayloadsWhileLoadsDecodeIntoSpares) {
+  // Readers fetch steps of a .cvol through a 2-step budget and hand what
+  // they fetched to a dropper thread, which releases it later: the last
+  // reference of an evicted step, and with it the step's buffer, goes
+  // back to the spare list from a thread that never loads, while the
+  // prefetch workers and the readers take spares and decode into them.
+  const std::string path = "/tmp/ifet_stress_spares.cvol";
+  const Dims dims{12, 12, 12};
+  constexpr int kSteps = 10;
+  CallbackSource steps(dims, kSteps, {0.0, 1.0}, [dims](int step) {
+    VolumeF v(dims);
+    Rng rng(3000 + static_cast<std::uint64_t>(step));
+    for (float& x : v.data()) x = static_cast<float>(rng.uniform());
+    return v;
+  });
+  write_compressed_sequence(steps, path);
+  auto source = std::make_shared<CompressedFileSource>(path);
+  std::vector<VolumeF> want;
+  for (int s = 0; s < kSteps; ++s) want.push_back(source->generate(s));
+
+  VolumeStoreConfig cfg;
+  cfg.budget_bytes = 2 * dims.count() * sizeof(float);
+  cfg.lookahead = 2;
+  cfg.async_prefetch = true;
+  VolumeStore store(source, cfg);
+
+  std::mutex mutex;
+  std::condition_variable ready;
+  std::deque<std::shared_ptr<const VolumeF>> dropped;
+  bool done = false;
+  // Holds the last few payloads, so each is dropped well after its fetch.
+  constexpr std::size_t kHeld = 3;
+  std::thread dropper([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    while (!done || !dropped.empty()) {
+      ready.wait(lock, [&] { return done || dropped.size() > kHeld; });
+      while (dropped.size() > (done ? 0 : kHeld)) {
+        auto payload = std::move(dropped.front());
+        dropped.pop_front();
+        lock.unlock();
+        payload.reset();  // possibly the last reference
+        lock.lock();
+      }
+    }
+  });
+
+  constexpr int kReaders = 4;
+  std::atomic<int> bad_values{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (int pass = 0; pass < 25; ++pass) {
+        for (int s = 0; s < kSteps; ++s) {
+          const int step = (t % 2 == 0) ? s : kSteps - 1 - s;
+          auto v = store.fetch(step);
+          const VolumeF& w = want[static_cast<std::size_t>(step)];
+          if (!std::equal(w.data().begin(), w.data().end(),
+                          v->data().begin())) {
+            bad_values.fetch_add(1);
+          }
+          std::lock_guard<std::mutex> lock(mutex);
+          dropped.push_back(std::move(v));
+          ready.notify_one();
+        }
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    done = true;
+  }
+  ready.notify_one();
+  dropper.join();
+  EXPECT_EQ(bad_values.load(), 0);
+  EXPECT_GT(store.stats().evictions, 0u);
+  EXPECT_GT(store.stats().recycled_loads, 0u);
+  std::remove(path.c_str());
 }
 
 }  // namespace
