@@ -91,7 +91,7 @@ void BM_RenderShadedWithIatfRecalc(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(state.iterations()),
                          benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_RenderShadedWithIatfRecalc)->Arg(128)->Arg(256)
+BENCHMARK(BM_RenderShadedWithIatfRecalc)->Arg(128)->Arg(256)->Arg(512)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// The same frame without the per-frame IATF evaluation: the difference is
@@ -162,7 +162,8 @@ void BM_RenderUnshaded(benchmark::State& state) {
     benchmark::DoNotOptimize(img.pixels.data());
   }
 }
-BENCHMARK(BM_RenderUnshaded)->Arg(128)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RenderUnshaded)->Arg(128)->Arg(512)
+    ->Unit(benchmark::kMillisecond);
 
 /// TF-sparse 128^3 scene: a TF band over the argon ring, a thin shell, so
 /// most bricks classify empty. Served as a one-step sequence, as the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "math/fastexp.hpp"
 #include "util/error.hpp"
@@ -9,6 +10,16 @@
 namespace ifet {
 
 namespace {
+
+/// Four doubles, one per batch row: a GCC/Clang vector type, which the
+/// compiler maps to one AVX2 register (two SSE2 registers without AVX2).
+/// Its operators are lane-wise IEEE ops, never fused under
+/// -ffp-contract=off, so each lane runs the scalar chain bit for bit.
+typedef double Lanes __attribute__((vector_size(4 * sizeof(double))));
+
+/// Batch rows whose accumulator chains run_tile holds in registers across
+/// a whole input loop (four Lanes).
+constexpr int kBlockRows = 16;
 
 /// Same formulas as Mlp::activate — the sigmoid goes through the shared
 /// branch-free fast_sigmoid (math/fastexp.hpp) so flat and scalar paths
@@ -90,14 +101,34 @@ IFET_HOT void FlatMlp::run_tile(const double* cols, std::size_t col_stride,
           layer.weights.data() + static_cast<std::size_t>(j) * stride;
       // Bias first, then inputs in ascending order: the exact
       // accumulation chain of Mlp::run_forward, one independent chain
-      // per batch row (the vectorizable dimension).
+      // per batch row (the vectorizable dimension). A block of kBlockRows
+      // chains stays in registers across the whole input loop; rows past
+      // the last full block run the same chain one at a time.
       double acc[kTileRows];
       const double bias = wrow[layer.fan_in];
-      for (int r = 0; r < rows; ++r) acc[r] = bias;
-      for (int i = 0; i < layer.fan_in; ++i) {
-        const double w = wrow[i];
-        const double* col = act + static_cast<std::size_t>(i) * act_stride;
-        for (int r = 0; r < rows; ++r) acc[r] += w * col[r];
+      int r0 = 0;
+      for (; r0 + kBlockRows <= rows; r0 += kBlockRows) {
+        const Lanes start = {bias, bias, bias, bias};
+        Lanes block[kBlockRows / 4] = {start, start, start, start};
+        for (int i = 0; i < layer.fan_in; ++i) {
+          const Lanes w = {wrow[i], wrow[i], wrow[i], wrow[i]};
+          const double* col =
+              act + static_cast<std::size_t>(i) * act_stride + r0;
+          for (int v = 0; v < kBlockRows / 4; ++v) {
+            Lanes x = {};
+            std::memcpy(&x, col + 4 * v, sizeof x);
+            block[v] += w * x;
+          }
+        }
+        std::memcpy(acc + r0, block, sizeof block);
+      }
+      for (int r = r0; r < rows; ++r) {
+        double sum = bias;
+        for (int i = 0; i < layer.fan_in; ++i) {
+          sum += wrow[i] * act[static_cast<std::size_t>(i) * act_stride +
+                               static_cast<std::size_t>(r)];
+        }
+        acc[r] = sum;
       }
       double* outcol = next + static_cast<std::size_t>(j) * kTileRows;
       if (layer.activation == Activation::kSigmoid) {

@@ -220,6 +220,18 @@ IFET_DETERMINISTIC Raycaster::Plan Raycaster::prepare_plan(
   plan.dt = settings_.step_voxels / max_dim;
   plan.value_span = tf.value_hi() - tf.value_lo();
   plan.light_dir = (camera.position() - Vec3{0, 0, 0}).normalized();
+  if (settings_.opacity_correction) {
+    for (int e = 0; e < TransferFunction1D::kEntries; ++e) {
+      const auto slot = static_cast<std::size_t>(e);
+      plan.corrected[slot] =
+          1.0 - std::pow(1.0 - tf.opacity_entry(e), settings_.step_voxels);
+      if (highlight != nullptr) {
+        plan.highlight_corrected[slot] =
+            1.0 - std::pow(1.0 - highlight->tf->opacity_entry(e),
+                           settings_.step_voxels);
+      }
+    }
+  }
   if (settings_.empty_space_skipping) {
     if (bricks == nullptr) {
       // Legacy fallback: no ingest-time metadata, one extra volume pass.

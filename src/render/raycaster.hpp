@@ -15,6 +15,7 @@
 // (Sec 7's caveat about misleading color shifts).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -141,6 +142,15 @@ class Raycaster {
     double dt = 0.0;          ///< world-space step length
     double value_span = 0.0;  ///< tf.value_hi() - tf.value_lo()
     Vec3 light_dir;           ///< headlight direction (unit)
+
+    /// Opacity correction per TF entry, filled when the settings turn it
+    /// on: corrected[e] = 1 - pow(1 - tf.opacity_entry(e), step_voxels),
+    /// the double the scalar march computes for every sample of entry e;
+    /// highlight_corrected holds the same for the highlight layer's TF.
+    /// The packet kernel reads these instead of calling pow per sample
+    /// (certainty-modulated samples have no entry and keep the pow).
+    std::array<double, TransferFunction1D::kEntries> corrected{};
+    std::array<double, TransferFunction1D::kEntries> highlight_corrected{};
 
     // --- Empty-space skipping (null/empty when disabled) ---
     /// Brick min/max metadata; ingest-time when the caller supplied it,

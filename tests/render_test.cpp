@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numbers>
 #include <numeric>
 #include <thread>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
 #include "render/camera.hpp"
+#include "render/ray_packet.hpp"
 #include "render/raycaster.hpp"
 #include "test_helpers.hpp"
 #include "util/alloc_guard.hpp"
@@ -423,6 +426,155 @@ TEST(RenderReplay, OpacityCorrectionVariantsArePinned) {
   EXPECT_TRUE(report.ok) << report.summary();
   EXPECT_EQ(report.reference_digest, 0xd03d7ace43d88bc5ull)
       << report.summary();
+}
+
+// --- The packet kernel's lookups against the scalar march ----------------
+
+/// The packet kernel's rounding equals std::lround wherever the kernel
+/// uses it: at exact halves (ties go away from zero), one ulp either side
+/// of +-0.5 and +-1.5, at signed zeros, and over magnitudes up to 2^30.
+TEST(RayPacket, RoundHalfAwayMatchesLround) {
+  std::vector<double> xs = {0.0, -0.0, 0.49999999999999994,
+                            -0.49999999999999994};
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double h : {0.5, 1.5}) {
+    for (const double x : {h, std::nextafter(h, 0.0), std::nextafter(h, inf)}) {
+      xs.push_back(x);
+      xs.push_back(-x);
+    }
+  }
+  for (int k = -64; k <= 64; ++k) {
+    xs.push_back(k + 0.5);
+    xs.push_back(k + 0.25);
+    xs.push_back(k - 0.25);
+  }
+  for (int e = 0; e <= 30; ++e) {
+    const double m = std::ldexp(1.0, e);
+    for (const double x : {m, m + 0.5, m - 0.5, std::nextafter(m + 0.5, 0.0),
+                           std::nextafter(m + 0.5, inf), std::nextafter(m, 0.0),
+                           std::nextafter(m, inf)}) {
+      xs.push_back(x);
+      xs.push_back(-x);
+    }
+  }
+  Rng rng(0x5EED);
+  for (int n = 0; n < 4096; ++n) {
+    const double x = std::ldexp(rng.uniform(-1.0, 1.0), n % 31);
+    xs.push_back(x);
+  }
+  EXPECT_EQ(round_half_away(0.49999999999999994), 0);
+  for (const double x : xs) {
+    EXPECT_EQ(round_half_away(x), std::lround(x)) << "x = " << x;
+  }
+}
+
+/// Packet frames against the scalar march on a scene built for the shade
+/// memo and the per-entry opacity tables: every voxel has its own gradient
+/// (random data), the volume holds several times more voxels than the memo
+/// has slots and each frame marches in one render_rows call (one memo), so
+/// slots collide; many pixels per voxel, so the memo hits; cameras in
+/// opposite corners and on an axis, so the first samples of rays entering
+/// each face round to a nearest voxel outside the volume. Frames of
+/// different lights are marched one after another on one thread, with the
+/// tracking overlay (highlight lanes), graded certainty, and both at once,
+/// at a half and a whole voxel step.
+TEST(RayPacket, GrazingSceneMatchesScalarMarch) {
+  const Dims d{30, 26, 22};
+  ASSERT_GT(d.count(), 4 * RayPacket::kShadeSlots);
+  const VolumeF volume = testing::random_volume(d, 0x6A2E);
+  TransferFunction1D tf(0.0, 1.0);
+  TransferFunction1D adaptive(0.0, 1.0);
+  for (int e = 0; e < TransferFunction1D::kEntries; ++e) {
+    // Faint everywhere but a transparent band every 48 entries, so rays
+    // reach the far faces and the a <= 0 cull still fires.
+    tf.set_opacity_entry(e, (e / 16) % 3 == 1
+                                ? 0.0
+                                : 0.01 + 0.04 * ((e * 37) % 17) / 16.0);
+    adaptive.set_opacity_entry(e, 0.02 + 0.3 * ((e * 11) % 13) / 12.0);
+  }
+  Mask mask(d);
+  VolumeF certainty(d);
+  for (int k = 0; k < d.z; ++k) {
+    for (int j = 0; j < d.y; ++j) {
+      for (int i = 0; i < d.x; ++i) {
+        mask.at(i, j, k) = (i / 3 + j / 3 + k / 3) % 2 == 0 ? 1 : 0;
+        certainty.at(i, j, k) =
+            static_cast<float>(0.1 + 0.9 * ((i * 7 + j * 5 + k * 3) % 11) / 10.0);
+      }
+    }
+  }
+  const HighlightLayer overlay{&mask, &adaptive, Rgb{0.9, 0.05, 0.05}};
+  const ColorMap colors;
+  const double corner = std::atan(1.0 / std::numbers::sqrt2);
+  const std::vector<Camera> cameras = {
+      Camera(0.25 * std::numbers::pi, corner, 2.2),
+      Camera(1.25 * std::numbers::pi, -corner, 2.2),
+      Camera(0.0, 0.0, 1.9)};
+
+  // Non-vacuity: the entry samples of visible rays round outside the
+  // volume across all six faces (the memo's bypass is exercised).
+  {
+    const Raycaster probe(RenderSettings{});
+    bool outside[6] = {};
+    for (const Camera& camera : cameras) {
+      const Raycaster::Plan plan = probe.prepare_plan(volume, tf, colors, camera);
+      for (int y = 0; y < 48; ++y) {
+        for (int x = 0; x < 48; ++x) {
+          const Ray ray = camera.pixel_ray(x, y, 48, 48);
+          double t0, t1;
+          if (!intersect_box(ray, plan.box_lo, plan.box_hi, t0, t1)) continue;
+          const Vec3 v = plan.to_voxel(ray.origin + ray.direction * t0);
+          if (tf.opacity(volume.sample(v)) <= 0.0) continue;
+          const long c[3] = {round_half_away(v.x), round_half_away(v.y),
+                             round_half_away(v.z)};
+          const int extent[3] = {d.x, d.y, d.z};
+          for (int a = 0; a < 3; ++a) {
+            if (c[a] < 0) outside[2 * a] = true;
+            if (c[a] >= extent[a]) outside[2 * a + 1] = true;
+          }
+        }
+      }
+    }
+    for (int f = 0; f < 6; ++f) {
+      EXPECT_TRUE(outside[f]) << "no visible sample rounds outside face " << f;
+    }
+  }
+
+  struct Layers {
+    const char* name;
+    const HighlightLayer* highlight;
+    const VolumeF* certainty;
+  };
+  const Layers layers[] = {{"plain", nullptr, nullptr},
+                           {"overlay", &overlay, nullptr},
+                           {"graded certainty", nullptr, &certainty},
+                           {"overlay and certainty", &overlay, &certainty}};
+  for (const double step : {0.5, 1.0}) {
+    for (std::size_t c = 0; c < cameras.size(); ++c) {
+      for (const Layers& layer : layers) {
+        SCOPED_TRACE(std::string(layer.name) + ", camera " +
+                     std::to_string(c) + ", step " + std::to_string(step));
+        RenderSettings packet;
+        packet.width = 48;
+        packet.height = 48;
+        packet.step_voxels = step;
+        RenderSettings scalar = packet;
+        scalar.empty_space_skipping = false;
+        const Raycaster packed(packet), marched(scalar);
+        const Raycaster::Plan p = packed.prepare_plan(
+            volume, tf, colors, cameras[c], layer.highlight, layer.certainty);
+        const Raycaster::Plan q = marched.prepare_plan(
+            volume, tf, colors, cameras[c], layer.highlight, layer.certainty);
+        ImageRgb8 a(48, 48), b(48, 48);
+        Raycaster::RenderRowCounters ca, cb;
+        packed.render_rows(p, 0, 48, a, ca);
+        marched.render_rows(q, 0, 48, b, cb);
+        EXPECT_EQ(ca.samples, cb.samples);
+        EXPECT_GT(ca.samples, 0u);
+        EXPECT_EQ(a.pixels, b.pixels);
+      }
+    }
+  }
 }
 
 }  // namespace
