@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 
 namespace ifet {
@@ -47,6 +48,43 @@ std::vector<int> FeatureHistory::steps() const {
   return out;
 }
 
+namespace {
+
+using PairCount = std::pair<std::uint64_t, std::size_t>;
+
+/// One part's pair list, on cache lines of its own: the part's thread
+/// reads and moves the list's end as it scans.
+struct alignas(64) PairList {
+  std::vector<PairCount> pairs;
+};
+
+/// Replaces `pairs` with the (la, lb) label pairs of the voxels in
+/// [begin, end) that both labelings hold, in scan order, adding to the
+/// last entry while the pair repeats.
+void count_pairs(const Mask& mask, const Volume<std::int32_t>& a,
+                 const Volume<std::int32_t>& b, std::size_t begin,
+                 std::size_t end, std::vector<PairCount>& pairs) {
+  pairs.clear();
+  for (std::size_t v = begin; v < end; ++v) {
+    if (eight_clear(mask, v)) {
+      v += 7;
+      continue;
+    }
+    const std::int32_t la = a[v];
+    const std::int32_t lb = b[v];
+    if (la <= 0 || lb <= 0) continue;
+    const std::uint64_t pair = static_cast<std::uint64_t>(la) << 32 |
+                               static_cast<std::uint32_t>(lb);
+    if (!pairs.empty() && pairs.back().first == pair) {
+      ++pairs.back().second;
+    } else {
+      pairs.emplace_back(pair, 1);
+    }
+  }
+}
+
+}  // namespace
+
 FeatureHistory build_feature_history(const TrackResult& track,
                                      std::size_t min_overlap) {
   IFET_REQUIRE(min_overlap >= 1, "build_feature_history: min_overlap >= 1");
@@ -58,13 +96,14 @@ FeatureHistory build_feature_history(const TrackResult& track,
   // the node index of label l in labeling k.
   Volume<std::int32_t> labels[2];
   std::vector<int> node_index[2];
-  std::vector<std::uint32_t> worklist;
-  std::vector<std::pair<std::uint64_t, std::size_t>> overlap;
+  LabelScratch scratch;
+  std::vector<PairList> part_overlap;
+  std::vector<PairCount> overlap;
   int prev_step = 0;
   int cur = 0;
   for (const auto& [step, mask] : track.masks) {
     const std::vector<ComponentInfo> components =
-        label_components_into(mask, nullptr, labels[cur], worklist);
+        label_components_into(mask, nullptr, labels[cur], scratch);
     node_index[cur].assign(components.size() + 1, -1);
     for (const auto& comp : components) {
       FeatureNode node;
@@ -78,30 +117,30 @@ FeatureHistory build_feature_history(const TrackResult& track,
 
     // Connect consecutive steps by voxel overlap. Each voxel both steps
     // hold counts its (la, lb) pair, adding to the last entry when the
-    // pair repeats, so the list holds one entry per change of pair in
-    // scan order: a few per step for large components, never more than
-    // the overlapping voxels. Sorted and summed, the pairs come out in
-    // (la, lb) order.
+    // pair repeats, so a list holds one entry per change of pair in scan
+    // order: a few per step for large components, never more than the
+    // overlapping voxels. The voxel range is split into as many parts as
+    // the labeling has slabs, each with its own list; concatenated,
+    // sorted and summed, the pairs come out in (la, lb) order with the
+    // same totals one list gives.
     const int prev = 1 - cur;
     if (!node_index[prev].empty() && step == prev_step + 1) {
       const Volume<std::int32_t>& a = labels[prev];
       const Volume<std::int32_t>& b = labels[cur];
+      const std::size_t parts = label_slab_count(mask.dims());
+      part_overlap.resize(parts);
+      ThreadPool::global().parallel_for_static(
+          0, parts, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t p = lo; p < hi; ++p) {
+              count_pairs(mask, a, b, mask.size() * p / parts,
+                          mask.size() * (p + 1) / parts,
+                          part_overlap[p].pairs);
+            }
+          });
       overlap.clear();
-      for (std::size_t v = 0; v < mask.size(); ++v) {
-        if (eight_clear(mask, v)) {
-          v += 7;
-          continue;
-        }
-        const std::int32_t la = a[v];
-        const std::int32_t lb = b[v];
-        if (la <= 0 || lb <= 0) continue;
-        const std::uint64_t pair = static_cast<std::uint64_t>(la) << 32 |
-                                   static_cast<std::uint32_t>(lb);
-        if (!overlap.empty() && overlap.back().first == pair) {
-          ++overlap.back().second;
-        } else {
-          overlap.emplace_back(pair, 1);
-        }
+      for (std::size_t p = 0; p < parts; ++p) {
+        const std::vector<PairCount>& list = part_overlap[p].pairs;
+        overlap.insert(overlap.end(), list.begin(), list.end());
       }
       std::sort(overlap.begin(), overlap.end());
       for (std::size_t i = 0; i < overlap.size();) {

@@ -39,19 +39,57 @@ struct Labeling {
   Mask component_mask(std::int32_t label) const;
 };
 
-/// 6-connected component labeling of a binary mask (BFS flood fill).
-/// If `values` is non-null it must match the mask dims and is integrated
-/// into ComponentInfo::value_sum.
+/// 6-connected component labeling of a binary mask. A bare mask is
+/// flooded in z-slabs on every thread of the global pool and the parts
+/// that touch across slab faces are merged; with a value volume the whole
+/// mask is one FIFO flood, so value_sum adds in one fixed order. Both give
+/// the same labels and attributes. If `values` is non-null it must match
+/// the mask dims and is integrated into ComponentInfo::value_sum.
 Labeling label_components(const Mask& mask, const VolumeF* values = nullptr);
+
+/// One part of a slab flood: a 6-connected set of mask voxels inside one
+/// z-slab, with the sums the merge adds into its component.
+struct LabelPart {
+  std::uint32_t first = 0;  ///< Linear index of its first voxel in scan order.
+  std::size_t count = 0;
+  std::uint32_t lo[3] = {0, 0, 0};   ///< Inclusive bounding box corner.
+  std::uint32_t hi[3] = {0, 0, 0};   ///< Inclusive bounding box corner.
+  std::uint64_t sum[3] = {0, 0, 0};  ///< Integer coordinate sums.
+  double value_sum = 0.0;
+};
+
+/// One slab's flood scratch, on cache lines of its own: the slab's thread
+/// updates the worklist's end once per voxel, and a neighbouring slab's
+/// vectors on the same line would bounce it between threads.
+struct alignas(64) LabelSlab {
+  std::vector<std::uint32_t> worklist;
+  std::vector<LabelPart> parts;
+};
+
+/// Scratch of label_components_into, owned by the caller so that repeated
+/// labelings reuse it: one worklist and one part list per slab, and the
+/// merge's tables. One instance per concurrent caller.
+struct LabelScratch {
+  std::vector<LabelSlab> slabs;
+  std::vector<std::uint32_t> first_id;    ///< Global id of each slab's part 1.
+  std::vector<std::uint32_t> root;        ///< Union-find parent per part.
+  std::vector<std::int32_t> final_label;  ///< Component label per part.
+  std::vector<LabelPart> merged;          ///< Summed parts, in label order.
+};
+
+/// The number of z-slabs label_components_into floods a bare mask of dims
+/// `d` in: one per thread of the global pool (its workers and the caller),
+/// at most one per plane. build_feature_history splits its overlap scan
+/// into as many parts.
+std::size_t label_slab_count(Dims d);
 
 /// label_components into buffers the caller owns and may reuse: `labels`
 /// is overwritten with the mask's labels (reallocated only when its dims
-/// differ) and `worklist` is flood-fill scratch. Labels are numbered in
-/// scan order of each component's first voxel; the components come back
-/// sorted largest-first.
+/// differ). Labels are numbered in scan order of each component's first
+/// voxel; the components come back sorted largest-first.
 std::vector<ComponentInfo> label_components_into(
     const Mask& mask, const VolumeF* values, Volume<std::int32_t>& labels,
-    std::vector<std::uint32_t>& worklist);
+    LabelScratch& scratch);
 
 /// True when the eight mask voxels from linear index `v` on are all clear
 /// (false when fewer than eight remain): scans of mostly clear masks step

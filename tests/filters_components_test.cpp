@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <thread>
+#include <vector>
+
+#include "parallel/thread_pool.hpp"
 #include "test_helpers.hpp"
 #include "util/determinism.hpp"
 #include "util/error.hpp"
@@ -199,11 +205,39 @@ TEST_P(ComponentsPropertyTest, LabelingPartitionsTheMask) {
 INSTANTIATE_TEST_SUITE_P(Densities, ComponentsPropertyTest,
                          ::testing::Values(0.05, 0.2, 0.5, 0.8, 1.0));
 
-// Labeling of seeded random masks with a value volume, pinned bitwise:
-// the label volume, then every component's label, voxel count, bounding
-// box, centroid bits and value_sum bits in component order. value_sum
-// depends on the flood-fill visiting order, so the pin also holds that
-// order.
+/// Mask of `d` whose voxels are set with probability `fill`, one seeded
+/// draw per voxel in scan order.
+Mask random_mask(Dims d, double fill) {
+  Rng rng(1618);
+  Mask m(d);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m[i] = rng.uniform() < fill ? 1 : 0;
+  }
+  return m;
+}
+
+/// Digest of a labeling: the label volume, then every component's label,
+/// voxel count, bounding box, centroid bits and value_sum bits in
+/// component order.
+std::uint64_t labeling_digest(const Labeling& lab) {
+  DigestSink sink;
+  sink.span(lab.labels.data().data(), lab.labels.size());
+  for (const ComponentInfo& info : lab.components) {
+    sink.pod(info.label);
+    sink.pod(info.voxel_count);
+    sink.pod(info.bbox_min);
+    sink.pod(info.bbox_max);
+    sink.pod(info.centroid.x);
+    sink.pod(info.centroid.y);
+    sink.pod(info.centroid.z);
+    sink.pod(info.value_sum);
+  }
+  return sink.value();
+}
+
+// Labeling of seeded random masks with a value volume, pinned bitwise.
+// value_sum depends on the flood-fill visiting order, so the pin also
+// holds that order.
 TEST(Components, RandomMaskLabelingIsPinned) {
   const Dims d{23, 19, 17};
   const VolumeF values = random_volume(d, 2718, -1.0, 1.0);
@@ -215,27 +249,118 @@ TEST(Components, RandomMaskLabelingIsPinned) {
                {0.82, 0xb921e4ec41fe36aaull}};
   for (const auto& c : cases) {
     SCOPED_TRACE(c.fill);
-    Rng rng(1618);
-    Mask m(d);
-    for (std::size_t i = 0; i < m.size(); ++i) {
-      m[i] = rng.uniform() < c.fill ? 1 : 0;
-    }
-    const Labeling lab = label_components(m, &values);
-    DigestSink sink;
-    sink.span(lab.labels.data().data(), lab.labels.size());
-    for (const ComponentInfo& info : lab.components) {
-      sink.pod(info.label);
-      sink.pod(info.voxel_count);
-      sink.pod(info.bbox_min);
-      sink.pod(info.bbox_max);
-      sink.pod(info.centroid.x);
-      sink.pod(info.centroid.y);
-      sink.pod(info.centroid.z);
-      sink.pod(info.value_sum);
-    }
+    const Labeling lab = label_components(random_mask(d, c.fill), &values);
     EXPECT_GT(lab.components.size(), 1u);
-    EXPECT_EQ(sink.value(), c.digest);
+    EXPECT_EQ(labeling_digest(lab), c.digest);
   }
+}
+
+/// Bitwise equality of two labelings: the label volume, then every
+/// component's label, voxel count, bounding box and centroid bits.
+void expect_same_labeling(const Labeling& got, const Labeling& want) {
+  ASSERT_TRUE(got.labels.dims() == want.labels.dims());
+  for (std::size_t v = 0; v < want.labels.size(); ++v) {
+    ASSERT_EQ(got.labels[v], want.labels[v]) << "voxel " << v;
+  }
+  ASSERT_EQ(got.components.size(), want.components.size());
+  for (std::size_t c = 0; c < want.components.size(); ++c) {
+    const ComponentInfo& a = got.components[c];
+    const ComponentInfo& b = want.components[c];
+    EXPECT_EQ(a.label, b.label) << "component " << c;
+    EXPECT_EQ(a.voxel_count, b.voxel_count) << "component " << c;
+    EXPECT_TRUE(a.bbox_min == b.bbox_min) << "component " << c;
+    EXPECT_TRUE(a.bbox_max == b.bbox_max) << "component " << c;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.centroid.x),
+              std::bit_cast<std::uint64_t>(b.centroid.x));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.centroid.y),
+              std::bit_cast<std::uint64_t>(b.centroid.y));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.centroid.z),
+              std::bit_cast<std::uint64_t>(b.centroid.z));
+  }
+}
+
+/// Two one-voxel-thick snakes that climb and descend the whole z range
+/// column after column, so each crosses every slab face several times;
+/// they interleave in scan order and touch nothing else.
+Mask z_serpentine() {
+  const Dims d{15, 6, 19};
+  Mask m(d);
+  for (int snake = 0; snake < 2; ++snake) {
+    const int y = 1 + 3 * snake;
+    for (int column = 0; column < 7; ++column) {
+      const int x = 2 * column + snake % 2;
+      for (int z = 0; z < d.z; ++z) m.at(x, y, z) = 1;
+      // Turn at the top after even columns and at the bottom after odd
+      // ones; the second snake turns at the opposite end.
+      if (column + 1 < 7 && x + 1 < d.x) {
+        const bool top = (column % 2 == 0) != (snake == 1);
+        m.at(x + 1, y, top ? d.z - 1 : 0) = 1;
+      }
+    }
+  }
+  return m;
+}
+
+/// The U case on two planes, so two slabs at every pool width: two parts
+/// of plane 0 joined only through a bar in plane 1, then a part of plane
+/// 0 whose label drops by one after that merge; beside it the upside-down
+/// U, two parts of plane 1 joined only through plane 0.
+Mask u_case() {
+  Mask m(Dims{14, 6, 2});
+  m.at(1, 1, 0) = 1;  // left leg
+  m.at(5, 1, 0) = 1;  // right leg
+  for (int x = 1; x <= 5; ++x) m.at(x, 1, 1) = 1;
+  m.at(3, 3, 0) = 1;  // a lone part after the U's legs
+  for (int x = 8; x <= 12; ++x) m.at(x, 4, 0) = 1;
+  m.at(8, 4, 1) = 1;
+  m.at(12, 4, 1) = 1;
+  m.at(10, 2, 1) = 1;  // a lone part of plane 1 before the upside-down U
+  return m;
+}
+
+// Slab floods on every pool width give the labels and attributes of one
+// flood: the labeling with a value volume, which keeps one slab, is the
+// reference. The bare labelings of the random fills are pinned with
+// digests of one flood.
+TEST(Components, SlabFloodMatchesOneFlood) {
+  const Dims d{23, 19, 17};
+  struct Case {
+    const char* name;
+    Mask mask;
+    std::uint64_t digest;  // 0: not pinned
+  };
+  const std::vector<Case> cases = {
+      {"fill 0.1", random_mask(d, 0.1), 0x4031419f89e90aeaull},
+      {"fill 0.5", random_mask(d, 0.5), 0xdc917e5b6b3c9ae2ull},
+      {"fill 0.82", random_mask(d, 0.82), 0xbbe9d978e6969955ull},
+      {"fill 1.0", random_mask(d, 1.0), 0},
+      {"z serpentine", z_serpentine(), 0},
+      {"U", u_case(), 0},
+      {"nz 1", random_mask(Dims{23, 19, 1}, 0.5), 0},
+      {"nz 2", random_mask(Dims{23, 19, 2}, 0.6), 0},
+      {"nz 3", random_mask(Dims{23, 19, 3}, 0.6), 0},
+  };
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const VolumeF values(c.mask.dims(), 1.0f);
+    const Labeling one_flood = label_components(c.mask, &values);
+    for (const std::size_t width : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{3}, std::size_t{4}, hw}) {
+      SCOPED_TRACE(width);
+      const ThreadPool::ScopedGlobalWidth scope(width);
+      const Labeling slabs = label_components(c.mask);
+      expect_same_labeling(slabs, one_flood);
+      if (c.digest != 0) {
+        EXPECT_EQ(labeling_digest(slabs), c.digest);
+      }
+    }
+  }
+  // The serpentine is two components and the U case four, whatever the
+  // slabs.
+  EXPECT_EQ(label_components(z_serpentine()).components.size(), 2u);
+  EXPECT_EQ(label_components(u_case()).components.size(), 4u);
 }
 
 }  // namespace

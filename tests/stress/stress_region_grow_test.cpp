@@ -1,10 +1,11 @@
 // Region-growing / mask-op stress tests for the tsan preset.
 //
 // label_components is read-only on its inputs, so running it from many
-// threads against one shared mask must be race-free and deterministic;
-// the disjoint-write test validates the documented Mask contract that
-// uint8_t voxels are independently addressable (the reason Mask is not
-// vector<bool>).
+// threads against one shared mask must be race-free and deterministic,
+// also when each caller floods the bare mask's slabs on the shared global
+// pool; the disjoint-write test validates the documented Mask contract
+// that uint8_t voxels are independently addressable (the reason Mask is
+// not vector<bool>).
 
 #include <gtest/gtest.h>
 
@@ -38,15 +39,20 @@ Mask blobby_mask() {
 TEST(RegionGrowStress, ConcurrentLabelingOfSharedMaskIsDeterministic) {
   const Mask mask = blobby_mask();
   const VolumeF values(mask.dims(), 2.5f);
+  // With a value volume the mask is one flood: the reference for both.
   const Labeling reference = label_components(mask, &values);
 
+  // Each thread labels with the value volume and then the bare mask, whose
+  // slabs six concurrent callers flood on the one global pool.
   constexpr int kThreads = 6;
-  std::vector<Labeling> results(kThreads);
+  std::vector<Labeling> results(2 * kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back(
-        [&, t] { results[static_cast<std::size_t>(t)] =
-                     label_components(mask, &values); });
+    threads.emplace_back([&, t] {
+      const auto i = static_cast<std::size_t>(t);
+      results[2 * i] = label_components(mask, &values);
+      results[2 * i + 1] = label_components(mask);
+    });
   }
   for (auto& th : threads) th.join();
 

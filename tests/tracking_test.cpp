@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -271,25 +272,43 @@ std::uint64_t history_digest(const FeatureHistory& history) {
   return sink.value();
 }
 
-/// The feature tree of three tracks, pinned: node order, attributes and
-/// centroid bits, edge order and events. The scenes are the TrackerReplay
-/// ring track on the argon bubble, the Fig 9 vortex track of
-/// DetectsSplitOnVortexData, and a fixed-range band over the argon bubble
-/// that holds at least a quarter of every step, so steps of several
-/// components and large overlaps are part of the pin.
+/// Perturbed replay of build_feature_history over `track`: the history
+/// digests identically across pool widths {1, 4, hardware}, which set the
+/// labeling's slab count and the overlap scan's parts, and on a second
+/// build (warm trials), and matches `pinned`.
+void expect_history_replays(const std::string& name, const TrackResult& track,
+                            std::uint64_t pinned) {
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const ReplayCheck check(name, {1, 4, hw});
+  const ReplayReport report = check.run([&](const ReplayTrial& trial) {
+    ThreadPool::ScopedGlobalWidth width(trial.threads);
+    FeatureHistory history = build_feature_history(track);
+    if (trial.warm) history = build_feature_history(track);
+    return history_digest(history);
+  });
+  EXPECT_TRUE(report.ok) << report.summary();
+  EXPECT_EQ(report.reference_digest, pinned) << report.summary();
+}
+
+/// The feature tree of three tracks, pinned at every pool width: node
+/// order, attributes and centroid bits, edge order and events. The scenes
+/// are the TrackerReplay ring track on the argon bubble, the Fig 9 vortex
+/// track of DetectsSplitOnVortexData, and a fixed-range band over the
+/// argon bubble that holds at least a quarter of every step, so steps of
+/// several components and large overlaps are part of the pin.
 TEST(FeatureHistoryReplay, TreesOfThreeTracksArePinned) {
   const ArgonScene scene;
   {
     SCOPED_TRACE("argon ring");
     StreamedSequence seq(scene.source);
     const FixedRangeCriterion criterion = scene.ring_criterion();
-    const FeatureHistory history = build_feature_history(
-        Tracker(seq, criterion)
-            .track_from_mask(scene.argon->feature_mask(scene.grow_step),
-                             scene.grow_step));
-    EXPECT_EQ(history.steps().size(),
+    const TrackResult track = Tracker(seq, criterion).track_from_mask(
+        scene.argon->feature_mask(scene.grow_step), scene.grow_step);
+    EXPECT_EQ(build_feature_history(track).steps().size(),
               static_cast<std::size_t>(scene.cfg.num_steps));
-    EXPECT_EQ(history_digest(history), 0x9020c03a99f92f8eull);
+    expect_history_replays("feature_history_argon_ring", track,
+                           0x9020c03a99f92f8eull);
   }
   {
     SCOPED_TRACE("vortex split");
@@ -303,10 +322,11 @@ TEST(FeatureHistoryReplay, TreesOfThreeTracksArePinned) {
     const Vec3 c = source->lobe_centers(0)[0];
     const Index3 seed{static_cast<int>(c.x * 32), static_cast<int>(c.y * 32),
                       static_cast<int>(c.z * 32)};
-    const FeatureHistory history =
-        build_feature_history(Tracker(seq, criterion).track(seed, 0));
-    EXPECT_FALSE(history.events_of(EventType::kSplit).empty());
-    EXPECT_EQ(history_digest(history), 0x9b4b782b8fb60827ull);
+    const TrackResult track = Tracker(seq, criterion).track(seed, 0);
+    EXPECT_FALSE(
+        build_feature_history(track).events_of(EventType::kSplit).empty());
+    expect_history_replays("feature_history_vortex_split", track,
+                           0x9b4b782b8fb60827ull);
   }
   {
     SCOPED_TRACE("argon band");
@@ -338,7 +358,8 @@ TEST(FeatureHistoryReplay, TreesOfThreeTracksArePinned) {
       widest = std::max(widest, history.component_count(step));
     }
     EXPECT_GE(widest, 2);
-    EXPECT_EQ(history_digest(history), 0x3cdc8ced6d53a06bull);
+    expect_history_replays("feature_history_argon_band", track,
+                           0x3cdc8ced6d53a06bull);
   }
 }
 

@@ -197,12 +197,14 @@ stage_tsan() {
   # AllocGuard's atomics: stress detectors, allocation contracts, replay
   # checks across pool widths, skip-vs-scalar frames with the row pool
   # racing, both StreamedSequence constructors (private and shared tier)
-  # including four readers racing one sequence's window, and the overload
-  # and fault suites, whose prefetch workers add into the tier counters.
+  # including four readers racing one sequence's window, the overload
+  # and fault suites, whose prefetch workers add into the tier counters,
+  # and the slab-parallel labeling, alone and from six concurrent callers.
   local tests="stress_cache_manager_test stress_fault_storm_test \
 stress_thread_pool_test stress_server_test flat_mlp_test \
 classifier_digest_test stream_test server_test concurrency_regression_test \
-render_test brick_index_test tracking_test overload_test fault_injection_test"
+render_test brick_index_test tracking_test overload_test fault_injection_test \
+filters_components_test stress_region_grow_test"
   # shellcheck disable=SC2086
   cmake --preset tsan &&
     cmake --build --preset tsan -j "$JOBS" --target $tests &&
