@@ -54,9 +54,4 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
-ChecksumCounters& checksum_counters() {
-  thread_local ChecksumCounters counters;
-  return counters;
-}
-
 }  // namespace ifet

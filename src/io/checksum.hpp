@@ -1,15 +1,10 @@
 // Payload checksums for the volume file formats (docs/ROBUSTNESS.md).
 //
-// Both self-describing formats (.vol files and .cvol sequence frames)
-// carry a CRC32 over their payload so a bit flip between writer and
-// reader surfaces as a typed CorruptDataError instead of silently feeding
-// garbage voxels to the classifier. The checksum is backward compatible:
-// files written before this scheme simply lack the field and load
-// unverified — the readers count verified/unverified/mismatched payloads
-// into a thread-local ChecksumCounters so VolumeStore can attribute the
-// verification state of each load to its step (loads run on whichever
-// thread fetches or prefetches, so a thread-local delta around the decode
-// is race-free attribution without a lock).
+// Both self-describing formats (.vol files and .cvol sequence frames and
+// brick records) carry a CRC32 over their payload, written always and
+// verified on every read, so a bit flip between writer and reader
+// surfaces as a typed ChecksumMismatchError (util/io_error.hpp) instead
+// of silently feeding garbage voxels to the classifier.
 #pragma once
 
 #include <cstddef>
@@ -21,15 +16,5 @@ namespace ifet {
 /// Chainable: pass a previous result as `seed` to extend the sum.
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0);
-
-/// Per-thread tallies bumped by the io readers on every payload decode.
-struct ChecksumCounters {
-  std::uint64_t verified = 0;    ///< Payloads with a matching checksum.
-  std::uint64_t unverified = 0;  ///< Legacy payloads without a checksum.
-  std::uint64_t mismatches = 0;  ///< Checksum failures (each also throws).
-};
-
-/// The calling thread's counters (see header comment for the contract).
-ChecksumCounters& checksum_counters();
 
 }  // namespace ifet

@@ -21,18 +21,15 @@ namespace ifet {
 
 namespace {
 
-constexpr char kMagic[] = "ifet-cseq";
-// v2 container: the header line also carries the brick size, index
-// entries widen to 32 bytes (payload offset/size + brick offset/size),
-// and each step gets a CRC'd BrickIndex record next to its payload.
-constexpr char kMagicV2[] = "ifet-cseq2";
+// The header line carries the brick size; each 32-byte index entry holds
+// payload offset/size + brick offset/size, and each step has a CRC'd
+// BrickIndex record next to its payload.
+constexpr char kMagic[] = "ifet-cseq2";
 // Fixed-size prefix of a per-step record: bits u8, lo f32, hi f32,
-// payload-size u64. A CRC32 over prefix+payload may follow the payload
-// (absent in legacy files; see io/checksum.hpp).
+// payload-size u64. A CRC32 over prefix+payload follows the payload.
 constexpr std::size_t kRecordPrefixBytes = 17;
 constexpr std::size_t kRecordCrcBytes = 4;
-constexpr std::size_t kIndexEntryBytesV1 = 16;
-constexpr std::size_t kIndexEntryBytesV2 = 32;
+constexpr std::size_t kIndexEntryBytes = 32;
 
 inline std::uint32_t quant_levels(QuantBits bits) {
   return bits == QuantBits::k8 ? 255u : 65535u;
@@ -260,40 +257,26 @@ struct CompressedSequenceWriter::Impl {
   std::streampos index_pos;
   std::vector<std::uint8_t> index_bytes;
   int num_steps;
-  bool with_checksum;
-  int brick_size;
 };
 
 CompressedSequenceWriter::CompressedSequenceWriter(
     const std::string& path, Dims dims, int num_steps,
-    std::pair<double, double> value_range, bool with_checksum,
-    int brick_size)
+    std::pair<double, double> value_range)
     : impl_(std::make_unique<Impl>()) {
   IFET_REQUIRE(num_steps > 0, "CompressedSequenceWriter: need steps");
-  IFET_REQUIRE(brick_size >= 0,
-               "CompressedSequenceWriter: brick size must be >= 0");
   impl_->out.open(path, std::ios::binary);
   if (!impl_->out.good()) {
     throw NotFoundError("CompressedSequenceWriter: cannot open " + path);
   }
   impl_->num_steps = num_steps;
-  impl_->with_checksum = with_checksum;
-  impl_->brick_size = brick_size;
-  if (brick_size > 0) {
-    impl_->out << kMagicV2 << ' ' << dims.x << ' ' << dims.y << ' ' << dims.z
-               << ' ' << num_steps << ' ' << value_range.first << ' '
-               << value_range.second << ' ' << brick_size << '\n';
-  } else {
-    impl_->out << kMagic << ' ' << dims.x << ' ' << dims.y << ' ' << dims.z
-               << ' ' << num_steps << ' ' << value_range.first << ' '
-               << value_range.second << '\n';
-  }
+  impl_->out << kMagic << ' ' << dims.x << ' ' << dims.y << ' ' << dims.z
+             << ' ' << num_steps << ' ' << value_range.first << ' '
+             << value_range.second << ' ' << BrickIndex::kDefaultBrickSize
+             << '\n';
   impl_->index_pos = impl_->out.tellp();
   // Reserve the index region, filled in close().
-  const std::size_t entry_bytes =
-      brick_size > 0 ? kIndexEntryBytesV2 : kIndexEntryBytesV1;
-  std::vector<char> zeros(static_cast<std::size_t>(num_steps) * entry_bytes,
-                          0);
+  std::vector<char> zeros(
+      static_cast<std::size_t>(num_steps) * kIndexEntryBytes, 0);
   impl_->out.write(zeros.data(),
                    static_cast<std::streamsize>(zeros.size()));
 }
@@ -322,7 +305,7 @@ void CompressedSequenceWriter::append(const CompressedVolume& volume) {
   IFET_REQUIRE(steps_written_ < impl_->num_steps,
                "CompressedSequenceWriter: too many steps appended");
   // Per-step record: bits u8, lo f32, hi f32, payload u64 + bytes, then a
-  // CRC32 over everything before it (omitted in legacy mode).
+  // CRC32 over everything before it.
   std::vector<std::uint8_t> record;
   record.push_back(static_cast<std::uint8_t>(volume.bits));
   std::uint8_t fbytes[4];
@@ -332,9 +315,7 @@ void CompressedSequenceWriter::append(const CompressedVolume& volume) {
   record.insert(record.end(), fbytes, fbytes + 4);
   append_u64(record, volume.payload.size());
   record.insert(record.end(), volume.payload.begin(), volume.payload.end());
-  if (impl_->with_checksum) {
-    append_u32(record, crc32(record.data(), record.size()));
-  }
+  append_u32(record, crc32(record.data(), record.size()));
 
   auto offset = static_cast<std::uint64_t>(impl_->out.tellp());
   impl_->out.write(reinterpret_cast<const char*>(record.data()),
@@ -345,26 +326,22 @@ void CompressedSequenceWriter::append(const CompressedVolume& volume) {
   append_u64(impl_->index_bytes, offset);
   append_u64(impl_->index_bytes, record.size());
 
-  if (impl_->brick_size > 0) {
-    // Brick ranges MUST cover the *reconstructed* values the renderer will
-    // actually sample: quantization can push a decoded voxel up to half a
-    // quant step outside the original range, so building from `volume`'s
-    // decoded form (not the pre-compression floats) keeps the skip
-    // condition provable. Always CRC'd — the section is new, so there is
-    // no checksum-less legacy to emulate.
-    const BrickIndex bricks =
-        BrickIndex::build(decompress_volume(volume), impl_->brick_size);
-    std::vector<std::uint8_t> brick_record = bricks.serialize();
-    append_u32(brick_record, crc32(brick_record.data(), brick_record.size()));
-    auto brick_offset = static_cast<std::uint64_t>(impl_->out.tellp());
-    impl_->out.write(reinterpret_cast<const char*>(brick_record.data()),
-                     static_cast<std::streamsize>(brick_record.size()));
-    if (!impl_->out.good()) {
-      throw IoError("CompressedSequenceWriter: brick-record write failed");
-    }
-    append_u64(impl_->index_bytes, brick_offset);
-    append_u64(impl_->index_bytes, brick_record.size());
+  // Brick ranges MUST cover the *reconstructed* values the renderer will
+  // actually sample: quantization can push a decoded voxel up to half a
+  // quant step outside the original range, so building from `volume`'s
+  // decoded form (not the pre-compression floats) keeps the skip
+  // condition provable.
+  const BrickIndex bricks = BrickIndex::build(decompress_volume(volume));
+  std::vector<std::uint8_t> brick_record = bricks.serialize();
+  append_u32(brick_record, crc32(brick_record.data(), brick_record.size()));
+  auto brick_offset = static_cast<std::uint64_t>(impl_->out.tellp());
+  impl_->out.write(reinterpret_cast<const char*>(brick_record.data()),
+                   static_cast<std::streamsize>(brick_record.size()));
+  if (!impl_->out.good()) {
+    throw IoError("CompressedSequenceWriter: brick-record write failed");
   }
+  append_u64(impl_->index_bytes, brick_offset);
+  append_u64(impl_->index_bytes, brick_record.size());
   ++steps_written_;
 }
 
@@ -399,23 +376,17 @@ CompressedFileSource::CompressedFileSource(const std::string& path)
   std::istringstream header(line);
   std::string magic;
   header >> magic >> dims_.x >> dims_.y >> dims_.z >> num_steps_ >>
-      range_.first >> range_.second;
-  const bool v2 = magic == kMagicV2;
-  if (v2) {
-    header >> brick_size_;
-    if (brick_size_ <= 0) {
-      throw CorruptDataError("CompressedFileSource: v2 header without a "
-                             "positive brick size in " +
-                             path);
-    }
-  }
-  if ((magic != kMagic && !v2) || !header || num_steps_ <= 0) {
+      range_.first >> range_.second >> brick_size_;
+  if (magic != kMagic || !header || num_steps_ <= 0) {
     throw CorruptDataError("CompressedFileSource: bad header in " + path);
   }
-  const std::size_t entry_bytes =
-      v2 ? kIndexEntryBytesV2 : kIndexEntryBytesV1;
+  if (brick_size_ <= 0) {
+    throw CorruptDataError(
+        "CompressedFileSource: header without a positive brick size in " +
+        path);
+  }
   std::vector<std::uint8_t> raw(static_cast<std::size_t>(num_steps_) *
-                                entry_bytes);
+                                kIndexEntryBytes);
   if (read_at(file_.fd, raw.data(), raw.size(), index_offset) != raw.size()) {
     throw CorruptDataError("CompressedFileSource: truncated index in " +
                            path);
@@ -423,17 +394,12 @@ CompressedFileSource::CompressedFileSource(const std::string& path)
   index_.resize(static_cast<std::size_t>(num_steps_));
   for (int s = 0; s < num_steps_; ++s) {
     IndexEntry& entry = index_[static_cast<std::size_t>(s)];
-    const std::uint8_t* p = raw.data() + entry_bytes * s;
+    const std::uint8_t* p = raw.data() + kIndexEntryBytes * s;
     entry.offset = read_u64(p);
     entry.size = read_u64(p + 8);
-    if (v2) {
-      entry.brick_offset = read_u64(p + 16);
-      entry.brick_size = read_u64(p + 24);
-    } else {
-      entry.brick_offset = 0;
-      entry.brick_size = 0;
-    }
-    if (entry.size == 0 || (v2 && entry.brick_size == 0)) {
+    entry.brick_offset = read_u64(p + 16);
+    entry.brick_size = read_u64(p + 24);
+    if (entry.size == 0 || entry.brick_size == 0) {
       throw CorruptDataError(
           "CompressedFileSource: " + path + " truncates at step " +
           std::to_string(s) +
@@ -494,8 +460,7 @@ VolumeF CompressedFileSource::generate_into(int step,
     throw bad_prefix("payload size overruns record");
   }
   const std::uint64_t checked_bytes = kRecordPrefixBytes + payload_size;
-  const bool with_crc = entry.size == checked_bytes + kRecordCrcBytes;
-  if (!with_crc && entry.size != checked_bytes) {
+  if (entry.size != checked_bytes + kRecordCrcBytes) {
     throw bad_prefix("payload size mismatch");
   }
 
@@ -510,7 +475,7 @@ VolumeF CompressedFileSource::generate_into(int step,
     // checked_bytes, payload from kRecordPrefixBytes, then the CRC.
     const std::size_t checked = static_cast<std::size_t>(std::min<
         std::uint64_t>(got, checked_bytes - std::min(pos, checked_bytes)));
-    if (with_crc) crc = crc32(chunk.data(), checked, crc);
+    crc = crc32(chunk.data(), checked, crc);
     const std::size_t payload_from =
         pos < kRecordPrefixBytes ? kRecordPrefixBytes - pos : 0;
     if (checked > payload_from) {
@@ -528,17 +493,11 @@ VolumeF CompressedFileSource::generate_into(int step,
     }
   }
 
-  // The verdict: a checksummed frame's CRC outranks any decode error.
-  if (with_crc) {
-    if (crc != read_u32(stored_crc)) {
-      ++checksum_counters().mismatches;
-      throw CorruptDataError("CompressedFileSource: checksum mismatch" +
-                             where() +
-                             " (frame corrupted on disk or in transit)");
-    }
-    ++checksum_counters().verified;
-  } else {
-    ++checksum_counters().unverified;  // legacy checksum-less frame
+  // The verdict: the frame's CRC outranks any decode error.
+  if (crc != read_u32(stored_crc)) {
+    throw ChecksumMismatchError("CompressedFileSource: checksum mismatch" +
+                                where() +
+                                " (frame corrupted on disk or in transit)");
   }
   if (const char* error = decoder.finish()) throw CorruptDataError(error);
   return out;
@@ -548,7 +507,6 @@ std::shared_ptr<const BrickIndex> CompressedFileSource::brick_metadata(
     int step) const {
   IFET_REQUIRE(step >= 0 && step < num_steps_,
                "CompressedFileSource: step out of range");
-  if (brick_size_ == 0) return nullptr;  // v1 container: no brick section
   const IndexEntry& entry = index_[static_cast<std::size_t>(step)];
   // A read of the small brick record only; the step's compressed payload
   // is never read, let alone decoded.
@@ -567,13 +525,11 @@ std::shared_ptr<const BrickIndex> CompressedFileSource::brick_metadata(
   const std::size_t checked_bytes = record.size() - kRecordCrcBytes;
   const std::uint32_t expected = read_u32(record.data() + checked_bytes);
   if (crc32(record.data(), checked_bytes) != expected) {
-    ++checksum_counters().mismatches;
-    throw CorruptDataError(
+    throw ChecksumMismatchError(
         "CompressedFileSource: brick-record checksum mismatch for step " +
         std::to_string(step) + " in " + path_ +
         " (section corrupted on disk or in transit)");
   }
-  ++checksum_counters().verified;
   return std::make_shared<const BrickIndex>(BrickIndex::deserialize(
       dims_, brick_size_, record.data(), checked_bytes));
 }
@@ -585,11 +541,9 @@ std::size_t CompressedFileSource::total_payload_bytes() const {
 }
 
 void write_compressed_sequence(const VolumeSource& source,
-                               const std::string& path, QuantBits bits,
-                               bool with_checksum, int brick_size) {
+                               const std::string& path, QuantBits bits) {
   CompressedSequenceWriter writer(path, source.dims(), source.num_steps(),
-                                  source.value_range(), with_checksum,
-                                  brick_size);
+                                  source.value_range());
   for (int s = 0; s < source.num_steps(); ++s) {
     writer.append(compress_volume(source.generate(s), bits));
   }

@@ -56,30 +56,23 @@ double quantization_error_bound(const CompressedVolume& compressed);
 
 /// Multi-step compressed container with a random-access index.
 ///
-/// v2 layout ("ifet-cseq2"): text header line (now carrying the brick
-/// size), 32-byte index entries (payload offset/size + brick-record
-/// offset/size per step), then per-step payload records interleaved with
-/// brick records. A brick record is the step's serialized BrickIndex
-/// (built from the *decoded* reconstruction, so ranges stay valid under
-/// quantization) followed by a CRC32 — the renderer's empty-space-skip
-/// metadata, readable without decoding the payload.
-///
-/// v1 layout ("ifet-cseq", written with brick_size = 0): text header,
-/// 16-byte index entries, payload records only. Readers accept both;
-/// v1 files report "no brick metadata" and consumers rebuild it lazily.
-/// Each per-step frame carries a trailing CRC32 (verified on read; legacy
-/// checksum-less frames still load, counted as unverified — see
-/// io/checksum.hpp and docs/ROBUSTNESS.md).
+/// Layout ("ifet-cseq2"): a text header line (dims, steps, value range and
+/// the brick size), 32-byte index entries (payload offset/size +
+/// brick-record offset/size per step), then per-step payload records
+/// interleaved with brick records. A payload record is
+/// `bits u8 | lo f32 | hi f32 | payload_size u64 | payload | crc32`, the
+/// CRC covering everything before it. A brick record is the step's
+/// serialized BrickIndex (built from the *decoded* reconstruction, so
+/// ranges stay valid under quantization) followed by its CRC32 — the
+/// renderer's empty-space-skip metadata, readable without decoding the
+/// payload. This is the only layout written or read; every CRC is verified
+/// on read (io/checksum.hpp, docs/ROBUSTNESS.md).
 class CompressedSequenceWriter {
  public:
-  /// `num_steps` payloads must then be appended in order.
-  /// `with_checksum = false` writes legacy checksum-less frames (tests pin
-  /// the backward-compatibility path with it). `brick_size = 0` writes the
-  /// legacy v1 container without brick metadata.
+  /// `num_steps` payloads must then be appended in order. Bricks are
+  /// BrickIndex::kDefaultBrickSize on an edge.
   CompressedSequenceWriter(const std::string& path, Dims dims, int num_steps,
-                           std::pair<double, double> value_range,
-                           bool with_checksum = true,
-                           int brick_size = BrickIndex::kDefaultBrickSize);
+                           std::pair<double, double> value_range);
   ~CompressedSequenceWriter();
 
   void append(const CompressedVolume& volume);
@@ -120,12 +113,12 @@ class CompressedFileSource final : public VolumeSource {
   /// dims (taking it, so `storage` is left empty), else into a fresh one.
   VolumeF generate_into(int step, VolumeF& storage) const override;
 
-  /// Ingest-time brick metadata from the v2 brick section: a read + CRC
-  /// check of the small brick record only — the compressed payload is
-  /// never touched. Returns nullptr for v1 files (no brick section).
+  /// Ingest-time brick metadata from the step's brick record: a read + CRC
+  /// check of that small record only — the compressed payload is never
+  /// touched.
   std::shared_ptr<const BrickIndex> brick_metadata(int step) const override;
 
-  /// Brick edge carried by the container header; 0 for legacy v1 files.
+  /// Brick edge carried by the container header.
   int container_brick_size() const { return brick_size_; }
 
   /// Total compressed payload bytes (for the I/O accounting bench).
@@ -146,23 +139,20 @@ class CompressedFileSource final : public VolumeSource {
   Descriptor file_;
   Dims dims_{};
   int num_steps_ = 0;
-  int brick_size_ = 0;  // 0 = v1 container, no brick section
+  int brick_size_ = 0;
   std::pair<double, double> range_{0.0, 1.0};
   struct IndexEntry {
     std::uint64_t offset;
     std::uint64_t size;
-    std::uint64_t brick_offset;  // 0 when absent (v1)
-    std::uint64_t brick_size;    // bytes incl. CRC; 0 when absent (v1)
+    std::uint64_t brick_offset;
+    std::uint64_t brick_size;  // bytes incl. CRC
   };
   std::vector<IndexEntry> index_;
 };
 
 /// Convenience: compress every step of `source` into `path`.
-/// `brick_size = 0` writes the legacy v1 container without brick metadata.
 void write_compressed_sequence(const VolumeSource& source,
                                const std::string& path,
-                               QuantBits bits = QuantBits::k8,
-                               bool with_checksum = true,
-                               int brick_size = BrickIndex::kDefaultBrickSize);
+                               QuantBits bits = QuantBits::k8);
 
 }  // namespace ifet

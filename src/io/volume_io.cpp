@@ -20,37 +20,11 @@ std::uint32_t payload_crc(const VolumeF& volume) {
 
 }  // namespace
 
-void write_raw(const VolumeF& volume, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out.good()) throw NotFoundError("write_raw: cannot open " + path);
-  out.write(reinterpret_cast<const char*>(volume.data().data()),
-            static_cast<std::streamsize>(payload_bytes(volume)));
-  if (!out.good()) throw IoError("write_raw: write failed for " + path);
-}
-
-VolumeF read_raw(const std::string& path, Dims dims) {
-  IFET_REQUIRE(dims.count() > 0, "read_raw: empty dims for " + path);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) throw NotFoundError("read_raw: cannot open " + path);
-  VolumeF volume(dims);
-  in.read(reinterpret_cast<char*>(volume.data().data()),
-          static_cast<std::streamsize>(payload_bytes(volume)));
-  if (in.gcount() != static_cast<std::streamsize>(payload_bytes(volume))) {
-    throw CorruptDataError("read_raw: file shorter than dims require: " +
-                           path);
-  }
-  ++checksum_counters().unverified;  // headerless: nothing to verify
-  return volume;
-}
-
-void write_vol(const VolumeF& volume, const std::string& path,
-               bool with_checksum) {
+void write_vol(const VolumeF& volume, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out.good()) throw NotFoundError("write_vol: cannot open " + path);
   out << "ifet-vol " << volume.dims().x << ' ' << volume.dims().y << ' '
-      << volume.dims().z;
-  if (with_checksum) out << " crc32 " << payload_crc(volume);
-  out << '\n';
+      << volume.dims().z << " crc32 " << payload_crc(volume) << '\n';
   out.write(reinterpret_cast<const char*>(volume.data().data()),
             static_cast<std::streamsize>(payload_bytes(volume)));
   if (!out.good()) throw IoError("write_vol: write failed for " + path);
@@ -68,15 +42,12 @@ VolumeF read_vol(const std::string& path) {
   if (magic != "ifet-vol" || !header) {
     throw CorruptDataError("read_vol: bad header in " + path);
   }
-  // Optional trailing "crc32 <sum>" (absent in legacy files).
-  bool has_crc = false;
-  std::uint32_t expected_crc = 0;
   std::string crc_tag;
-  if (header >> crc_tag) {
-    if (crc_tag != "crc32" || !(header >> expected_crc)) {
-      throw CorruptDataError("read_vol: malformed checksum field in " + path);
-    }
-    has_crc = true;
+  std::uint32_t expected_crc = 0;
+  if (!(header >> crc_tag) || crc_tag != "crc32" ||
+      !(header >> expected_crc)) {
+    throw CorruptDataError("read_vol: missing or malformed checksum field in " +
+                           path);
   }
   VolumeF volume(dims);
   in.read(reinterpret_cast<char*>(volume.data().data()),
@@ -84,16 +55,10 @@ VolumeF read_vol(const std::string& path) {
   if (in.gcount() != static_cast<std::streamsize>(payload_bytes(volume))) {
     throw CorruptDataError("read_vol: truncated payload in " + path);
   }
-  if (!has_crc) {
-    ++checksum_counters().unverified;
-    return volume;
-  }
   if (payload_crc(volume) != expected_crc) {
-    ++checksum_counters().mismatches;
-    throw CorruptDataError("read_vol: checksum mismatch in " + path +
-                           " (payload corrupted on disk or in transit)");
+    throw ChecksumMismatchError("read_vol: checksum mismatch in " + path +
+                                " (payload corrupted on disk or in transit)");
   }
-  ++checksum_counters().verified;
   return volume;
 }
 

@@ -1,21 +1,16 @@
-// Volume file I/O.
+// Volume file I/O: the .vol format.
 //
-// Two formats:
-//  * raw  — headerless float32 stream in x-fastest order (the convention of
-//           the public flow data sets the paper uses; caller supplies dims).
-//           Headerless means no room for a checksum: raw reads always count
-//           as unverified.
-//  * .vol — the raw payload preceded by a one-line ASCII header
-//           "ifet-vol <dx> <dy> <dz> crc32 <sum>\n" so files are
-//           self-describing and the payload is verifiable. Readers accept
-//           the legacy checksum-less header "ifet-vol <dx> <dy> <dz>\n"
-//           too (the payload then loads unverified; see io/checksum.hpp).
+// A .vol file is a float32 payload in x-fastest order preceded by a
+// one-line ASCII header "ifet-vol <dx> <dy> <dz> crc32 <sum>\n", so files
+// are self-describing and the payload is verifiable. The header always
+// carries the checksum; a header without it is rejected.
 // Byte order is host order (the library targets a single machine, like the
 // paper's workstation pipeline).
 //
 // Failures throw the typed taxonomy of util/io_error.hpp: NotFoundError
-// when the file cannot be opened, CorruptDataError for bad headers,
-// truncated payloads, and checksum mismatches (docs/ROBUSTNESS.md).
+// when the file cannot be opened, CorruptDataError for bad headers and
+// truncated payloads, and its ChecksumMismatchError for a payload that
+// fails its CRC (docs/ROBUSTNESS.md).
 #pragma once
 
 #include <string>
@@ -24,18 +19,10 @@
 
 namespace ifet {
 
-/// Write headerless float32 data.
-void write_raw(const VolumeF& volume, const std::string& path);
+/// Write a self-describing, checksummed .vol file.
+void write_vol(const VolumeF& volume, const std::string& path);
 
-/// Read headerless float32 data of known dimensions.
-VolumeF read_raw(const std::string& path, Dims dims);
-
-/// Write self-describing .vol file. `with_checksum = false` writes the
-/// legacy header (tests pin the backward-compatibility path with it).
-void write_vol(const VolumeF& volume, const std::string& path,
-               bool with_checksum = true);
-
-/// Read self-describing .vol file (verifying the checksum when present).
+/// Read a .vol file, verifying its checksum.
 VolumeF read_vol(const std::string& path);
 
 }  // namespace ifet

@@ -234,7 +234,8 @@ IFET_DETERMINISTIC Raycaster::Plan Raycaster::prepare_plan(
   }
   if (settings_.empty_space_skipping) {
     if (bricks == nullptr) {
-      // Legacy fallback: no ingest-time metadata, one extra volume pass.
+      // No stored brick section (a procedural source, or a direct
+      // render() call): one extra volume pass.
       bricks = std::make_shared<const BrickIndex>(BrickIndex::build(volume));
     }
     IFET_REQUIRE(bricks->volume_dims() == d,

@@ -184,8 +184,9 @@ class Raycaster {
   /// When empty-space skipping is enabled, `bricks` supplies the volume's
   /// ingest-time brick metadata (e.g. VolumeSequence::brick_index); pass
   /// nullptr to have the plan build it from the volume (one extra pass —
-  /// the legacy-file fallback). The active TF (and highlight layer) is
-  /// folded into per-brick activity flags here, once per frame.
+  /// the path for sources without a stored brick section). The active TF
+  /// (and highlight layer) is folded into per-brick activity flags here,
+  /// once per frame.
   Plan prepare_plan(const VolumeF& volume, const TransferFunction1D& tf,
                     const ColorMap& colors, const Camera& camera,
                     const HighlightLayer* highlight = nullptr,

@@ -149,18 +149,6 @@ void CacheManager::unpin(int step) {
   if (--pending->second == 0) pending_pins_.erase(pending);
 }
 
-void CacheManager::set_budget(std::size_t budget_bytes) {
-  EvictedPayloads evicted;
-  OrderedMutexLock lock(mutex_);
-  budget_bytes_ = budget_bytes;
-  evict_over_budget_locked(evicted);
-}
-
-std::size_t CacheManager::budget_bytes() const {
-  OrderedMutexLock lock(mutex_);
-  return budget_bytes_;
-}
-
 std::size_t CacheManager::resident_bytes() const {
   OrderedMutexLock lock(mutex_);
   return resident_bytes_;

@@ -106,8 +106,6 @@ class CacheManager {
   /// overshoot it by design), evict down to the budget at once.
   void unpin(int step) IFET_EXCLUDES(mutex_);
 
-  void set_budget(std::size_t budget_bytes) IFET_EXCLUDES(mutex_);
-  std::size_t budget_bytes() const IFET_EXCLUDES(mutex_);
   std::size_t resident_bytes() const IFET_EXCLUDES(mutex_);
   std::size_t resident_steps() const IFET_EXCLUDES(mutex_);
 
@@ -142,8 +140,9 @@ class CacheManager {
   /// Shared with every entry's deleter, so a payload that outlives the
   /// cache still returns its buffer safely.
   std::shared_ptr<SpareVolumes> spares_ = std::make_shared<SpareVolumes>();
+  /// Fixed at construction, so read without the lock.
+  const std::size_t budget_bytes_;
   mutable OrderedMutex mutex_{MutexRank::kCacheManager};
-  std::size_t budget_bytes_ IFET_GUARDED_BY(mutex_);
   std::size_t resident_bytes_ IFET_GUARDED_BY(mutex_) = 0;
   std::size_t peak_bytes_ IFET_GUARDED_BY(mutex_) = 0;
   std::list<int> lru_ IFET_GUARDED_BY(mutex_);  // front = most recent

@@ -7,9 +7,20 @@
 #include "stream/cache_manager.hpp"
 #include "stream/derived_cache.hpp"
 #include "stream/stream_stats.hpp"
-#include "util/error.hpp"
 
 namespace ifet {
+
+namespace {
+
+/// Engage when demanded pin bytes / budget bytes reach this ratio.
+constexpr double kEnterRatio = 0.85;
+/// Release only when the ratio falls back to this one (the hysteresis
+/// band below kEnterRatio).
+constexpr double kExitRatio = 0.65;
+/// Per-client quota scale applied while engaged, in percent.
+constexpr int kQuotaClampPercent = 50;
+
+}  // namespace
 
 PressureMonitor::PressureMonitor(CacheManager& cache,
                                  AdmissionController& admission,
@@ -26,13 +37,7 @@ PressureMonitor::PressureMonitor(CacheManager& cache,
       keep_params_(keep_params),
       budget_bytes_(budget_bytes),
       step_bytes_(step_bytes),
-      config_(config) {
-  IFET_REQUIRE(config_.exit_ratio < config_.enter_ratio || !config_.enabled,
-               "PressureMonitor: exit_ratio must be below enter_ratio "
-               "(the hysteresis band)");
-  IFET_REQUIRE(config_.quota_clamp_percent >= 1 || !config_.enabled,
-               "PressureMonitor: quota clamp must keep at least 1%");
-}
+      config_(config) {}
 
 IFET_HOT int PressureMonitor::sample() const {
   if (!config_.enabled || budget_bytes_ == 0) return 0;
@@ -41,8 +46,8 @@ IFET_HOT int PressureMonitor::sample() const {
       static_cast<double>(step_bytes_);
   const double ratio = demand_bytes / static_cast<double>(budget_bytes_);
   const bool engaged = engaged_.load(std::memory_order_relaxed);
-  if (!engaged && ratio >= config_.enter_ratio) return 1;
-  if (engaged && ratio <= config_.exit_ratio) return -1;
+  if (!engaged && ratio >= kEnterRatio) return 1;
+  if (engaged && ratio <= kExitRatio) return -1;
   return 0;
 }
 
@@ -65,9 +70,7 @@ void PressureMonitor::engage_locked() {
   report_.engaged = true;
 
   // Cheapest relief first: derived products are KiBs and recomputable.
-  if (config_.shed_derived) {
-    report_.derived_shed += derived_.shed_except(keep_params_);
-  }
+  report_.derived_shed += derived_.shed_except(keep_params_);
 
   // Revoke the outermost window pins (center-out order keeps each
   // client's current step). The admission lock is NOT held across the
@@ -75,20 +78,13 @@ void PressureMonitor::engage_locked() {
   {
     OrderedMutexLock order(admission_.delta_mutex());
     const std::vector<std::pair<int, WindowDelta>> deltas =
-        admission_.set_quota_scale(config_.quota_clamp_percent);
+        admission_.set_quota_scale(kQuotaClampPercent);
     for (const auto& [client, delta] : deltas) {
       (void)client;
       for (int s : delta.unpin) cache_.unpin(s);
       for (int s : delta.pin) cache_.pin(s);
       report_.pins_clamped += delta.unpin.size();
     }
-  }
-
-  // Bluntest last, and only when asked: shrinking the budget evicts.
-  if (config_.budget_clamp_percent > 0) {
-    cache_.set_budget(budget_bytes_ *
-                      static_cast<std::size_t>(config_.budget_clamp_percent) /
-                      100);
   }
 
   counters_.pressure_transitions.add();
@@ -99,13 +95,9 @@ void PressureMonitor::release_locked() {
   ++report_.exits;
   report_.engaged = false;
 
-  // Undo in reverse: budget back first so the re-admitted pins land in a
-  // full-sized cache, then quotas to 100% — the deltas re-admit
-  // center-out from each client's remembered window (pins on
-  // non-resident steps stay pending until the step loads).
-  if (config_.budget_clamp_percent > 0) {
-    cache_.set_budget(budget_bytes_);
-  }
+  // Quotas back to 100% — the deltas re-admit center-out from each
+  // client's remembered window (pins on non-resident steps stay pending
+  // until the step loads).
   {
     OrderedMutexLock order(admission_.delta_mutex());
     const std::vector<std::pair<int, WindowDelta>> deltas =

@@ -10,19 +10,20 @@
 //
 //   1. shed non-pinned derived products (recomputable, a few KiB each;
 //      the tier histogram hash is exempt — every client shares it),
-//   2. clamp every client's AdmissionController quota to a fraction,
-//      revoking pins center-out-last (each client keeps its current step),
-//   3. optionally renegotiate the CacheManager budget itself downward
-//      (off by default: shrinking the budget evicts, which is the
-//      bluntest relief and the first to cause reload storms).
+//   2. clamp every client's AdmissionController quota to 50%, revoking
+//      pins center-out-last (each client keeps its current step).
 //
-// Release is HYSTERETIC: pressure engages at `enter_ratio` and releases
-// only below `exit_ratio`, and the signal is the demand at FULL quota —
-// deliberately not the post-clamp pinned bytes, which the clamp itself
-// shrinks (a monitor that measured its own relief would oscillate).
-// On release every clamp is undone: the budget is restored first, then
-// quotas return to 100% and the revoked pins are re-admitted center-out
-// from each client's remembered window.
+// The cache budget itself is never renegotiated: shrinking it evicts,
+// which is the bluntest relief and the first to cause reload storms.
+//
+// Release is HYSTERETIC: pressure engages when the demand reaches 0.85 of
+// the budget and releases only at or below 0.65, and the signal is the
+// demand at FULL quota — deliberately not the post-clamp pinned bytes,
+// which the clamp itself shrinks (a monitor that measured its own relief
+// would oscillate). On release quotas return to 100% and the revoked pins
+// are re-admitted center-out from each client's remembered window. The
+// thresholds and the clamp are constants (pressure.cpp); only `enabled`
+// is configurable.
 //
 // Locking: transitions serialize on a kPressure (rank 15) mutex held
 // ACROSS the admission (35) / cache (30) / derived (50) calls they make —
@@ -50,17 +51,6 @@ struct PressureConfig {
   /// Master switch; disabled, the monitor is a cheap no-op and the tier
   /// behaves exactly as before (existing tests and benches stay bitwise).
   bool enabled = false;
-  /// Engage when demanded_pin_bytes / budget_bytes >= enter_ratio.
-  double enter_ratio = 0.85;
-  /// Release only when the ratio falls back <= exit_ratio (< enter_ratio).
-  double exit_ratio = 0.65;
-  /// Per-client quota scale applied while engaged (percent, >= 1).
-  int quota_clamp_percent = 50;
-  /// Shed non-pinned derived products on engage.
-  bool shed_derived = true;
-  /// Cache-budget scale applied while engaged (percent); 0 leaves the
-  /// budget alone (default — eviction churn is the bluntest relief).
-  int budget_clamp_percent = 0;
 };
 
 /// Transition counters and gauges (tests and the overload bench).

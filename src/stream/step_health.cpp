@@ -1,8 +1,5 @@
 #include "stream/step_health.hpp"
 
-#include <algorithm>
-#include <sstream>
-
 #include "util/error.hpp"
 
 namespace ifet {
@@ -27,37 +24,6 @@ FailPolicy parse_fail_policy(const std::string& name) {
   }
   throw Error("unknown fail policy '" + name +
               "' (expected throw, skip, or nearest)");
-}
-
-std::vector<int> StepHealth::quarantined() const {
-  std::vector<int> out;
-  for (std::size_t t = 0; t < states.size(); ++t) {
-    if (states[t] == StepState::kQuarantined) out.push_back(static_cast<int>(t));
-  }
-  return out;
-}
-
-std::size_t StepHealth::count(StepState state) const {
-  return static_cast<std::size_t>(
-      std::count(states.begin(), states.end(), state));
-}
-
-std::string StepHealth::summary() const {
-  std::ostringstream os;
-  os << "steps: " << count(StepState::kVerified) << " verified, "
-     << count(StepState::kUnverified) << " unverified, "
-     << count(StepState::kQuarantined) << " quarantined";
-  const std::vector<int> bad = quarantined();
-  if (!bad.empty()) {
-    os << " [";
-    for (std::size_t i = 0; i < bad.size(); ++i) {
-      if (i != 0) os << ", ";
-      os << bad[i];
-    }
-    os << "]";
-  }
-  os << ", " << count(StepState::kUnknown) << " unknown";
-  return os.str();
 }
 
 }  // namespace ifet

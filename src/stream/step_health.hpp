@@ -1,17 +1,15 @@
-// Per-step health bookkeeping for fault-tolerant streaming.
+// What a consumer sees of a quarantined step.
 //
-// When a load exhausts its retries the step enters quarantine and the
-// configured FailPolicy decides what consumers see: the original error
-// (kThrow), a "no data" answer they can bridge over (kSkipStep), or the
-// nearest healthy neighbour (kNearestGood). StepHealth is the report the
-// VolumeStore exposes so tools and tests can see which steps verified,
-// which loaded without a checksum, and which are quarantined.
-// docs/ROBUSTNESS.md has the full policy matrix.
+// When a load exhausts its retries the step enters quarantine
+// (VolumeStore::quarantined_steps() lists them) and the configured
+// FailPolicy decides what consumers see: the original error (kThrow), a
+// "no data" answer they can bridge over (kSkipStep), or the nearest
+// healthy neighbour (kNearestGood). docs/ROBUSTNESS.md has the full
+// policy matrix.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace ifet {
 
@@ -29,26 +27,5 @@ const char* fail_policy_name(FailPolicy policy);
 /// Accepts "throw", "skip" (or "skip-step"), "nearest" (or
 /// "nearest-good"); throws ifet::Error on anything else.
 FailPolicy parse_fail_policy(const std::string& name);
-
-/// Lifecycle state of one timestep, as observed by the store.
-enum class StepState : std::uint8_t {
-  kUnknown,      ///< Never loaded.
-  kVerified,     ///< Loaded with a matching payload checksum.
-  kUnverified,   ///< Loaded, but the file carried no checksum.
-  kQuarantined,  ///< Load exhausted retries; step is fenced off.
-};
-
-/// Snapshot of the whole sequence's health (VolumeStore::step_health()).
-struct StepHealth {
-  std::vector<StepState> states;  ///< states[t] for each step t.
-
-  /// Steps currently in StepState::kQuarantined, ascending.
-  std::vector<int> quarantined() const;
-  std::size_t count(StepState state) const;
-
-  /// One-line report, e.g. "steps: 14 verified, 1 unverified,
-  /// 1 quarantined [7], 0 unknown".
-  std::string summary() const;
-};
 
 }  // namespace ifet

@@ -31,12 +31,6 @@ std::string StreamStats::summary() const {
       os << ", " << nearest_good_substitutions << " substituted";
     }
   }
-  if (checksum_unverified != 0) {
-    // Flag legacy unverified payloads loudly: silent corruption is only
-    // caught on the checksummed paths.
-    os << ", checksums " << checksum_verified << " ok / "
-       << checksum_unverified << " UNVERIFIED";
-  }
   if (commands_rejected != 0 || commands_shed != 0 ||
       deadline_exceeded != 0 || pressure_transitions != 0) {
     os << ", overload: " << commands_rejected << " rejected, "
@@ -63,8 +57,6 @@ StreamStats StreamCounters::snapshot() const {
   out.retries = retries.get();
   out.load_failures = load_failures.get();
   out.prefetch_failures = prefetch_failures.get();
-  out.checksum_verified = checksum_verified.get();
-  out.checksum_unverified = checksum_unverified.get();
   out.checksum_failures = checksum_failures.get();
   out.skipped_fetches = skipped_fetches.get();
   out.nearest_good_substitutions = nearest_good_substitutions.get();

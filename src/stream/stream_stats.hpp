@@ -58,10 +58,9 @@ struct StreamStats {
                                         ///< (each quarantines its step).
   std::uint64_t prefetch_failures = 0;  ///< Async loads whose error was
                                         ///< captured for the next fetch.
-  std::uint64_t checksum_verified = 0;    ///< Payloads with a matching CRC.
-  std::uint64_t checksum_unverified = 0;  ///< Legacy checksum-less payloads.
-  std::uint64_t checksum_failures = 0;    ///< CRC mismatches observed.
-  std::size_t quarantined_steps = 0;      ///< Gauge: steps quarantined now.
+  std::uint64_t checksum_failures = 0;  ///< Load attempts that failed a
+                                        ///< CRC (ChecksumMismatchError).
+  std::size_t quarantined_steps = 0;    ///< Gauge: steps quarantined now.
   std::uint64_t skipped_fetches = 0;    ///< Quarantined fetches a client's
                                         ///< FailPolicy::kSkipStep answered
                                         ///< with "no data".
@@ -124,8 +123,7 @@ struct StreamCounters {
   Total<std::uint64_t> derived_hits, derived_misses;
   Total<double> demand_decode_seconds, prefetch_decode_seconds;
   Total<std::uint64_t> retries, load_failures, prefetch_failures;
-  Total<std::uint64_t> checksum_verified, checksum_unverified,
-      checksum_failures;
+  Total<std::uint64_t> checksum_failures;
   Total<std::uint64_t> skipped_fetches, nearest_good_substitutions;
   Total<std::uint64_t> commands_rejected, commands_shed, deadline_exceeded;
   Total<std::uint64_t> pressure_transitions;

@@ -35,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "stream/step_health.hpp"
 #include "stream/stream_tier.hpp"
 #include "util/ordered_mutex.hpp"
 #include "volume/sequence.hpp"

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "io/checksum.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/io_error.hpp"
@@ -29,15 +28,9 @@ VolumeStore::VolumeStore(std::shared_ptr<const VolumeSource> source,
                "VolumeStore: max_retries must be >= 0");
   IFET_REQUIRE(config_.retry_backoff_ms >= 0.0,
                "VolumeStore: retry_backoff_ms must be >= 0");
-  step_states_.assign(static_cast<std::size_t>(source_->num_steps()),
-                      StepState::kUnknown);
 }
 
 VolumeF VolumeStore::timed_load(int step, bool prefetch_context) {
-  // Loads run on the fetching/prefetching thread, so the thread-local
-  // checksum counters attribute verification state to THIS step without
-  // any cross-thread interference.
-  const ChecksumCounters before = checksum_counters();
   Stopwatch timer;
   // Decode into the buffer of a step nothing references any more, when
   // the cache keeps one and the source can reuse it.
@@ -47,27 +40,18 @@ VolumeF VolumeStore::timed_load(int step, bool prefetch_context) {
   IFET_REQUIRE(v.dims() == source_->dims(),
                "VolumeStore: source produced wrong dimensions");
   const double seconds = timer.seconds();
-  const ChecksumCounters after = checksum_counters();
   if (offered && spare.empty()) counters_.recycled_loads.add();
   if (!prefetch_context) {
     counters_.demand_loads.add();
     counters_.demand_decode_seconds.add(seconds);
   }
-  counters_.checksum_verified.add(after.verified - before.verified);
-  counters_.checksum_unverified.add(after.unverified - before.unverified);
   OrderedMutexLock lock(mutex_);
   ++total_loads_;
-  // A procedural source (no disk payload) counts as verified: there was
-  // never a byte that could rot.
-  step_states_[static_cast<std::size_t>(step)] =
-      after.unverified > before.unverified ? StepState::kUnverified
-                                           : StepState::kVerified;
   return v;
 }
 
 VolumeF VolumeStore::load_with_retry(int step, bool prefetch_context) {
   for (int attempt = 0;; ++attempt) {
-    const ChecksumCounters before = checksum_counters();
     try {
       return timed_load(step, prefetch_context);
     } catch (const DeadlineExceeded&) {
@@ -79,9 +63,10 @@ VolumeF VolumeStore::load_with_retry(int step, bool prefetch_context) {
       // A missing step will not appear by retrying.
       note_failure(step, std::current_exception());
       throw;
-    } catch (const IoError&) {
-      counters_.checksum_failures.add(checksum_counters().mismatches -
-                                      before.mismatches);
+    } catch (const IoError& error) {
+      if (dynamic_cast<const ChecksumMismatchError*>(&error) != nullptr) {
+        counters_.checksum_failures.add();
+      }
       if (attempt >= config_.max_retries) {
         note_failure(step, std::current_exception());
         throw;
@@ -109,7 +94,6 @@ void VolumeStore::note_failure(int step, std::exception_ptr error) {
   counters_.load_failures.add();
   OrderedMutexLock lock(mutex_);
   quarantine_[step] = error;
-  step_states_[static_cast<std::size_t>(step)] = StepState::kQuarantined;
 }
 
 std::shared_ptr<const VolumeF> VolumeStore::fetch(int step) {
@@ -231,9 +215,15 @@ StreamStats VolumeStore::stats() const {
   return out;
 }
 
-StepHealth VolumeStore::step_health() const {
-  OrderedMutexLock lock(mutex_);
-  return StepHealth{step_states_};
+std::vector<int> VolumeStore::quarantined_steps() const {
+  std::vector<int> steps;
+  {
+    OrderedMutexLock lock(mutex_);
+    steps.reserve(quarantine_.size());
+    for (const auto& entry : quarantine_) steps.push_back(entry.first);
+  }
+  std::sort(steps.begin(), steps.end());
+  return steps;
 }
 
 bool VolumeStore::is_quarantined(int step) const {

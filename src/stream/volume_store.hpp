@@ -21,7 +21,6 @@
 
 #include "stream/cache_manager.hpp"
 #include "stream/prefetcher.hpp"
-#include "stream/step_health.hpp"
 #include "util/ordered_mutex.hpp"
 #include "volume/sequence.hpp"
 
@@ -103,20 +102,22 @@ class VolumeStore {
   /// Counter snapshot plus the residency gauges and quarantined_steps.
   StreamStats stats() const IFET_EXCLUDES(mutex_);
 
-  /// Per-step verified/unverified/quarantined report.
-  StepHealth step_health() const IFET_EXCLUDES(mutex_);
+  /// The quarantined steps, ascending.
+  std::vector<int> quarantined_steps() const IFET_EXCLUDES(mutex_);
 
   /// Whether `step` exhausted its retries and is fenced off.
   bool is_quarantined(int step) const IFET_EXCLUDES(mutex_);
 
  private:
   /// Decodes one step via the source (mutex_ is only taken AFTER the
-  /// decode, to record the step's state — the source call is user code
-  /// and runs lock-free).
+  /// decode, to count the load — the source call is user code and runs
+  /// lock-free).
   VolumeF timed_load(int step, bool prefetch_context) IFET_EXCLUDES(mutex_);
 
-  /// timed_load wrapped in the retry/backoff policy. Exhaustion (or a
-  /// NotFoundError) quarantines the step and rethrows the final error.
+  /// timed_load wrapped in the retry/backoff policy. Each attempt that
+  /// throws ChecksumMismatchError counts one checksum_failures.
+  /// Exhaustion (or a NotFoundError) quarantines the step and rethrows
+  /// the final error.
   VolumeF load_with_retry(int step, bool prefetch_context)
       IFET_EXCLUDES(mutex_);
 
@@ -134,7 +135,6 @@ class VolumeStore {
   /// Original load error per quarantined step (fetch rethrows it).
   std::unordered_map<int, std::exception_ptr> quarantine_
       IFET_GUARDED_BY(mutex_);
-  std::vector<StepState> step_states_ IFET_GUARDED_BY(mutex_);
   std::unordered_map<int, std::shared_ptr<const BrickIndex>> bricks_
       IFET_GUARDED_BY(mutex_);
   std::uint64_t brick_metadata_reads_ IFET_GUARDED_BY(mutex_) = 0;
@@ -142,7 +142,7 @@ class VolumeStore {
 
   /// Declared LAST on purpose: its destructor drains every in-flight
   /// async load, and those loads (load_with_retry on worker threads) take
-  /// mutex_ and write step_states_ and the counters above — so the
+  /// mutex_ and write the quarantine and the counters above — so the
   /// prefetcher must be destroyed before any state its tasks touch.
   Prefetcher prefetcher_;
 };

@@ -14,6 +14,11 @@
 //                       truncated frame, malformed header, RLE stream that
 //                       ends mid-volume. Retried (a torn write may
 //                       complete), then quarantined.
+//   ChecksumMismatchError — the CorruptDataError a failed CRC raises (a
+//                       .cvol frame or brick record, a .vol payload), so
+//                       VolumeStore counts checksum failures from the type
+//                       while every CorruptDataError handler still
+//                       matches it.
 //   NotFoundError     — the file or step does not exist at all. Not
 //                       retried; quarantined immediately.
 //   DeadlineExceeded  — the caller's time budget ran out while waiting
@@ -23,7 +28,7 @@
 //                       triggers a FailPolicy substitution — the same
 //                       fetch with a fresh budget is expected to succeed.
 //
-// All three derive from IoError (itself an ifet::Error), so legacy
+// All of them derive from IoError (itself an ifet::Error), so legacy
 // `catch (const Error&)` handlers keep working while new code handles each
 // failure mode distinctly. The ifet_lint `broad-catch-io` rule enforces
 // typed handling around volume-load call sites outside src/stream.
@@ -51,6 +56,13 @@ class TransientIoError : public IoError {
 class CorruptDataError : public IoError {
  public:
   explicit CorruptDataError(const std::string& what) : IoError(what) {}
+};
+
+/// The bytes fail their CRC32: the payload changed on disk or in transit.
+class ChecksumMismatchError : public CorruptDataError {
+ public:
+  explicit ChecksumMismatchError(const std::string& what)
+      : CorruptDataError(what) {}
 };
 
 /// The file / step does not exist; retrying the read cannot help.

@@ -14,10 +14,10 @@
 // "provably transparent", so NaN-contaminated data is always marched the
 // same way the scalar renderer marches it.
 //
-// The index serializes into the .cvol container's versioned brick section
+// The index serializes into the .cvol container's per-step brick records
 // (io/compressed) so the streaming layer can serve it without decoding
-// payloads; legacy files and raw .vol sets fall back to building it from
-// the decoded volume (stream/volume_store).
+// payloads; procedural sources fall back to building it from the decoded
+// volume (stream/volume_store).
 #pragma once
 
 #include <cstddef>

@@ -46,12 +46,11 @@ class VolumeSource {
   }
 
   /// Ingest-time brick min/max metadata for `step`, when the backing
-  /// container carries it (a v2 .cvol brick section — see io/compressed).
-  /// The default (procedural sources, legacy files, raw .vol sets) returns
-  /// nullptr and consumers build the index from the decoded volume
-  /// instead. Implementations must serve this WITHOUT decoding the step's
-  /// payload — it is the renderer's cheap pre-pass over steps that may
-  /// never become resident.
+  /// container carries it (a .cvol brick record — see io/compressed).
+  /// The default (procedural sources) returns nullptr and consumers build
+  /// the index from the decoded volume instead. Implementations must serve
+  /// this WITHOUT decoding the step's payload — it is the renderer's cheap
+  /// pre-pass over steps that may never become resident.
   virtual std::shared_ptr<const BrickIndex> brick_metadata(int step) const {
     (void)step;
     return nullptr;

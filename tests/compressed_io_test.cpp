@@ -217,6 +217,35 @@ void dump(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// Little-endian u64 at `at` in `bytes`.
+std::uint64_t u64_at(const std::string& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int b = 0; b < 8; ++b) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[at + b]))
+         << (8 * b);
+  }
+  return v;
+}
+
+/// Overwrites the little-endian u64 at `at` in `bytes`.
+void put_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) bytes[at + b] = static_cast<char>(v >> (8 * b));
+}
+
+/// Bytes of a record before its payload: bits u8, lo f32, hi f32, size u64.
+constexpr std::size_t kRecordPrefix = 17;
+
+/// Offset of step `step`'s index entry in a .cvol file; the entry holds
+/// the payload record's offset and size, then the brick record's.
+std::size_t index_entry(const std::string& bytes, int step) {
+  return bytes.find('\n') + 1 + 32 * static_cast<std::size_t>(step);
+}
+
+/// File offset of step `step`'s payload record.
+std::uint64_t record_offset(const std::string& bytes, int step) {
+  return u64_at(bytes, index_entry(bytes, step));
+}
+
 /// Bit-at-a-time CRC-32 over the reflected polynomial 0xEDB88320: the
 /// definition crc32() must agree with for every length and alignment.
 std::uint32_t crc32_bytewise(const unsigned char* data, std::size_t size,
@@ -282,46 +311,7 @@ TEST(PayloadChecksums, BitFlippedCvolPayloadRejected) {
   dump(path, bytes);
 
   CompressedFileSource reader(path);  // header + index are intact
-  const std::uint64_t before = checksum_counters().mismatches;
-  EXPECT_THROW(reader.generate(0), CorruptDataError);
-  EXPECT_EQ(checksum_counters().mismatches, before + 1);
-  std::remove(path.c_str());
-}
-
-TEST(PayloadChecksums, ChecksumLessCvolStillLoadsAsUnverified) {
-  const std::string path = "/tmp/ifet_cseq_legacy.cvol";
-  const Dims d{8, 8, 8};
-  CallbackSource source(d, 2, {0.0, 1.0}, [d](int step) {
-    return testing::random_volume(d, 500 + static_cast<unsigned>(step));
-  });
-  write_compressed_sequence(source, path, QuantBits::k8,
-                            /*with_checksum=*/false);
-  CompressedFileSource reader(path);
-  const ChecksumCounters before = checksum_counters();
-  for (int s = 0; s < 2; ++s) {
-    VolumeF decoded = reader.generate(s);
-    EXPECT_LE(max_abs_error(source.generate(s), decoded), 1.0 / 255.0);
-  }
-  // Old files keep loading, but the reads are flagged, not silently
-  // trusted.
-  EXPECT_EQ(checksum_counters().unverified, before.unverified + 2);
-  EXPECT_EQ(checksum_counters().verified, before.verified);
-  std::remove(path.c_str());
-}
-
-TEST(PayloadChecksums, CleanCvolReadsCountAsVerified) {
-  const std::string path = "/tmp/ifet_cseq_verified.cvol";
-  const Dims d{6, 6, 6};
-  CallbackSource source(d, 2, {0.0, 1.0}, [d](int step) {
-    return testing::random_volume(d, 600 + static_cast<unsigned>(step));
-  });
-  write_compressed_sequence(source, path);
-  CompressedFileSource reader(path);
-  const ChecksumCounters before = checksum_counters();
-  (void)reader.generate(0);
-  (void)reader.generate(1);
-  EXPECT_EQ(checksum_counters().verified, before.verified + 2);
-  EXPECT_EQ(checksum_counters().mismatches, before.mismatches);
+  EXPECT_THROW(reader.generate(0), ChecksumMismatchError);
   std::remove(path.c_str());
 }
 
@@ -341,18 +331,64 @@ TEST(PayloadChecksums, BitFlippedVolPayloadRejected) {
                                (bytes.size() - header_end - 1));
   bytes[offset] = static_cast<char>(bytes[offset] ^ 0x01);
   dump(path, bytes);
-  EXPECT_THROW(read_vol(path), CorruptDataError);
+  EXPECT_THROW(read_vol(path), ChecksumMismatchError);
   std::remove(path.c_str());
 }
 
-TEST(PayloadChecksums, ChecksumLessVolStillLoads) {
-  const std::string path = "/tmp/ifet_vol_legacy.vol";
+TEST(PayloadChecksums, ChecksumLessVolHeaderRejected) {
+  const std::string path = "/tmp/ifet_vol_nocrc.vol";
   VolumeF v = random_volume(Dims{5, 5, 5}, 12);
-  write_vol(v, path, /*with_checksum=*/false);
-  const ChecksumCounters before = checksum_counters();
-  VolumeF back = read_vol(path);
-  EXPECT_EQ(max_abs_error(v, back), 0.0);
-  EXPECT_EQ(checksum_counters().unverified, before.unverified + 1);
+  write_vol(v, path);
+  // Drop " crc32 <sum>" from the header: the header older writers wrote.
+  std::string bytes = slurp(path);
+  const std::size_t tag = bytes.find(" crc32 ");
+  const std::size_t header_end = bytes.find('\n');
+  ASSERT_LT(tag, header_end);
+  bytes.erase(tag, header_end - tag);
+  ASSERT_EQ(bytes.rfind("ifet-vol 5 5 5\n", 0), 0u);
+  dump(path, bytes);
+  try {
+    (void)read_vol(path);
+    FAIL() << "a .vol header without a checksum must be rejected";
+  } catch (const ChecksumMismatchError& e) {
+    FAIL() << "no checksum to mismatch: " << e.what();
+  } catch (const CorruptDataError& e) {
+    EXPECT_NE(std::string(e.what()).find("checksum field"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PayloadChecksums, StoreCountsEveryFailedAttempt) {
+  const std::string path = "/tmp/ifet_cseq_store_flip.cvol";
+  const Dims d{8, 8, 8};
+  CallbackSource source(d, 2, {0.0, 1.0}, [d](int step) {
+    return testing::random_volume(d, 420 + static_cast<unsigned>(step));
+  });
+  write_compressed_sequence(source, path);
+  // Flip the first payload byte of step 1's record.
+  std::string bytes = slurp(path);
+  const std::uint64_t payload = record_offset(bytes, 1) + kRecordPrefix;
+  bytes[payload] = static_cast<char>(bytes[payload] ^ 0x01);
+  dump(path, bytes);
+
+  VolumeStoreConfig config;
+  config.lookahead = 0;
+  config.async_prefetch = false;
+  config.max_retries = 2;
+  VolumeStore store(std::make_shared<CompressedFileSource>(path), config);
+  EXPECT_THROW(store.fetch(1), ChecksumMismatchError);
+  const StreamStats stats = store.stats();
+  EXPECT_EQ(stats.checksum_failures, 3u);  // the first attempt + 2 retries
+  EXPECT_EQ(stats.retries, 2u);
+  EXPECT_EQ(stats.load_failures, 1u);
+  EXPECT_EQ(stats.quarantined_steps, 1u);
+  EXPECT_EQ(store.quarantined_steps(), std::vector<int>{1});
+  // A quarantined fetch rethrows without reading the frame again.
+  EXPECT_THROW(store.fetch(1), ChecksumMismatchError);
+  EXPECT_EQ(store.stats().checksum_failures, 3u);
+  ASSERT_NE(store.fetch(0), nullptr);
+  EXPECT_LE(max_abs_error(source.generate(0), *store.fetch(0)), 1.0 / 255.0);
   std::remove(path.c_str());
 }
 
@@ -386,24 +422,41 @@ TEST(BrickSection, V2RoundTripMatchesRebuiltIndex) {
   std::remove(path.c_str());
 }
 
-TEST(BrickSection, LegacyV1FilesStillLoadWithoutBrickMetadata) {
+TEST(BrickSection, V1ContainerRejected) {
   const std::string path = "/tmp/ifet_cseq_v1.cvol";
   const Dims d{9, 9, 9};
-  CallbackSource source(d, 2, {0.0, 1.0}, [d](int step) {
+  const int steps = 2;
+  CallbackSource source(d, steps, {0.0, 1.0}, [d](int step) {
     return testing::random_volume(d, 800 + static_cast<unsigned>(step));
   });
-  // brick_size = 0 writes the pre-brick v1 container byte for byte.
-  write_compressed_sequence(source, path, QuantBits::k8,
-                            /*with_checksum=*/true, /*brick_size=*/0);
-  EXPECT_EQ(slurp(path).rfind("ifet-cseq ", 0), 0u);  // v1 magic, not v2
+  write_compressed_sequence(source, path);
+  // Rebuild the file in the v1 layout older writers produced: "ifet-cseq"
+  // and no brick size on the header line, 16-byte index entries (payload
+  // offset/size) and the payload records alone.
+  const std::string v2 = slurp(path);
+  const std::string line = v2.substr(0, v2.find('\n'));
+  ASSERT_EQ(line.rfind("ifet-cseq2 ", 0), 0u);
+  const std::size_t fields = line.find(' ');
+  std::string v1 = "ifet-cseq" +
+                   line.substr(fields, line.rfind(' ') - fields) + "\n";
+  std::string index(16 * steps, '\0'), records;
+  const std::size_t records_begin = v1.size() + index.size();
+  for (int s = 0; s < steps; ++s) {
+    const std::size_t entry = index_entry(v2, s);
+    const std::uint64_t size = u64_at(v2, entry + 8);
+    put_u64(index, 16 * s, records_begin + records.size());
+    put_u64(index, 16 * s + 8, size);
+    records += v2.substr(u64_at(v2, entry), size);
+  }
+  v1 += index + records;
+  dump(path, v1);
 
-  CompressedFileSource reader(path);
-  EXPECT_EQ(reader.container_brick_size(), 0);
-  EXPECT_EQ(reader.brick_metadata(0), nullptr);
-  EXPECT_EQ(reader.brick_metadata(1), nullptr);
-  for (int s = 0; s < 2; ++s) {
-    EXPECT_LE(max_abs_error(source.generate(s), reader.generate(s)),
-              1.0 / 255.0);
+  try {
+    CompressedFileSource reader(path);
+    FAIL() << "a v1 container must be rejected";
+  } catch (const CorruptDataError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad header"), std::string::npos)
+        << e.what();
   }
   std::remove(path.c_str());
 }
@@ -418,16 +471,15 @@ TEST(BrickSection, BrickMetadataNeverDecodesPayloads) {
 
   auto disk_source = std::make_shared<CompressedFileSource>(path);
   StreamedSequence seq(disk_source, testing::load_counting_config(d, 2));
-  const ChecksumCounters before = checksum_counters();
   const auto bricks = seq.brick_index(2);
   ASSERT_NE(bricks, nullptr);
   // Served from the container's brick section: zero payloads were decoded
-  // and exactly one (brick) record was checksum-verified.
+  // and exactly one (brick) record was read.
   EXPECT_EQ(seq.generation_count(), 0u);
-  EXPECT_EQ(checksum_counters().verified, before.verified + 1);
+  EXPECT_EQ(seq.store().brick_metadata_reads(), 1u);
   // Memoized: the second lookup returns the same index, no second read.
   EXPECT_EQ(seq.brick_index(2).get(), bricks.get());
-  EXPECT_EQ(checksum_counters().verified, before.verified + 1);
+  EXPECT_EQ(seq.store().brick_metadata_reads(), 1u);
   std::remove(path.c_str());
 }
 
@@ -446,9 +498,7 @@ TEST(BrickSection, BitFlippedBrickRecordRejected) {
   dump(path, bytes);
 
   CompressedFileSource reader(path);
-  const std::uint64_t before = checksum_counters().mismatches;
-  EXPECT_THROW(reader.brick_metadata(0), CorruptDataError);
-  EXPECT_EQ(checksum_counters().mismatches, before + 1);
+  EXPECT_THROW(reader.brick_metadata(0), ChecksumMismatchError);
   // The payload section is untouched: the step still decodes cleanly.
   EXPECT_LE(max_abs_error(source.generate(0), reader.generate(0)),
             1.0 / 255.0);
@@ -458,9 +508,6 @@ TEST(BrickSection, BitFlippedBrickRecordRejected) {
 // ---------------------------------------------------------------------------
 // Streamed decode: CompressedFileSource reads a record through one
 // kReadChunkBytes buffer, checksumming and decoding each chunk in turn.
-
-/// Bytes of a record before its payload: bits u8, lo f32, hi f32, size u64.
-constexpr std::size_t kRecordPrefix = 17;
 
 /// A volume whose RLE payload spans several read chunks: mostly runs of
 /// 1-3 voxels, now and then a stretch of 256-655 equal voxels (255-voxel
@@ -560,51 +607,88 @@ TEST(StreamedDecode, GenerateMatchesDecompressBitwise) {
   std::remove(path.c_str());
 }
 
-/// File offset of step `step`'s record in a v2 container.
-std::uint64_t record_offset(const std::string& bytes, int step) {
-  const std::size_t index = bytes.find('\n') + 1 + 32 * step;
-  std::uint64_t offset = 0;
-  for (int b = 0; b < 8; ++b) {
-    offset |= static_cast<std::uint64_t>(
-                  static_cast<unsigned char>(bytes[index + b]))
-              << (8 * b);
-  }
-  return offset;
-}
-
 TEST(StreamedDecode, ChecksumVerdictPrecedesDecodeError) {
   const std::string path = "/tmp/ifet_cseq_verdict.cvol";
   CallbackSource source(Dims{64, 64, 56}, 1, {0.0, 2.0},
                         [](int) { return chunky_volume(710); });
   const CompressedVolume c = compress_volume(source.generate(0));
-  for (const bool with_checksum : {true, false}) {
-    SCOPED_TRACE(with_checksum ? "checksummed frame" : "checksum-less frame");
-    write_compressed_sequence(source, path, QuantBits::k8, with_checksum);
-    std::string bytes = slurp(path);
-    // The last run (5 voxels) becomes 255: it overflows the volume.
-    const std::size_t last_run =
-        record_offset(bytes, 0) + kRecordPrefix + c.payload.size() - 2;
-    ASSERT_EQ(static_cast<unsigned char>(bytes[last_run]), 5);
-    bytes[last_run] = static_cast<char>(255);
-    dump(path, bytes);
+  write_compressed_sequence(source, path);
+  std::string bytes = slurp(path);
+  // The last run (5 voxels) becomes 255: it overflows the volume.
+  const std::size_t last_run =
+      record_offset(bytes, 0) + kRecordPrefix + c.payload.size() - 2;
+  ASSERT_EQ(static_cast<unsigned char>(bytes[last_run]), 5);
+  bytes[last_run] = static_cast<char>(255);
+  dump(path, bytes);
 
-    CompressedFileSource reader(path);
-    const ChecksumCounters before = checksum_counters();
-    try {
-      (void)reader.generate(0);
-      FAIL() << "a corrupt frame must be rejected";
-    } catch (const CorruptDataError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(with_checksum ? "checksum mismatch"
-                                        : "run overflows volume"),
-                std::string::npos)
-          << what;
-    }
-    EXPECT_EQ(checksum_counters().mismatches,
-              before.mismatches + (with_checksum ? 1 : 0));
-    EXPECT_EQ(checksum_counters().unverified,
-              before.unverified + (with_checksum ? 0 : 1));
+  CompressedFileSource reader(path);
+  try {
+    (void)reader.generate(0);
+    FAIL() << "a corrupt frame must be rejected";
+  } catch (const ChecksumMismatchError& e) {
+    EXPECT_NE(std::string(e.what()).find("checksum mismatch"),
+              std::string::npos)
+        << e.what();
   }
+  std::remove(path.c_str());
+}
+
+/// Expects generate(step) to reject the record's prefix as a payload size
+/// mismatch, before any CRC or decode verdict.
+void expect_size_mismatch(const CompressedFileSource& reader, int step) {
+  try {
+    (void)reader.generate(step);
+    FAIL() << "a record whose size disagrees with its index entry must be "
+              "rejected";
+  } catch (const CorruptDataError& e) {
+    const std::string want =
+        "payload size mismatch for step " + std::to_string(step);
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(StreamedDecode, PrefixCannotSkipTheChecksum) {
+  const std::string path = "/tmp/ifet_cseq_prefix.cvol";
+  const Dims d{8, 8, 8};
+  CallbackSource source(d, 2, {0.0, 1.0}, [d](int step) {
+    return testing::random_volume(d, 430 + static_cast<unsigned>(step));
+  });
+  for (const int delta : {4, -4}) {
+    SCOPED_TRACE("payload size " + std::string(delta > 0 ? "+4" : "-4"));
+    write_compressed_sequence(source, path);
+    std::string bytes = slurp(path);
+    // Step 1's payload-size field: +4 makes prefix + payload fill the whole
+    // record, as if the frame had no CRC.
+    const std::uint64_t field = record_offset(bytes, 1) + 9;
+    put_u64(bytes, field,
+            u64_at(bytes, field) + static_cast<std::uint64_t>(delta));
+    dump(path, bytes);
+    CompressedFileSource reader(path);
+    expect_size_mismatch(reader, 1);
+    EXPECT_LE(max_abs_error(source.generate(0), reader.generate(0)),
+              1.0 / 255.0);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StreamedDecode, ChecksumLessFrameRejected) {
+  const std::string path = "/tmp/ifet_cseq_nocrc.cvol";
+  const Dims d{8, 8, 8};
+  CallbackSource source(d, 2, {0.0, 1.0}, [d](int step) {
+    return testing::random_volume(d, 500 + static_cast<unsigned>(step));
+  });
+  write_compressed_sequence(source, path);
+  // Step 0's index size shrinks by the CRC: the record now reads as the
+  // checksum-less frame older writers produced.
+  std::string bytes = slurp(path);
+  const std::size_t size_field = index_entry(bytes, 0) + 8;
+  put_u64(bytes, size_field, u64_at(bytes, size_field) - 4);
+  dump(path, bytes);
+  CompressedFileSource reader(path);
+  expect_size_mismatch(reader, 0);
+  EXPECT_LE(max_abs_error(source.generate(1), reader.generate(1)),
+            1.0 / 255.0);
   std::remove(path.c_str());
 }
 

@@ -76,17 +76,6 @@ TEST(Metrics, MaskedMeanAbsDifference) {
   EXPECT_DOUBLE_EQ(masked_mean_abs_difference(a, b, Mask(d)), 0.0);
 }
 
-TEST(VolumeIo, RawRoundTrip) {
-  VolumeF v = random_volume(Dims{6, 5, 4}, 8);
-  const std::string path = "/tmp/ifet_test_raw.bin";
-  write_raw(v, path);
-  VolumeF r = read_raw(path, v.dims());
-  for (std::size_t i = 0; i < v.size(); ++i) EXPECT_FLOAT_EQ(r[i], v[i]);
-  // Reading with bigger dims than the payload must fail.
-  EXPECT_THROW(read_raw(path, Dims{10, 10, 10}), Error);
-  std::remove(path.c_str());
-}
-
 TEST(VolumeIo, VolRoundTripSelfDescribing) {
   VolumeF v = random_volume(Dims{7, 3, 9}, 9);
   const std::string path = "/tmp/ifet_test_vol.vol";
@@ -109,8 +98,6 @@ TEST(VolumeIo, VolRejectsBadHeader) {
 
 TEST(VolumeIo, MissingFileThrows) {
   EXPECT_THROW(read_vol("/tmp/ifet_does_not_exist.vol"), Error);
-  EXPECT_THROW(read_raw("/tmp/ifet_does_not_exist.bin", Dims{2, 2, 2}),
-               Error);
 }
 
 TEST(ImageIo, WritesValidPpm) {

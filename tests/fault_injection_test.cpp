@@ -261,8 +261,7 @@ TEST(FailPolicyMatrix, SkipStepReturnsNoData) {
   const StreamStats stats = sequence.stats();
   EXPECT_GE(stats.skipped_fetches, 2u);
   EXPECT_EQ(stats.quarantined_steps, 1u);
-  EXPECT_EQ(sequence.store().step_health().quarantined(),
-            std::vector<int>{2});
+  EXPECT_EQ(sequence.store().quarantined_steps(), std::vector<int>{2});
 }
 
 TEST(FailPolicyMatrix, NearestGoodSubstitutesNeighbour) {
@@ -293,22 +292,24 @@ TEST(FailPolicyMatrix, NearestGoodSkipsOverQuarantinedNeighbours) {
   EXPECT_EQ(sequence.stats().quarantined_steps, 3u);
 }
 
-TEST(StepHealthReport, TracksVerifiedAndQuarantinedStates) {
+TEST(QuarantineReport, ListsExactlyTheFencedSteps) {
   auto faulty = std::make_shared<FaultInjectingSource>(
-      blob_source(), std::vector<FaultSpec>{{2, FaultKind::kCorrupt, 1}});
+      blob_source(), std::vector<FaultSpec>{{4, FaultKind::kCorrupt, 1},
+                                            {2, FaultKind::kCorrupt, 1}});
   StreamConfig config = sync_sequence_config(FailPolicy::kSkipStep);
   config.lookahead = 0;  // touch exactly the steps the test fetches
   config.pin_radius = 0;
   StreamedSequence sequence(faulty, config);
-  (void)sequence.try_step(0);
-  (void)sequence.try_step(2);
-  const StepHealth health = sequence.store().step_health();
-  ASSERT_EQ(health.states.size(), static_cast<std::size_t>(kSteps));
-  EXPECT_EQ(health.states[0], StepState::kVerified);  // procedural source
-  EXPECT_EQ(health.states[2], StepState::kQuarantined);
-  EXPECT_EQ(health.states[5], StepState::kUnknown);
-  const std::string summary = health.summary();
-  EXPECT_NE(summary.find("1 quarantined [2]"), std::string::npos) << summary;
+  EXPECT_TRUE(sequence.store().quarantined_steps().empty());
+  EXPECT_NE(sequence.try_step(0), nullptr);
+  EXPECT_EQ(sequence.try_step(4), nullptr);
+  EXPECT_EQ(sequence.try_step(2), nullptr);
+  // Ascending, whatever the order the steps failed in; loaded and
+  // untouched steps are not listed.
+  EXPECT_EQ(sequence.store().quarantined_steps(), (std::vector<int>{2, 4}));
+  EXPECT_EQ(sequence.stats().quarantined_steps, 2u);
+  EXPECT_FALSE(sequence.store().is_quarantined(0));
+  EXPECT_FALSE(sequence.store().is_quarantined(5));
 }
 
 // ---------------------------------------------------------------------------

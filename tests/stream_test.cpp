@@ -508,8 +508,6 @@ void expect_counters(const StreamStats& got, const StreamStats& want) {
   EXPECT_EQ(got.retries, want.retries);
   EXPECT_EQ(got.load_failures, want.load_failures);
   EXPECT_EQ(got.prefetch_failures, want.prefetch_failures);
-  EXPECT_EQ(got.checksum_verified, want.checksum_verified);
-  EXPECT_EQ(got.checksum_unverified, want.checksum_unverified);
   EXPECT_EQ(got.checksum_failures, want.checksum_failures);
   EXPECT_EQ(got.quarantined_steps, want.quarantined_steps);
   EXPECT_EQ(got.skipped_fetches, want.skipped_fetches);

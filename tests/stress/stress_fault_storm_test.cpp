@@ -123,7 +123,7 @@ TEST(FaultStormStress, QuarantineUnderSkipPolicyStaysConsistent) {
   const StreamStats stats = tier.stats();
   EXPECT_EQ(stats.quarantined_steps, 1u);
   EXPECT_GT(stats.skipped_fetches, 0u);
-  EXPECT_EQ(store.step_health().quarantined(), std::vector<int>{kBadStep});
+  EXPECT_EQ(store.quarantined_steps(), std::vector<int>{kBadStep});
 }
 
 TEST(FaultStormStress, ThrowingPrefetchesRaceDemandFetches) {

@@ -26,6 +26,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/track_events.hpp"
 #include "core/tracking.hpp"
@@ -225,8 +226,13 @@ int cmd_track(const CliArgs& args) {
     }
   }
   std::cout << sequence.stats().summary() << "\n";
-  if (sequence.stats().quarantined_steps != 0) {
-    std::cout << sequence.store().step_health().summary() << "\n";
+  const std::vector<int> quarantined = sequence.store().quarantined_steps();
+  if (!quarantined.empty()) {
+    std::cout << "quarantined steps:";
+    for (std::size_t i = 0; i < quarantined.size(); ++i) {
+      std::cout << (i == 0 ? " " : ", ") << quarantined[i];
+    }
+    std::cout << "\n";
   }
   return 0;
 }

@@ -57,7 +57,7 @@ inline void run_conventions_pass(const SourceFile& file,
   static const std::regex raw_time_re(R"(\btime\s*\(\s*(NULL|nullptr|0)\s*\))");
   static const std::regex catch_all_re(R"(catch\s*\(\s*\.\.\.\s*\))");
   static const std::regex data_member_re(R"(\bdata_\s*\[)");
-  static const std::regex volume_load_re(R"(\b(read_vol|read_raw)\s*\()");
+  static const std::regex volume_load_re(R"(\bread_vol\s*\()");
   static const std::regex dims_param_re(
       R"([(,]\s*(const\s+)?(ifet::)?Dims\s*[&)\s,])");
   // Longest alternatives first: std::regex picks the leftmost alternative.
@@ -121,7 +121,7 @@ inline void run_conventions_pass(const SourceFile& file,
       report(i, "direct-volume-load",
              "load volumes through the streaming layer (VolumeStore / "
              "StreamedSequence) so the bytes are budgeted; direct "
-             "read_vol()/read_raw() is reserved for src/io and src/stream");
+             "read_vol() is reserved for src/io and src/stream");
     }
     if (hot_dir) {
       std::ptrdiff_t call_pos = -1;
@@ -170,7 +170,7 @@ inline void run_conventions_pass(const SourceFile& file,
   // retry/quarantine machinery dispatches on; only src/stream may do that.
   if (!in_stream_dir(file.path)) {
     static const std::regex io_load_re(
-        R"(\b(read_vol|read_raw|open_cvol|open_vol_files|fetch|generate)\s*\()");
+        R"(\b(read_vol|open_cvol|fetch|generate)\s*\()");
     static const std::regex broad_decl_re(
         R"(^\s*(\.\.\.|(const\s+)?(std::\s*)?exception\s*&?\s*\w*)\s*$)");
     static const std::regex try_re(R"(\btry\s*\{)");
