@@ -12,16 +12,17 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <iterator>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/batch.hpp"
 #include "core/track_events.hpp"
+#include "core/tracking.hpp"
 #include "flowsim/datasets.hpp"
 #include "nn/mlp.hpp"
 #include "parallel/thread_pool.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/rng.hpp"
 #include "volume/components.hpp"
 #include "volume/filters.hpp"
@@ -118,23 +119,38 @@ void BM_EvaluateMseAllocating(benchmark::State& state) {
 BENCHMARK(BM_EvaluateMseAllocating)->Arg(128)->Arg(512)->Arg(2048)
     ->Unit(benchmark::kMicrosecond);
 
-/// Steps of a band-like track: step t is the 64^3 window at plane t of a
-/// 64 x 64 x (63 + steps) field of blurred noise, set above the field's
-/// 20th percentile. So each step is about 80% set in coherent regions
-/// with holes and islands, like one step of perfbench's band query, and
+constexpr int kSide = 64;
+
+/// The field behind the band-like steps: 64 x 64 x (63 + steps) voxels of
+/// blurred noise, whose step t is the 64^3 window at plane t, so
 /// consecutive steps overlap as a drifting feature does.
-TrackResult band_like_track(int steps) {
-  constexpr int kSide = 64;
+VolumeF band_like_field(int steps) {
   Rng rng(4242);
   VolumeF noise(Dims{kSide, kSide, kSide + steps - 1});
   for (std::size_t v = 0; v < noise.size(); ++v) {
     noise[v] = static_cast<float>(rng.uniform());
   }
-  const VolumeF field = gaussian_blur(noise, 1.5);
+  return gaussian_blur(noise, 1.5);
+}
+
+/// The value below which `fraction` of `field`'s voxels lie (the largest
+/// value at 1).
+float field_quantile(const VolumeF& field, double fraction) {
   std::vector<float> sorted(field.data().begin(), field.data().end());
-  const auto fifth = sorted.begin() + std::ssize(sorted) / 5;
-  std::nth_element(sorted.begin(), fifth, sorted.end());
-  const float cut = *fifth;
+  const auto rank = std::min(
+      sorted.size() - 1,
+      static_cast<std::size_t>(fraction * static_cast<double>(sorted.size())));
+  const auto at = sorted.begin() + static_cast<std::ptrdiff_t>(rank);
+  std::nth_element(sorted.begin(), at, sorted.end());
+  return *at;
+}
+
+/// Steps of a band-like track: band_like_field's steps set above the
+/// field's 20th percentile. So each step is about 80% set in coherent
+/// regions with holes and islands, like one step of perfbench's band query.
+TrackResult band_like_track(int steps) {
+  const VolumeF field = band_like_field(steps);
+  const float cut = field_quantile(field, 0.2);
   TrackResult track;
   for (int t = 0; t < steps; ++t) {
     Mask mask(Dims{kSide, kSide, kSide});
@@ -146,6 +162,69 @@ TrackResult band_like_track(int steps) {
   }
   return track;
 }
+
+/// One fixed-range track over 64 steps of band_like_field, seeded at step
+/// 32, through a fully resident StreamedSequence, so the bench times the
+/// grow and not the field. The range is [quantile lo, quantile hi] of the
+/// field. The seed is the first voxel the range accepts, or with
+/// `seed_mask` every such voxel of step 32 (Tracker::track_from_mask). The
+/// track's voxels per second are reported.
+void run_track_bench(benchmark::State& state, double lo, double hi,
+                     bool seed_mask) {
+  constexpr int kSteps = 64;
+  auto field = std::make_shared<const VolumeF>(band_like_field(kSteps));
+  const FixedRangeCriterion criterion(field_quantile(*field, lo),
+                                      field_quantile(*field, hi));
+  const Dims dims{kSide, kSide, kSide};
+  auto source = std::make_shared<CallbackSource>(
+      dims, kSteps, std::pair<double, double>{0.0, 1.0},
+      [field, dims](int step) {
+        VolumeF volume(dims);
+        const std::size_t offset =
+            static_cast<std::size_t>(step) * kSide * kSide;
+        for (std::size_t v = 0; v < volume.size(); ++v) {
+          volume[v] = (*field)[offset + v];
+        }
+        return volume;
+      });
+  const StreamedSequence sequence(source);
+  for (int t = 0; t < kSteps; ++t) sequence.step(t);  // all resident
+  const VolumeF& seed_volume = sequence.step(kSteps / 2);
+  Mask seeds(dims);
+  for (std::size_t v = 0; v < seeds.size(); ++v) {
+    seeds[v] = criterion.accept(kSteps / 2, seed_volume[v]) ? 1 : 0;
+  }
+  std::size_t seed = 0;
+  while (seeds[seed] == 0) ++seed;
+  const Tracker tracker(sequence, criterion);
+  TrackResult track;
+  for (auto _ : state) {
+    track = seed_mask ? tracker.track_from_mask(seeds, kSteps / 2)
+                      : tracker.track(seed_volume.coord_of(seed), kSteps / 2);
+    benchmark::DoNotOptimize(track.masks.size());
+  }
+  std::size_t voxels = 0;
+  for (const auto& [step, mask] : track.masks) voxels += mask_count(mask);
+  state.counters["voxels"] = static_cast<double>(voxels);
+  state.counters["mvox_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(voxels) * 1e-6,
+      benchmark::Counter::kIsRate);
+}
+
+/// The band query's shape: a range keeping about 80% of every step.
+void BM_TrackBand(benchmark::State& state) {
+  run_track_bench(state, 0.2, 1.0, false);
+}
+BENCHMARK(BM_TrackBand)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// The ring query's shape: a narrow range keeping about 2% of every step,
+/// seeded with the whole range at step 32, as the ring queries of perfbench
+/// keep a thin shell.
+void BM_TrackRing(benchmark::State& state) {
+  run_track_bench(state, 0.49, 0.51, true);
+}
+BENCHMARK(BM_TrackRing)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Pool width of a labeling bench: range(0), or every core when it is 0.
 std::size_t bench_width(const benchmark::State& state) {

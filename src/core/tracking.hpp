@@ -12,13 +12,22 @@
 // The grown region is stored as one mask volume per visited step ("the
 // region growing result is then saved in a 3D volume texture for
 // rendering").
+//
+// The grow works a row at a time. A step's rows are its (y, z) pairs,
+// each held as ceil(nx / 64) words of 64 voxel bits. A seed fills its
+// whole run of accepted, not yet tracked voxels along x with a few word
+// operations; the filled run seeds the same bits in the four neighbouring
+// rows (y +- 1, z +- 1) and at steps t - 1 and t + 1. Acceptance is
+// computed only for the rows a fill touches. Without a max_voxels cap the
+// masks are the unique 4D fixpoint, whatever order the rows and steps are
+// grown in.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <vector>
 
 #include "core/iatf.hpp"
 #include "stream/derived_cache.hpp"
@@ -47,6 +56,28 @@ class StepCriterion {
     if (tf_ != nullptr) return tf_->opacity(value) >= lo_;
     return value >= lo_ && value <= hi_;
   }
+
+  /// This test resolved for rows of float voxels: the floats it accepts as
+  /// closed intervals in float order, plus NaN when it accepts NaN, so a
+  /// row costs a few compares per voxel. Every float gets the decision
+  /// operator() gives it: a range's bounds round inward to floats, and the
+  /// opacity test's entry lookup is monotone in the value, so the entries
+  /// it accepts are runs of floats.
+  class Rows {
+   public:
+    /// Bit i is the test on values[i] for i < n (n <= 64); bits n and up
+    /// are 0.
+    std::uint64_t accept_bits(const float* values, int n) const;
+
+   private:
+    friend class StepCriterion;
+    /// Closed intervals {lo, hi}: spans_[0..count_).
+    std::array<std::array<float, 2>, TransferFunction1D::kEntries / 2>
+        spans_{};
+    int count_ = 0;
+    bool nan_ = false;
+  };
+  Rows rows() const;
 
  private:
   StepCriterion(const TransferFunction1D* tf, double lo, double hi)
@@ -119,7 +150,9 @@ struct TrackerConfig {
   /// bounds.
   int min_step = -1;
   int max_step = -1;
-  /// Safety cap on total grown voxels across all steps (0 = unlimited).
+  /// Safety cap on total grown voxels across all steps (0 = unlimited). A
+  /// capped track stops at or below the cap; which voxels it keeps depends
+  /// on the order of the grow.
   std::size_t max_voxels = 0;
 };
 
@@ -135,23 +168,20 @@ class Tracker {
   TrackResult track_from_mask(const Mask& seeds, int seed_step) const;
 
  private:
-  /// Region-growing buffers, hoisted out of the per-step loop so steady-
-  /// state growth reuses their capacity. total_voxels accumulates across
-  /// steps (the max_voxels cap is global to the track).
-  struct GrowState {
-    /// Linear indices of the voxels accepted at this step, in BFS order:
-    /// the queue is newly_added[head..].
-    std::vector<std::uint32_t> newly_added;
-    std::size_t total_voxels = 0;
-  };
+  struct StepRows;
+  struct PendingRows;
 
-  /// 3D BFS within one step: seed from `candidates` (linear indices), grow
-  /// through the six spatial neighbors, record acceptances in `mask` and
-  /// `state.newly_added` (cleared by the caller). The region-growing
-  /// inner loop — hot once the step's volume is resident.
-  void grow_step(StepCriterion accept, const VolumeF& volume,
-                 const std::vector<std::uint32_t>& candidates, Mask& mask,
-                 GrowState& state) const;
+  /// The track from `seed_step`: its candidates are the voxels of `seeds`,
+  /// or the single voxel `seed` when `seeds` is null.
+  TrackResult grow_track(int seed_step, const Mask* seeds, Index3 seed) const;
+
+  /// The 3D fixpoint within one step: fills the runs of open voxels that
+  /// hold the queued seed bits of `rows`, writes them to the step's mask
+  /// and queues the neighbouring rows, until no seed is left or `budget`
+  /// voxels were added (a fill past the budget is clipped to it). Returns
+  /// the voxels added. The region-growing inner loop, hot once the step's
+  /// volume is resident.
+  std::size_t grow_step(StepRows& rows, std::size_t budget) const;
 
   const VolumeSequence& sequence_;
   const TrackingCriterion& criterion_;

@@ -135,10 +135,14 @@ double Mlp::train_sample(std::span<const double> input,
                          const BackpropConfig& config) {
   IFET_REQUIRE(static_cast<int>(target.size()) == num_outputs(),
                "Mlp::train_sample: target size mismatch");
-  ForwardState state = run_forward(input);
+  // Both scratches keep their capacity across calls, so a training run
+  // allocates on its first sample only.
+  ForwardState& state = train_state_;
+  run_forward_into(input, state);
 
   // delta[l][j] = dE/dz for unit j of layer l+1 (z = pre-activation).
-  std::vector<std::vector<double>> delta(weights_.size());
+  std::vector<std::vector<double>>& delta = train_delta_;
+  delta.resize(weights_.size());
   const auto& out = state.activations.back();
   double sq_error = 0.0;
   delta.back().resize(out.size());

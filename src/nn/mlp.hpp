@@ -118,6 +118,10 @@ class Mlp {
   // Momentum buffers, same shapes as weights_/biases_.
   std::vector<std::vector<std::vector<double>>> weight_velocity_;
   std::vector<std::vector<double>> bias_velocity_;
+  // train_sample's scratch, reused across calls: the forward state and the
+  // per-layer deltas. Not a parameter: params_hash, save and load skip it.
+  ForwardState train_state_;
+  std::vector<std::vector<double>> train_delta_;
 };
 
 }  // namespace ifet

@@ -99,13 +99,16 @@ void VolumeStore::note_failure(int step, std::exception_ptr error) {
 std::shared_ptr<const VolumeF> VolumeStore::fetch(int step) {
   IFET_REQUIRE(step >= 0 && step < num_steps(),
                "VolumeStore::fetch: step out of range");
-  std::exception_ptr quarantined;
-  {
-    OrderedMutexLock lock(mutex_);
-    auto it = quarantine_.find(step);
-    if (it != quarantine_.end()) quarantined = it->second;
-  }
-  if (quarantined) std::rethrow_exception(quarantined);
+  const auto rethrow_if_quarantined = [&] {
+    std::exception_ptr quarantined;
+    {
+      OrderedMutexLock lock(mutex_);
+      auto it = quarantine_.find(step);
+      if (it != quarantine_.end()) quarantined = it->second;
+    }
+    if (quarantined) std::rethrow_exception(quarantined);
+  };
+  rethrow_if_quarantined();
 
   // The caller's scoped deadline (unlimited when no scope is installed —
   // see util/deadline.hpp) bounds both blocking paths: the in-flight
@@ -123,6 +126,10 @@ std::shared_ptr<const VolumeF> VolumeStore::fetch(int step) {
     // record cannot shadow this demand attempt — which retries from a
     // fresh budget on the calling thread and reports its own outcome.
     prefetcher_.take_failure(step);
+    // A prefetch that exhausted its retries while this fetch looked the
+    // step up or waited on it has already fenced the step: report that
+    // verdict instead of reading the bad step again.
+    rethrow_if_quarantined();
     deadline.check("VolumeStore demand load");
     volume = cache_.insert(step,
                            load_with_retry(step, /*prefetch_context=*/false),

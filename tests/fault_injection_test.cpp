@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/iatf.hpp"
@@ -531,6 +533,36 @@ TEST(PrefetchFailure, WorkerRetriesTransientFaults) {
   EXPECT_TRUE(volumes_equal(*volume, inner->generate(2)));
   EXPECT_GE(store.stats().retries, 1u);
   EXPECT_EQ(store.stats().load_failures, 0u);
+}
+
+/// A fetch that waits on an in-flight prefetch of a bad step reports the
+/// verdict of that prefetch: the prefetch's three reads (the first one
+/// slow, so the fetch arrives while it is in flight) fence the step, and
+/// the fetch rethrows the quarantined error instead of reading the step
+/// three more times.
+TEST(PrefetchFailure, FetchAfterExhaustedPrefetchReadsNoMore) {
+  auto inner = blob_source();
+  auto reads = std::make_shared<std::atomic<int>>(0);
+  auto source = std::make_shared<CallbackSource>(
+      inner->dims(), inner->num_steps(), inner->value_range(),
+      [reads, inner](int step) -> VolumeF {
+        if (step != 2) return inner->generate(step);
+        if (reads->fetch_add(1) == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+        throw CorruptDataError("step 2 is corrupt");
+      });
+  VolumeStoreConfig config;
+  config.lookahead = 0;
+  config.async_prefetch = true;
+  config.max_retries = 2;
+  VolumeStore store(source, config);
+
+  store.prefetch(2);
+  EXPECT_THROW(store.fetch(2), CorruptDataError);
+  EXPECT_EQ(reads->load(), 3);  // the first attempt + 2 retries, once
+  EXPECT_EQ(store.stats().load_failures, 1u);
+  EXPECT_EQ(store.quarantined_steps(), std::vector<int>{2});
 }
 
 // ---------------------------------------------------------------------------

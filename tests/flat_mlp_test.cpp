@@ -496,6 +496,25 @@ TEST(AllocationContract, WarmForwardBatchAllocatesNothing) {
   EXPECT_EQ(guard.allocations(), 0u);
 }
 
+/// Mlp::train_sample keeps its forward state and deltas as scratch in the
+/// network, so a training run allocates on its first sample only, and the
+/// scratch is no parameter: an identically trained copy hashes the same.
+TEST(AllocationContract, WarmTrainSampleAllocatesNothing) {
+  Rng rng(62);
+  Mlp net({3, 8, 1}, rng);
+  Mlp copy = net;
+  const std::vector<double> in{0.2, 0.5, 0.9};
+  const std::vector<double> target{0.7};
+  const BackpropConfig config;
+  net.train_sample(in, target, config);  // warm the scratch
+
+  DenyAllocScope guard;
+  for (int i = 0; i < 100; ++i) net.train_sample(in, target, config);
+  EXPECT_EQ(guard.allocations(), 0u);
+  for (int i = 0; i < 101; ++i) copy.train_sample(in, target, config);
+  EXPECT_EQ(copy.params_hash(), net.params_hash());
+}
+
 TEST(AllocationContract, WarmClassifyAllocationsAreBoundedPerCall) {
   const Dims d{16, 16, 16};
   VolumeF v = testing::random_volume(d, 55);

@@ -1,18 +1,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/track_events.hpp"
 #include "core/tracking.hpp"
 #include "flowsim/datasets.hpp"
 #include "parallel/thread_pool.hpp"
+#include "stream/fault_injection.hpp"
 #include "stream/streamed_sequence.hpp"
 #include "util/determinism.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
+#include "volume/filters.hpp"
 
 namespace ifet {
 namespace {
@@ -125,6 +132,120 @@ TEST(Tracker, MaxVoxelCapStopsGrowth) {
   EXPECT_LE(total, 110u);  // cap plus at most one BFS wave of slack
 }
 
+/// StepCriterion::rows() gives every float the decision operator() gives
+/// it: values at and around every entry boundary of the transfer function
+/// (a few ulps either side), the range bounds, infinities, signed zeros,
+/// denormals, NaN and random values, in full 64-value words and in the
+/// shorter last words of a row.
+TEST(StepCriterion, RowBitsMatchTheScalarTest) {
+  std::vector<float> values;
+  const auto around = [&](double x) {
+    float f = static_cast<float>(x);
+    for (int k = 0; k < 4; ++k) f = std::nextafter(f, -INFINITY);
+    for (int k = 0; k < 9; ++k) {
+      values.push_back(f);
+      f = std::nextafter(f, INFINITY);
+    }
+  };
+  const auto add_tf_boundaries = [&](const TransferFunction1D& tf) {
+    for (int e = 0; e <= TransferFunction1D::kEntries; ++e) {
+      around(tf.value_lo() + (tf.value_hi() - tf.value_lo()) * e /
+                                 TransferFunction1D::kEntries);
+    }
+  };
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  for (const float special :
+       {kInf, -kInf, 0.0f, -0.0f, kNan, std::numeric_limits<float>::min(),
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(),
+        std::numeric_limits<float>::max(),
+        -std::numeric_limits<float>::max()}) {
+    values.push_back(special);
+  }
+  Rng rng(99);
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(static_cast<float>(rng.uniform(-1.5, 2.5)));
+  }
+
+  std::vector<TransferFunction1D> tfs;
+  {
+    TransferFunction1D band(0.0, 1.0);
+    band.add_band(0.3, 0.6, 1.0, 0.05);
+    tfs.push_back(band);
+    TransferFunction1D low(-2.0, 3.0);  // entry 0 accepted, so NaN is
+    low.add_band(-2.0, -1.0, 1.0);
+    low.add_band(0.5, 0.7, 0.8);
+    tfs.push_back(low);
+    TransferFunction1D comb(0.1, 0.2);  // alternating entries
+    for (int e = 0; e < TransferFunction1D::kEntries; e += 2) {
+      comb.set_opacity_entry(e, 1.0);
+    }
+    tfs.push_back(comb);
+    TransferFunction1D top(0.0, 1.0);  // the last entry, up to +inf
+    top.add_band(0.9, 1.0, 1.0);
+    tfs.push_back(top);
+  }
+  for (const TransferFunction1D& tf : tfs) add_tf_boundaries(tf);
+  std::vector<StepCriterion> criteria;
+  for (const TransferFunction1D& tf : tfs) {
+    criteria.push_back(StepCriterion::opacity_at_least(tf, 0.5));
+    criteria.push_back(StepCriterion::opacity_at_least(tf, 0.0));
+  }
+  for (const auto& [lo, hi] : std::vector<std::pair<double, double>>{
+           {0.3, 0.6},
+           {0.1, 0.1},
+           {0.6, 0.3},
+           {-INFINITY, 0.2},
+           {0.2, INFINITY},
+           {-INFINITY, INFINITY},
+           {std::nan(""), 1.0},
+           {1e300, 1e301},
+           {-1e300, -1e-300},
+           {0.30000000000000004, 0.6000000000000001}}) {
+    criteria.push_back(StepCriterion::range(lo, hi));
+    around(lo);
+    around(hi);
+  }
+  while (values.size() % 64 != 0) values.push_back(0.5f);
+
+  for (std::size_t c = 0; c < criteria.size(); ++c) {
+    const StepCriterion& test = criteria[c];
+    const StepCriterion::Rows rows = test.rows();
+    for (std::size_t at = 0; at < values.size(); at += 64) {
+      for (const int n : {64, 63, 17, 16, 1}) {
+        const std::uint64_t bits = rows.accept_bits(values.data() + at, n);
+        for (int i = 0; i < 64; ++i) {
+          const bool expected = i < n && test(values[at + i]);
+          ASSERT_EQ(((bits >> i) & 1u) != 0, expected)
+              << "criterion " << c << ", value " << values[at + i]
+              << ", n " << n;
+        }
+      }
+    }
+  }
+}
+
+/// The cap holds for every cap, on a track that grows through all three
+/// steps: the grow stops at or below it.
+TEST(Tracker, CappedTrackNeverExceedsItsCap) {
+  StreamedSequence seq(moving_box_source(3, 0));
+  FixedRangeCriterion criterion(0.0, 1.0);  // accepts everything
+  for (const std::size_t cap : {1u, 2u, 31u, 32u, 33u, 500u, 8192u, 8193u,
+                                12000u}) {
+    TrackerConfig cfg;
+    cfg.max_voxels = cap;
+    const TrackResult result =
+        Tracker(seq, criterion, cfg).track(Index3{3, 7, 7}, 1);
+    std::size_t total = 0;
+    for (const auto& [step, mask] : result.masks) total += mask_count(mask);
+    EXPECT_LE(total, cap) << "cap " << cap;
+    // The region holds 3 x 8192 voxels, so the last fill is clipped to
+    // reach the cap exactly.
+    EXPECT_EQ(total, cap) << "cap " << cap;
+  }
+}
+
 TEST(Tracker, TrackFromMaskValidatesDims) {
   StreamedSequence seq(moving_box_source(2, 0));
   FixedRangeCriterion criterion(0.5, 1.0);
@@ -174,6 +295,261 @@ TEST(Tracker, AdaptiveCriterionFollowsDecayingFeature) {
   // Fixed criterion loses the feature before the end; adaptive keeps it.
   EXPECT_EQ(fixed_result.voxels_at(39), 0u);
   EXPECT_GT(adaptive_result.voxels_at(39), 0u);
+}
+
+/// The tracker as a per-voxel FIFO BFS, kept as the reference the
+/// row-word grow must match: a step's candidates (linear indices) grow
+/// through the six spatial neighbours, every voxel a step adds seeds the
+/// same position at t - 1 and t + 1, the steps are visited in monotone
+/// sweeps, the step grown just before checks its new candidates at once,
+/// and a quarantined step forwards its candidates one step further from
+/// the seed. No cap.
+TrackResult reference_track(const VolumeSequence& sequence,
+                            const TrackingCriterion& criterion,
+                            const TrackerConfig& config, const Mask& seeds,
+                            int seed_step) {
+  const int lo_step = config.min_step >= 0 ? config.min_step : 0;
+  const int hi_step =
+      config.max_step >= 0 ? config.max_step : sequence.num_steps() - 1;
+  TrackResult result;
+  std::vector<std::vector<std::uint32_t>> pending(
+      static_cast<std::size_t>(hi_step - lo_step + 1));
+  for (std::size_t v = 0; v < seeds.size(); ++v) {
+    if (seeds[v]) {
+      pending[static_cast<std::size_t>(seed_step - lo_step)].push_back(
+          static_cast<std::uint32_t>(v));
+    }
+  }
+  int last_step = -1;
+  const VolumeF* last_volume = nullptr;
+  StepCriterion last_accept = StepCriterion::range(0.0, 0.0);
+  const auto seed_step_with = [&](int next,
+                                  const std::vector<std::uint32_t>& voxels) {
+    if (next < lo_step || next > hi_step) return;
+    std::vector<std::uint32_t>& out =
+        pending[static_cast<std::size_t>(next - lo_step)];
+    auto visited = result.masks.find(next);
+    if (visited == result.masks.end()) {
+      out.insert(out.end(), voxels.begin(), voxels.end());
+      return;
+    }
+    const Mask& mask = visited->second;
+    const bool check = next == last_step;
+    for (const std::uint32_t v : voxels) {
+      if (!mask[v] && (!check || last_accept((*last_volume)[v]))) {
+        out.push_back(v);
+      }
+    }
+  };
+  const auto next_pending = [&](int step, int& dir) {
+    const int n = static_cast<int>(pending.size());
+    for (int turn = 0; turn < 2; ++turn) {
+      for (int i = step - lo_step + dir; i >= 0 && i < n; i += dir) {
+        if (!pending[static_cast<std::size_t>(i)].empty()) return lo_step + i;
+      }
+      dir = -dir;
+    }
+    return -1;
+  };
+
+  const Dims d = sequence.dims();
+  const auto nx = static_cast<std::uint32_t>(d.x);
+  const auto ny = static_cast<std::uint32_t>(d.y);
+  const std::uint32_t plane = nx * ny;
+  const auto size = static_cast<std::uint32_t>(d.count());
+  std::vector<std::uint32_t> added;
+  std::vector<std::size_t> voxels_added(pending.size(), 0);
+  int dir = 1;
+  for (int step = seed_step; step >= 0; step = next_pending(step, dir)) {
+    const std::vector<std::uint32_t> candidates =
+        std::exchange(pending[static_cast<std::size_t>(step - lo_step)], {});
+    const int behind = dir > 0 ? 1 : 3;
+    const int ahead = dir > 0 ? 3 : 1;
+    sequence.hint_window(std::max(lo_step, step - behind),
+                         std::min(hi_step, step + ahead));
+    const VolumeF* volume = sequence.try_step(step);
+    if (volume == nullptr) {
+      last_step = -1;
+      seed_step_with(step >= seed_step ? step + 1 : step - 1, candidates);
+      continue;
+    }
+    Mask& mask = result.masks.try_emplace(step, d).first->second;
+    const StepCriterion accept = criterion.at_step(step);
+    added.clear();
+    const auto add = [&](std::uint32_t v) {
+      if (mask[v] || !accept((*volume)[v])) return;
+      mask[v] = 1;
+      added.push_back(v);
+    };
+    for (const std::uint32_t v : candidates) add(v);
+    for (std::size_t head = 0; head < added.size(); ++head) {
+      const std::uint32_t v = added[head];
+      const std::uint32_t row = v / nx;
+      const std::uint32_t x = v - row * nx;
+      const std::uint32_t y = row % ny;
+      if (x + 1 < nx) add(v + 1);
+      if (x > 0) add(v - 1);
+      if (y + 1 < ny) add(v + nx);
+      if (y > 0) add(v - nx);
+      if (v + plane < size) add(v + plane);
+      if (v >= plane) add(v - plane);
+    }
+    voxels_added[static_cast<std::size_t>(step - lo_step)] += added.size();
+    seed_step_with(step - 1, added);
+    seed_step_with(step + 1, added);
+    last_step = step;
+    last_volume = volume;
+    last_accept = accept;
+  }
+  for (auto it = result.masks.begin(); it != result.masks.end();) {
+    if (voxels_added[static_cast<std::size_t>(it->first - lo_step)] == 0) {
+      it = result.masks.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  return result;
+}
+
+/// Accepts voxels whose opacity in a per-step band transfer function is at
+/// least 0.5: the opacity path of StepCriterion without an IATF.
+class BandTfCriterion final : public TrackingCriterion {
+ public:
+  BandTfCriterion(int steps, double lo, double hi) {
+    for (int t = 0; t < steps; ++t) {
+      TransferFunction1D tf(0.0, 1.0);
+      const double shift = 0.01 * t;
+      tf.add_band(lo + shift, hi + shift, 1.0, 0.05);
+      tfs_.push_back(tf);
+    }
+  }
+  StepCriterion at_step(int step) const override {
+    return StepCriterion::opacity_at_least(
+        tfs_[static_cast<std::size_t>(step)], 0.5);
+  }
+
+ private:
+  std::vector<TransferFunction1D> tfs_;
+};
+
+/// `steps` steps of nx x 9 x 7: step t is the window at plane t of one
+/// field of blurred noise, so regions are coherent, have holes and runs
+/// that cross 64-voxel word edges, and drift from step to step. Values lie
+/// in [0, 1].
+std::shared_ptr<CallbackSource> blurred_field_source(int nx, int steps,
+                                                     std::uint64_t seed) {
+  const Dims d{nx, 9, 7};
+  Rng rng(seed);
+  VolumeF noise(Dims{nx, d.y, d.z + steps - 1});
+  for (std::size_t v = 0; v < noise.size(); ++v) {
+    noise[v] = static_cast<float>(rng.uniform());
+  }
+  auto field = std::make_shared<VolumeF>(gaussian_blur(noise, 1.0));
+  return std::make_shared<CallbackSource>(
+      d, steps, std::pair<double, double>{0.0, 1.0}, [d, field](int step) {
+        VolumeF v(d);
+        const std::size_t offset =
+            static_cast<std::size_t>(step) * d.x * d.y;
+        for (std::size_t i = 0; i < v.size(); ++i) v[i] = (*field)[offset + i];
+        return v;
+      });
+}
+
+/// Every voxel of `step` that is set in `a` but not in `b`, or the other
+/// way round, as a count.
+std::size_t mask_difference(const TrackResult& a, const TrackResult& b) {
+  std::size_t differ = 0;
+  for (const auto& [step, mask] : a.masks) {
+    auto other = b.masks.find(step);
+    for (std::size_t v = 0; v < mask.size(); ++v) {
+      const bool in_b = other != b.masks.end() && other->second[v] != 0;
+      differ += (mask[v] != 0) != in_b ? 1 : 0;
+    }
+  }
+  for (const auto& [step, mask] : b.masks) {
+    if (a.masks.count(step) == 0) differ += mask_count(mask);
+  }
+  return differ;
+}
+
+/// The row-word grow gives the reference BFS's masks bit for bit: rows of
+/// 1 to 3 words (nx 1, 7, 63, 64, 65 and 130, so runs end at and cross
+/// word edges), a fixed range and a transfer-function criterion, seeds at
+/// the first, middle and last step, a step window, and a quarantined step
+/// under FailPolicy::kSkipStep. Both seed paths run: a seed mask of
+/// several voxels and a single seed voxel.
+TEST(TrackerEquivalence, RowWordGrowMatchesReferenceBfs) {
+  constexpr int kSteps = 6;
+  const FixedRangeCriterion range(0.46, 0.58);
+  const FixedRangeCriterion narrow(0.51, 0.54);
+  const BandTfCriterion tf(kSteps, 0.44, 0.56);
+  std::uint64_t seed = 77;
+  for (const int nx : {1, 7, 63, 64, 65, 130}) {
+    const auto field = blurred_field_source(nx, kSteps, seed++);
+    const auto faulty = std::make_shared<FaultInjectingSource>(
+        field, std::vector<FaultSpec>{{2, FaultKind::kCorrupt, 1}});
+    for (const bool quarantine : {false, true}) {
+      StreamConfig config;
+      config.async_prefetch = false;
+      config.fail_policy = FailPolicy::kSkipStep;
+      StreamedSequence seq(quarantine ? std::shared_ptr<const VolumeSource>(
+                                            faulty)
+                                      : field,
+                           config);
+      for (const TrackingCriterion* criterion :
+           {static_cast<const TrackingCriterion*>(&range),
+            static_cast<const TrackingCriterion*>(&narrow),
+            static_cast<const TrackingCriterion*>(&tf)}) {
+        for (const bool window : {false, true}) {
+          TrackerConfig cfg;
+          if (window) {
+            cfg.min_step = 1;
+            cfg.max_step = kSteps - 2;
+          }
+          const int first = window ? 1 : 0;
+          const int last = window ? kSteps - 2 : kSteps - 1;
+          for (const int seed_step : {first, (first + last) / 2, last}) {
+            if (quarantine && seed_step == 2) continue;
+            SCOPED_TRACE("nx " + std::to_string(nx) + ", quarantine " +
+                         std::to_string(quarantine) + ", criterion " +
+                         (criterion == &tf       ? "tf"
+                          : criterion == &narrow ? "narrow"
+                                                 : "range") +
+                         ", window " + std::to_string(window) +
+                         ", seed step " + std::to_string(seed_step));
+            const Tracker tracker(seq, *criterion, cfg);
+            // Seed mask: every 37th voxel, most of them rejected.
+            Mask seeds(seq.dims());
+            for (std::size_t v = 0; v < seeds.size(); v += 37) seeds[v] = 1;
+            const TrackResult grown = tracker.track_from_mask(seeds, seed_step);
+            const TrackResult expected =
+                reference_track(seq, *criterion, cfg, seeds, seed_step);
+            EXPECT_EQ(mask_difference(grown, expected), 0u);
+            EXPECT_EQ(grown.masks.size(), expected.masks.size());
+            if (quarantine && seed_step != 2) {
+              EXPECT_FALSE(grown.reached(2));
+            }
+
+            // Single seed: the first voxel the criterion accepts.
+            const VolumeF& volume = seq.step(seed_step);
+            const StepCriterion accept = criterion->at_step(seed_step);
+            std::size_t v = 0;
+            while (v < volume.size() && !accept(volume[v])) ++v;
+            ASSERT_LT(v, volume.size());
+            Mask one(seq.dims());
+            one[v] = 1;
+            const TrackResult single =
+                tracker.track(volume.coord_of(v), seed_step);
+            EXPECT_EQ(mask_difference(
+                          single, reference_track(seq, *criterion, cfg, one,
+                                                  seed_step)),
+                      0u);
+            EXPECT_TRUE(single.reached(seed_step));
+          }
+        }
+      }
+    }
+  }
 }
 
 /// The argon bubble at 32^3 x 12, every step generated once and served
