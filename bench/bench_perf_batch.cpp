@@ -7,13 +7,12 @@
 // step throughput; on a many-core host wall time is a fraction of the
 // per-step sum (on this single-core CI box the numbers coincide — the
 // decomposition and accounting are what is exercised). The feature
-// history's stages have benches here too: labeling one band-like step
-// and the history of 64 such steps, at pool width 1 and at every core.
+// history's stages have benches here too: labeling one band-like step,
+// and the history of 64 such steps and of 64 thin shells.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/batch.hpp"
@@ -21,7 +20,6 @@
 #include "core/tracking.hpp"
 #include "flowsim/datasets.hpp"
 #include "nn/mlp.hpp"
-#include "parallel/thread_pool.hpp"
 #include "stream/streamed_sequence.hpp"
 #include "util/rng.hpp"
 #include "volume/components.hpp"
@@ -145,18 +143,21 @@ float field_quantile(const VolumeF& field, double fraction) {
   return *at;
 }
 
-/// Steps of a band-like track: band_like_field's steps set above the
-/// field's 20th percentile. So each step is about 80% set in coherent
-/// regions with holes and islands, like one step of perfbench's band query.
-TrackResult band_like_track(int steps) {
+/// Steps of band_like_field set above its quantile `lo` and at most its
+/// quantile `hi`. Above the 20th percentile each step is about 80% set in
+/// coherent regions with holes and islands, like one step of perfbench's
+/// band query.
+TrackResult band_like_track(int steps, double lo = 0.2, double hi = 1.0) {
   const VolumeF field = band_like_field(steps);
-  const float cut = field_quantile(field, 0.2);
+  const float above = field_quantile(field, lo);
+  const float below = field_quantile(field, hi);
   TrackResult track;
   for (int t = 0; t < steps; ++t) {
     Mask mask(Dims{kSide, kSide, kSide});
     const std::size_t offset = static_cast<std::size_t>(t) * kSide * kSide;
     for (std::size_t v = 0; v < mask.size(); ++v) {
-      mask[v] = field[offset + v] > cut ? 1 : 0;
+      const float value = field[offset + v];
+      mask[v] = value > above && value <= below ? 1 : 0;
     }
     track.masks.emplace(t, std::move(mask));
   }
@@ -226,28 +227,17 @@ void BM_TrackRing(benchmark::State& state) {
 }
 BENCHMARK(BM_TrackRing)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// Pool width of a labeling bench: range(0), or every core when it is 0.
-std::size_t bench_width(const benchmark::State& state) {
-  const auto width = static_cast<std::size_t>(state.range(0));
-  return width != 0
-             ? width
-             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
-
-/// One band-like 64^3 step labeled bare into reused buffers, as the
-/// feature history labels each step: the slab flood on a global pool of
-/// range(0) threads (0: every core).
+/// One band-like 64^3 step labeled by its runs into reused scratch, the
+/// call the feature history makes per step.
 void BM_LabelComponents(benchmark::State& state) {
   const TrackResult track = band_like_track(1);
   const Mask& mask = track.masks.at(0);
-  const ThreadPool::ScopedGlobalWidth width(bench_width(state));
-  Volume<std::int32_t> labels;
-  LabelScratch scratch;
+  RunLabeling runs;
   for (auto _ : state) {
     const std::vector<ComponentInfo> components =
-        label_components_into(mask, nullptr, labels, scratch);
+        label_runs(mask, nullptr, runs);
     benchmark::DoNotOptimize(components.data());
-    benchmark::DoNotOptimize(labels.data().data());
+    benchmark::DoNotOptimize(runs.label.data());
     benchmark::ClobberMemory();
   }
   state.counters["mvox_per_s"] = benchmark::Counter(
@@ -255,15 +245,11 @@ void BM_LabelComponents(benchmark::State& state) {
           static_cast<double>(mask.size()) * 1e-6,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_LabelComponents)->Arg(1)->Arg(0)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_LabelComponents)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// The feature history of 64 band-like 64^3 steps: every step labeled and
-/// every consecutive pair's overlaps counted, on a global pool of
-/// range(0) threads (0: every core).
-void BM_FeatureHistory(benchmark::State& state) {
-  const TrackResult track = band_like_track(64);
-  const ThreadPool::ScopedGlobalWidth width(bench_width(state));
+/// The feature history of `track`: every step labeled and every
+/// consecutive pair's overlaps counted.
+void run_history_bench(benchmark::State& state, const TrackResult& track) {
   std::size_t voxels = 0;
   for (const auto& [step, mask] : track.masks) voxels += mask.size();
   for (auto _ : state) {
@@ -275,7 +261,20 @@ void BM_FeatureHistory(benchmark::State& state) {
           static_cast<double>(voxels) * 1e-6,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_FeatureHistory)->Arg(1)->Arg(0)
+
+/// The feature history of 64 band-like 64^3 steps.
+void BM_FeatureHistory(benchmark::State& state) {
+  run_history_bench(state, band_like_track(64));
+}
+BENCHMARK(BM_FeatureHistory)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// The feature history of 64 thin shells: band_like_field's steps set
+/// between its 49th and 51st percentiles, whose runs are about one voxel
+/// long, the run labeling's worst case.
+void BM_FeatureHistoryShell(benchmark::State& state) {
+  run_history_bench(state, band_like_track(64, 0.49, 0.51));
+}
+BENCHMARK(BM_FeatureHistoryShell)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

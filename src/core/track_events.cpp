@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 
 namespace ifet {
@@ -52,35 +51,45 @@ namespace {
 
 using PairCount = std::pair<std::uint64_t, std::size_t>;
 
-/// One part's pair list, on cache lines of its own: the part's thread
-/// reads and moves the list's end as it scans.
-struct alignas(64) PairList {
-  std::vector<PairCount> pairs;
-};
-
-/// Replaces `pairs` with the (la, lb) label pairs of the voxels in
-/// [begin, end) that both labelings hold, in scan order, adding to the
-/// last entry while the pair repeats.
-void count_pairs(const Mask& mask, const Volume<std::int32_t>& a,
-                 const Volume<std::int32_t>& b, std::size_t begin,
-                 std::size_t end, std::vector<PairCount>& pairs) {
+/// Replaces `pairs` with the (la, lb) label pairs of the voxels that both
+/// labelings hold, each with its voxel count: row by row, the two rows'
+/// runs are intersected in x order, and each overlap adds to the pair
+/// before it while the pair repeats.
+void intersect_runs(const RunLabeling& a, const RunLabeling& b,
+                    std::vector<PairCount>& pairs) {
+  IFET_REQUIRE(a.dims == b.dims,
+               "build_feature_history: step mask dimension mismatch");
   pairs.clear();
-  for (std::size_t v = begin; v < end; ++v) {
-    if (eight_clear(mask, v)) {
-      v += 7;
-      continue;
-    }
-    const std::int32_t la = a[v];
-    const std::int32_t lb = b[v];
-    if (la <= 0 || lb <= 0) continue;
-    const std::uint64_t pair = static_cast<std::uint64_t>(la) << 32 |
-                               static_cast<std::uint32_t>(lb);
-    if (!pairs.empty() && pairs.back().first == pair) {
-      ++pairs.back().second;
-    } else {
-      pairs.emplace_back(pair, 1);
+  std::uint64_t pair = 0;
+  std::size_t count = 0;
+  for (std::size_t r = 0; r + 1 < a.row_start.size(); ++r) {
+    std::uint32_t i = a.row_start[r];
+    std::uint32_t j = b.row_start[r];
+    const std::uint32_t i_end = a.row_start[r + 1];
+    const std::uint32_t j_end = b.row_start[r + 1];
+    while (i < i_end && j < j_end) {
+      const MaskRun ra = a.runs[i];
+      const MaskRun rb = b.runs[j];
+      const std::uint32_t x0 = std::max(ra.x0, rb.x0);
+      const std::uint32_t x1 = std::min(ra.x1, rb.x1);
+      if (x0 <= x1) {
+        const std::uint64_t overlap =
+            static_cast<std::uint64_t>(a.label[i]) << 32 |
+            static_cast<std::uint32_t>(b.label[j]);
+        if (overlap != pair) {
+          if (count != 0) pairs.emplace_back(pair, count);
+          pair = overlap;
+          count = 0;
+        }
+        count += x1 - x0 + 1;
+      }
+      // The run that ends first can meet no later run of the other row.
+      const bool a_first = ra.x1 < rb.x1;
+      i += a_first ? 1 : 0;
+      j += a_first ? 0 : 1;
     }
   }
+  if (count != 0) pairs.emplace_back(pair, count);
 }
 
 }  // namespace
@@ -91,19 +100,17 @@ FeatureHistory build_feature_history(const TrackResult& track,
   FeatureHistory history;
   if (track.masks.empty()) return history;
 
-  // One pass over the masks in step order with two labelings live: the
+  // One pass over the masks in step order with two run labelings live: the
   // previous step's and this one's, in reused buffers. node_index[k][l] is
   // the node index of label l in labeling k.
-  Volume<std::int32_t> labels[2];
+  RunLabeling runs[2];
   std::vector<int> node_index[2];
-  LabelScratch scratch;
-  std::vector<PairList> part_overlap;
   std::vector<PairCount> overlap;
   int prev_step = 0;
   int cur = 0;
   for (const auto& [step, mask] : track.masks) {
     const std::vector<ComponentInfo> components =
-        label_components_into(mask, nullptr, labels[cur], scratch);
+        label_runs(mask, nullptr, runs[cur]);
     node_index[cur].assign(components.size() + 1, -1);
     for (const auto& comp : components) {
       FeatureNode node;
@@ -115,33 +122,13 @@ FeatureHistory build_feature_history(const TrackResult& track,
       history.nodes.push_back(std::move(node));
     }
 
-    // Connect consecutive steps by voxel overlap. Each voxel both steps
-    // hold counts its (la, lb) pair, adding to the last entry when the
-    // pair repeats, so a list holds one entry per change of pair in scan
-    // order: a few per step for large components, never more than the
-    // overlapping voxels. The voxel range is split into as many parts as
-    // the labeling has slabs, each with its own list; concatenated,
-    // sorted and summed, the pairs come out in (la, lb) order with the
-    // same totals one list gives.
+    // Connect consecutive steps by voxel overlap. The pair list holds one
+    // entry per change of pair along the rows: a few per row for large
+    // components, never more than the overlapping runs. Sorted and summed,
+    // the pairs come out in (la, lb) order with their voxel totals.
     const int prev = 1 - cur;
     if (!node_index[prev].empty() && step == prev_step + 1) {
-      const Volume<std::int32_t>& a = labels[prev];
-      const Volume<std::int32_t>& b = labels[cur];
-      const std::size_t parts = label_slab_count(mask.dims());
-      part_overlap.resize(parts);
-      ThreadPool::global().parallel_for_static(
-          0, parts, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t p = lo; p < hi; ++p) {
-              count_pairs(mask, a, b, mask.size() * p / parts,
-                          mask.size() * (p + 1) / parts,
-                          part_overlap[p].pairs);
-            }
-          });
-      overlap.clear();
-      for (std::size_t p = 0; p < parts; ++p) {
-        const std::vector<PairCount>& list = part_overlap[p].pairs;
-        overlap.insert(overlap.end(), list.begin(), list.end());
-      }
+      intersect_runs(runs[prev], runs[cur], overlap);
       std::sort(overlap.begin(), overlap.end());
       for (std::size_t i = 0; i < overlap.size();) {
         const std::uint64_t pair = overlap[i].first;

@@ -9,6 +9,9 @@
 // assumption guarantees overlap for matching features); the bipartite
 // match pattern classifies continuation / birth / death / split / merge.
 // The result is organized as a feature tree (Chen et al., cited in Sec 2).
+// Each step is labeled by its x-runs (volume/components.hpp) and the
+// overlaps of consecutive steps are counted by intersecting their run
+// lists row by row, so no label volume is built.
 #pragma once
 
 #include <cstdint>

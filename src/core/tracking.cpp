@@ -73,9 +73,6 @@ TrackResult Tracker::track_from_mask(const Mask& seeds, int seed_step) const {
 
 namespace {
 
-static_assert(std::endian::native == std::endian::little,
-              "row words read 8 mask bytes at a time as little-endian words");
-
 constexpr int kWordBits = 64;
 /// Floats per cache line; rows shorter than a word are tested in blocks
 /// of this many.
@@ -84,16 +81,6 @@ constexpr int kCacheLineFloats = 16;
 /// The voxels of word `w` of a row of `nx`: 64, or fewer in the last word.
 int word_voxels(int nx, std::uint32_t w) {
   return std::min(kWordBits, nx - static_cast<int>(w) * kWordBits);
-}
-
-/// Bit i is set when byte i of `bytes` (8 mask bytes read as one word) is
-/// nonzero.
-std::uint64_t pack_bytes(std::uint64_t bytes) {
-  bytes |= bytes >> 4;
-  bytes |= bytes >> 2;
-  bytes |= bytes >> 1;
-  bytes &= 0x0101010101010101ull;  // each byte is now 0 or 1
-  return (bytes * 0x0102040810204080ull) >> 56;
 }
 
 /// `n` bytes (a multiple of 8) that are each 0 or 1 as bits: bit i is
@@ -105,19 +92,6 @@ std::uint64_t pack_flags(const std::uint8_t* bytes, int n) {
     std::memcpy(&word, bytes + i, sizeof(word));
     bits |= ((word * 0x0102040810204080ull) >> 56) << i;
   }
-  return bits;
-}
-
-/// Mask bytes `bytes[0..n)` (n <= 64) as bits: bit i is bytes[i] != 0.
-std::uint64_t mask_bits(const std::uint8_t* bytes, int n) {
-  std::uint64_t bits = 0;
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t word;
-    std::memcpy(&word, bytes + i, sizeof(word));
-    bits |= pack_bytes(word) << i;
-  }
-  for (; i < n; ++i) bits |= static_cast<std::uint64_t>(bytes[i] != 0) << i;
   return bits;
 }
 

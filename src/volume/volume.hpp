@@ -8,8 +8,10 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -169,6 +171,32 @@ using Mask = Volume<std::uint8_t>;
 
 /// Number of set voxels in a mask.
 std::size_t mask_count(const Mask& mask);
+
+static_assert(std::endian::native == std::endian::little,
+              "mask words read 8 mask bytes at a time as little-endian words");
+
+/// Bit i is set when byte i of `bytes` (8 mask bytes read as one word) is
+/// nonzero.
+inline std::uint64_t pack_bytes(std::uint64_t bytes) {
+  bytes |= bytes >> 4;
+  bytes |= bytes >> 2;
+  bytes |= bytes >> 1;
+  bytes &= 0x0101010101010101ull;  // each byte is now 0 or 1
+  return (bytes * 0x0102040810204080ull) >> 56;
+}
+
+/// Mask bytes `bytes[0..n)` (n <= 64) as bits: bit i is bytes[i] != 0.
+inline std::uint64_t mask_bits(const std::uint8_t* bytes, int n) {
+  std::uint64_t bits = 0;
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, bytes + i, sizeof(word));
+    bits |= pack_bytes(word) << i;
+  }
+  for (; i < n; ++i) bits |= static_cast<std::uint64_t>(bytes[i] != 0) << i;
+  return bits;
+}
 
 /// Elementwise logical ops on same-sized masks.
 Mask mask_and(const Mask& a, const Mask& b);

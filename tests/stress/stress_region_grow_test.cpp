@@ -1,11 +1,10 @@
 // Region-growing / mask-op stress tests for the tsan preset.
 //
-// label_components is read-only on its inputs, so running it from many
-// threads against one shared mask must be race-free and deterministic,
-// also when each caller floods the bare mask's slabs on the shared global
-// pool; the disjoint-write test validates the documented Mask contract
-// that uint8_t voxels are independently addressable (the reason Mask is
-// not vector<bool>).
+// label_components is read-only on its inputs and labels on the calling
+// thread, so six threads labeling one shared mask must be race-free and
+// deterministic; the disjoint-write test validates the documented Mask
+// contract that uint8_t voxels are independently addressable (the reason
+// Mask is not vector<bool>).
 
 #include <gtest/gtest.h>
 
@@ -39,11 +38,11 @@ Mask blobby_mask() {
 TEST(RegionGrowStress, ConcurrentLabelingOfSharedMaskIsDeterministic) {
   const Mask mask = blobby_mask();
   const VolumeF values(mask.dims(), 2.5f);
-  // With a value volume the mask is one flood: the reference for both.
+  // The labeling with a value volume is the reference for both.
   const Labeling reference = label_components(mask, &values);
 
-  // Each thread labels with the value volume and then the bare mask, whose
-  // slabs six concurrent callers flood on the one global pool.
+  // Each of six threads labels the shared mask with the value volume and
+  // then bare.
   constexpr int kThreads = 6;
   std::vector<Labeling> results(2 * kThreads);
   std::vector<std::thread> threads;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -140,6 +142,37 @@ TEST(MaskOps, CountAndLogicalOps) {
   EXPECT_EQ(mask_count(mask_and(a, b)), 8u);    // 2x2x2 overlap
   EXPECT_EQ(mask_count(mask_or(a, b)), 120u);   // 64+64-8
   EXPECT_EQ(mask_count(mask_subtract(a, b)), 56u);
+}
+
+/// The set voxels of `mask`, counted one byte at a time.
+std::size_t byte_count(const Mask& mask) {
+  std::size_t n = 0;
+  for (const std::uint8_t v : mask.data()) n += v != 0;
+  return n;
+}
+
+// mask_count reads eight bytes at a time and folds its byte lanes before
+// they overflow; it counts what a byte loop counts, for any nonzero byte,
+// at every tail length and with the lanes full.
+TEST(MaskOps, CountMatchesByteLoop) {
+  constexpr std::uint8_t kBytes[] = {0, 1, 2, 255};
+  EXPECT_EQ(mask_count(Mask{}), 0u);
+  Rng rng(99);
+  std::vector<int> lengths;
+  for (int n = 1; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(64 * 64 * 64 + 5);
+  for (const int n : lengths) {
+    SCOPED_TRACE(n);
+    Mask mask(Dims{n, 1, 1});
+    for (std::size_t v = 0; v < mask.size(); ++v) {
+      mask[v] = kBytes[static_cast<std::size_t>(rng.uniform(0.0, 4.0)) % 4];
+    }
+    EXPECT_EQ(mask_count(mask), byte_count(mask));
+    for (const std::uint8_t byte : kBytes) {
+      mask.fill(byte);
+      EXPECT_EQ(mask_count(mask), byte_count(mask)) << "byte " << int{byte};
+    }
+  }
 }
 
 TEST(MaskOps, DimensionMismatchThrows) {

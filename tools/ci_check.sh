@@ -199,7 +199,7 @@ stage_tsan() {
   # racing, both StreamedSequence constructors (private and shared tier)
   # including four readers racing one sequence's window, the overload
   # and fault suites, whose prefetch workers add into the tier counters,
-  # and the slab-parallel labeling, alone and from six concurrent callers.
+  # and the run labeling, with six threads labeling one shared mask.
   local tests="stress_cache_manager_test stress_fault_storm_test \
 stress_thread_pool_test stress_server_test flat_mlp_test \
 classifier_digest_test stream_test server_test concurrency_regression_test \
