@@ -83,18 +83,6 @@ int word_voxels(int nx, std::uint32_t w) {
   return std::min(kWordBits, nx - static_cast<int>(w) * kWordBits);
 }
 
-/// `n` bytes (a multiple of 8) that are each 0 or 1 as bits: bit i is
-/// bytes[i].
-std::uint64_t pack_flags(const std::uint8_t* bytes, int n) {
-  std::uint64_t bits = 0;
-  for (int i = 0; i < n; i += 8) {
-    std::uint64_t word;
-    std::memcpy(&word, bytes + i, sizeof(word));
-    bits |= ((word * 0x0102040810204080ull) >> 56) << i;
-  }
-  return bits;
-}
-
 /// kSpread[b] has byte j equal to bit j of b.
 constexpr std::array<std::uint64_t, 256> kSpread = [] {
   std::array<std::uint64_t, 256> table{};
@@ -163,20 +151,6 @@ std::uint64_t fill_down(std::uint64_t seeds, std::uint64_t open) {
   seeds |= open & (seeds >> 16);
   open &= open >> 16;
   return seeds | (open & (seeds >> 32));
-}
-
-/// Keeps the lowest `keep` set bits of `words[0..n)`, low word first.
-void keep_lowest_bits(std::uint64_t* words, std::uint32_t n,
-                      std::size_t keep) {
-  for (std::uint32_t w = 0; w < n; ++w) {
-    std::uint64_t kept = 0;
-    for (std::uint64_t rest = words[w]; rest != 0 && keep != 0; --keep) {
-      const std::uint64_t low = rest & (~rest + 1);
-      kept |= low;
-      rest ^= low;
-    }
-    words[w] = kept;
-  }
 }
 
 /// Calls `f(i)` for every set bit i of the bitmap `words`, in increasing
@@ -496,8 +470,6 @@ TrackResult Tracker::grow_track(int seed_step, const Mask* seeds,
     });
   };
 
-  const std::size_t cap = config_.max_voxels;
-  std::size_t total_voxels = 0;
   // Voxels added per step (indexed by step - lo_step): a step's mask is
   // non-empty exactly when this is.
   std::vector<std::size_t> voxels_added(pending.size(), 0);
@@ -505,10 +477,10 @@ TrackResult Tracker::grow_track(int seed_step, const Mask* seeds,
     return pending[static_cast<std::size_t>(i)].count != 0;
   };
   // Monotone sweeps from the seed step: forward while pending steps lie
-  // ahead, then back. Without a max_voxels cap growing reaches the same 4D
-  // fixpoint in any step order; a sweep keeps the stream's lookahead
-  // pointing one way instead of flipping on every step. The seed step is
-  // processed first even without seeds.
+  // ahead, then back. Growing reaches the same 4D fixpoint in any step
+  // order; a sweep keeps the stream's lookahead pointing one way instead
+  // of flipping on every step. The seed step is processed first even
+  // without seeds.
   int dir = 1;
   for (int step = seed_step; step >= 0;
        step = next_pending_step(static_cast<int>(pending.size()), lo_step,
@@ -550,12 +522,8 @@ TrackResult Tracker::grow_track(int seed_step, const Mask* seeds,
         candidates.rows, [&](std::uint32_t r) { cur.prefetch(r); },
         [&](std::uint32_t r) { cur.seed(r, candidates.row(r)); });
     recycle(std::move(candidates));
-    const std::size_t added = grow_step(
-        cur, cap == 0 ? std::numeric_limits<std::size_t>::max()
-                      : cap - total_voxels);
-    total_voxels += added;
+    const std::size_t added = grow_step(cur);
     step_voxels += added;
-    if (cap != 0 && total_voxels >= cap) break;
 
     // Temporal propagation: every voxel added at this step seeds the same
     // position at t-1 and t+1 (the 4D connectivity).
@@ -704,7 +672,7 @@ std::uint64_t StepCriterion::Rows::accept_bits(const float* values,
 }
 
 IFET_HOT IFET_DETERMINISTIC std::size_t Tracker::grow_step(
-    StepRows& rows, std::size_t budget) const {
+    StepRows& rows) const {
   const std::uint32_t words = rows.words;
   std::uint64_t* fill = rows.fill.data();
   std::size_t added = 0;
@@ -729,11 +697,6 @@ IFET_HOT IFET_DETERMINISTIC std::size_t Tracker::grow_step(
       count += count_bits(fill[w]);
     }
     if (count == 0) continue;
-    const bool capped = count >= budget - added;
-    if (count > budget - added) {
-      count = budget - added;
-      keep_lowest_bits(fill, words, count);
-    }
 
     std::uint8_t* bytes =
         rows.mask->data().data() + static_cast<std::size_t>(r) * rows.nx;
@@ -747,7 +710,6 @@ IFET_HOT IFET_DETERMINISTIC std::size_t Tracker::grow_step(
                       fill[w], word_voxels(rows.nx, w));
     }
     added += count;
-    if (capped) break;
 
     // The filled runs seed the same bits of the four neighbouring rows.
     const std::uint32_t y = r % rows.ny;

@@ -18,9 +18,8 @@
 // whole run of accepted, not yet tracked voxels along x with a few word
 // operations; the filled run seeds the same bits in the four neighbouring
 // rows (y +- 1, z +- 1) and at steps t - 1 and t + 1. Acceptance is
-// computed only for the rows a fill touches. Without a max_voxels cap the
-// masks are the unique 4D fixpoint, whatever order the rows and steps are
-// grown in.
+// computed only for the rows a fill touches. The masks are the unique 4D
+// fixpoint, whatever order the rows and steps are grown in.
 #pragma once
 
 #include <array>
@@ -150,10 +149,6 @@ struct TrackerConfig {
   /// bounds.
   int min_step = -1;
   int max_step = -1;
-  /// Safety cap on total grown voxels across all steps (0 = unlimited). A
-  /// capped track stops at or below the cap; which voxels it keeps depends
-  /// on the order of the grow.
-  std::size_t max_voxels = 0;
 };
 
 class Tracker {
@@ -177,11 +172,10 @@ class Tracker {
 
   /// The 3D fixpoint within one step: fills the runs of open voxels that
   /// hold the queued seed bits of `rows`, writes them to the step's mask
-  /// and queues the neighbouring rows, until no seed is left or `budget`
-  /// voxels were added (a fill past the budget is clipped to it). Returns
-  /// the voxels added. The region-growing inner loop, hot once the step's
+  /// and queues the neighbouring rows, until no seed is left. Returns the
+  /// voxels added. The region-growing inner loop, hot once the step's
   /// volume is resident.
-  std::size_t grow_step(StepRows& rows, std::size_t budget) const;
+  std::size_t grow_step(StepRows& rows) const;
 
   const VolumeSequence& sequence_;
   const TrackingCriterion& criterion_;

@@ -198,6 +198,21 @@ inline std::uint64_t mask_bits(const std::uint8_t* bytes, int n) {
   return bits;
 }
 
+/// mask_bits for bytes `flags[0..n)` (n a multiple of 8, at most 64) that
+/// are each 0 or 1; any other byte value corrupts the bits. It skips
+/// pack_bytes' three shift-ors per 8 bytes, which cost the tracker's row
+/// acceptance (it packs compare results) about 60% on BM_TrackRing and 8%
+/// on BM_TrackBand (docs/PERFORMANCE.md, "One packing path").
+inline std::uint64_t pack_flags(const std::uint8_t* flags, int n) {
+  std::uint64_t bits = 0;
+  for (int i = 0; i < n; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, flags + i, sizeof(word));
+    bits |= ((word * 0x0102040810204080ull) >> 56) << i;
+  }
+  return bits;
+}
+
 /// Elementwise logical ops on same-sized masks.
 Mask mask_and(const Mask& a, const Mask& b);
 Mask mask_or(const Mask& a, const Mask& b);

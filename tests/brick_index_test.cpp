@@ -208,12 +208,11 @@ TEST(BrickSkipEquivalence, RandomTfsRandomVolumesAllModes) {
       SCOPED_TRACE("front-to-back");
       expect_bitwise_equal(s, v, tf, colors, cam, nullptr);
     }
-    RenderSettings mip = s;
-    mip.mode = CompositingMode::kMaximumIntensity;
-    mip.shading = false;
+    RenderSettings unshaded = s;
+    unshaded.shading = false;
     {
-      SCOPED_TRACE("mip");
-      expect_bitwise_equal(mip, v, tf, colors, cam, nullptr);
+      SCOPED_TRACE("front-to-back unshaded");
+      expect_bitwise_equal(unshaded, v, tf, colors, cam, nullptr);
     }
   }
 }
@@ -232,9 +231,18 @@ TEST(BrickSkipEquivalence, TrackedFeatureOverlay) {
   RenderSettings s;
   s.width = 40;
   s.height = 40;
+  RenderSettings unshaded = s;
+  unshaded.shading = false;
   const ColorMap colors;
   const Camera cam(0.7, 0.3, 2.2);
-  expect_bitwise_equal(s, v, tf, colors, cam, &highlight);
+  {
+    SCOPED_TRACE("shaded");
+    expect_bitwise_equal(s, v, tf, colors, cam, &highlight);
+  }
+  {
+    SCOPED_TRACE("unshaded");
+    expect_bitwise_equal(unshaded, v, tf, colors, cam, &highlight);
+  }
 }
 
 TEST(BrickSkipEquivalence, ClassifiedRenderAndSkipCounters) {
@@ -269,7 +277,7 @@ TEST(BrickSkipEquivalence, ClassifiedRenderAndSkipCounters) {
 
 TEST(BrickSkipEquivalence, ArgonIatfSceneAllModes) {
   // The render contracts' scene: a trained IATF TF over a turbulent
-  // volume, every compositing variant.
+  // volume, every render variant.
   const testing::ArgonRenderScene& scene = testing::argon_render_scene();
   for (const testing::RenderVariant& v : scene.variants()) {
     SCOPED_TRACE(v.name);
@@ -303,13 +311,12 @@ TEST(BrickSkipEquivalence, TfSparseArgon128AllModesSkips) {
   shaded.width = 128;
   shaded.height = 128;
   shaded.step_voxels = 0.5;
-  RenderSettings mip = shaded;
-  mip.shading = false;
-  mip.mode = CompositingMode::kMaximumIntensity;
+  RenderSettings unshaded = shaded;
+  unshaded.shading = false;
   const testing::RenderVariant variants[] = {
       {"front-to-back shaded", shaded, nullptr},
       {"tracking overlay", shaded, &overlay},
-      {"maximum intensity", mip, nullptr}};
+      {"front-to-back unshaded", unshaded, nullptr}};
   for (const testing::RenderVariant& v : variants) {
     SCOPED_TRACE(v.name);
     RenderStats stats;

@@ -4,10 +4,8 @@
 #include <bit>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "parallel/thread_pool.hpp"
 #include "test_helpers.hpp"
 #include "util/determinism.hpp"
 #include "util/error.hpp"
@@ -322,9 +320,8 @@ Mask u_case() {
 
 // The bare labeling gives the labels and attributes of the labeling with a
 // value volume. The bare labelings of the random fills are pinned with
-// digests of one flood. The labeling runs on the calling thread, so the
-// pool widths below run one code path.
-TEST(Components, SlabFloodMatchesOneFlood) {
+// digests of one flood.
+TEST(Components, BareLabelingMatchesValueLabeling) {
   const Dims d{23, 19, 17};
   struct Case {
     const char* name;
@@ -342,21 +339,14 @@ TEST(Components, SlabFloodMatchesOneFlood) {
       {"nz 2", random_mask(Dims{23, 19, 2}, 0.6), 0},
       {"nz 3", random_mask(Dims{23, 19, 3}, 0.6), 0},
   };
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const VolumeF values(c.mask.dims(), 1.0f);
-    const Labeling one_flood = label_components(c.mask, &values);
-    for (const std::size_t width : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{3}, std::size_t{4}, hw}) {
-      SCOPED_TRACE(width);
-      const ThreadPool::ScopedGlobalWidth scope(width);
-      const Labeling slabs = label_components(c.mask);
-      expect_same_labeling(slabs, one_flood);
-      if (c.digest != 0) {
-        EXPECT_EQ(labeling_digest(slabs), c.digest);
-      }
+    const Labeling valued = label_components(c.mask, &values);
+    const Labeling bare = label_components(c.mask);
+    expect_same_labeling(bare, valued);
+    if (c.digest != 0) {
+      EXPECT_EQ(labeling_digest(bare), c.digest);
     }
   }
   // The serpentine is two components and the U case four.

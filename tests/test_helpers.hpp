@@ -221,7 +221,7 @@ inline void expect_match_isolated(
   }
 }
 
-/// One compositing variant of a render check.
+/// One variant of a render check.
 struct RenderVariant {
   const char* name;
   RenderSettings settings;
@@ -247,18 +247,17 @@ struct ArgonRenderScene {
   Camera camera{0.5, 0.35, 2.4};
   ColorMap colors;
 
-  /// Front-to-back shaded, the same with the tracking overlay, and
-  /// unshaded maximum intensity, all at 96^2.
+  /// Shaded, the same with the tracking overlay, and unshaded, all at
+  /// 96^2.
   std::vector<RenderVariant> variants() const {
     RenderSettings shaded;
     shaded.width = 96;
     shaded.height = 96;
-    RenderSettings mip = shaded;
-    mip.shading = false;
-    mip.mode = CompositingMode::kMaximumIntensity;
+    RenderSettings unshaded = shaded;
+    unshaded.shading = false;
     return {{"front-to-back shaded", shaded, nullptr},
             {"tracking overlay", shaded, &overlay},
-            {"maximum intensity", mip, nullptr}};
+            {"front-to-back unshaded", unshaded, nullptr}};
   }
 };
 
