@@ -78,7 +78,7 @@ IFET_HOT int composite_packet(const Raycaster::Plan& plan,
   // Stage 2: gather the trilinear taps.
   for (int l = 0; l < count; ++l) {
     scratch.value[l] =
-        volume.sample(Vec3{scratch.vx[l], scratch.vy[l], scratch.vz[l]});
+        volume.sample_inline(scratch.vx[l], scratch.vy[l], scratch.vz[l]);
   }
 
   // Stage 3: nearest-voxel hits in the region-growing texture.

@@ -299,7 +299,7 @@ IFET_HOT IFET_DETERMINISTIC void Raycaster::render_rows(const Plan& plan, int ro
             const double t = t0 + static_cast<double>(i) * dt;
             Vec3 world = ray.origin + ray.direction * t;
             Vec3 vox = plan.to_voxel(world);
-            double value = volume.sample(vox);
+            double value = volume.sample_inline(vox.x, vox.y, vox.z);
             ++local_samples;
 
             double a;
@@ -320,7 +320,7 @@ IFET_HOT IFET_DETERMINISTIC void Raycaster::render_rows(const Plan& plan, int ro
               if (certainty != nullptr) {
                 // Pre-classified pass: the network's certainty gates
                 // the opacity, color stays tied to the data value.
-                a *= certainty->sample(vox);
+                a *= certainty->sample_inline(vox.x, vox.y, vox.z);
               }
               double norm =
                   value_span > 0.0

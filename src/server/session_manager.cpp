@@ -142,7 +142,7 @@ SessionManager::~SessionManager() {
 int SessionManager::create_session(FailPolicy fail_policy) {
   auto session = std::make_shared<ServerSession>();
   session->sequence = std::make_unique<StreamedSequence>(
-      tier_, config_.pin_radius, fail_policy);
+      tier_, /*pin_radius=*/1, fail_policy);
   session->painting =
       std::make_unique<PaintingSession>(*session->sequence, config_.painting);
   session->tf = std::make_unique<TfSession>(*session->sequence, config_.tf);
@@ -489,9 +489,6 @@ void SessionManager::drain_session(ServerSession& s) {
                               : 0.8 * s.ewma_service_ms + 0.2 * service_ms;
     }
     if (item.done) item.done(result);
-    // Let the tier's pressure monitor react to whatever this command just
-    // pinned or derived (cheap when disabled or under the sample period).
-    tier_.poll_pressure();
   }
 }
 

@@ -78,8 +78,6 @@ IFET_DETERMINISTIC ShedAction decide_backpressure(BackpressurePolicy policy,
 
 struct SessionManagerConfig {
   StreamTierConfig tier;
-  /// Per-client auto-pinned window half-width.
-  int pin_radius = 1;
   /// Classifier configuration applied to every session.
   SessionConfig painting;
   /// IATF configuration applied to every session. Identical configs mean

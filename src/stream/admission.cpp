@@ -19,21 +19,10 @@ AdmissionController::AdmissionController(std::size_t step_bytes,
   IFET_REQUIRE(num_steps_ > 0, "AdmissionController: need at least one step");
 }
 
-std::size_t AdmissionController::quota_steps_base() const {
+std::size_t AdmissionController::quota_steps() const {
   if (pin_quota_bytes_ == 0) return static_cast<std::size_t>(num_steps_);
   return std::min(static_cast<std::size_t>(num_steps_),
                   pin_quota_bytes_ / step_bytes_);
-}
-
-std::size_t AdmissionController::quota_steps() const {
-  const std::size_t base = quota_steps_base();
-  const int percent = quota_scale_percent_.load(std::memory_order_relaxed);
-  if (percent >= 100) return base;
-  // Floor at one step: even under the harshest pressure a client keeps its
-  // current step pinned (evicting the step being tracked would turn every
-  // growth iteration into a reload storm — worse than the pressure).
-  return std::max<std::size_t>(
-      1, base * static_cast<std::size_t>(percent) / 100);
 }
 
 int AdmissionController::register_client() {
@@ -71,9 +60,7 @@ namespace {
 
 /// The canonical admission order: steps of [lo, hi] nearest `center`
 /// first (ties: the earlier step), truncated at `quota`. Returns
-/// {admitted, denied}, each sorted ascending. Both set_window and the
-/// pressure rescale go through here so a clamp-then-restore cycle lands
-/// on exactly the set a fresh hint would produce.
+/// {admitted, denied}, each sorted ascending.
 std::pair<std::vector<int>, std::vector<int>> admit_center_out(
     int lo, int hi, int center, std::size_t quota) {
   std::vector<int> desired;
@@ -119,63 +106,10 @@ WindowDelta AdmissionController::set_window(int client, int lo, int hi,
   std::set_difference(c.admitted.begin(), c.admitted.end(), admitted.begin(),
                       admitted.end(), std::back_inserter(delta.unpin));
   c.admitted = std::move(admitted);
-  c.has_window = true;
-  c.window_lo = lo;
-  c.window_hi = hi;
-  c.window_center = center;
   c.stats.denied_pins += delta.denied.size();
   c.stats.pinned_steps = c.admitted.size();
   c.stats.pinned_bytes = c.admitted.size() * step_bytes_;
   return delta;
-}
-
-std::vector<std::pair<int, WindowDelta>> AdmissionController::set_quota_scale(
-    int percent) {
-  percent = std::clamp(percent, 1, 100);
-  // Publish the scale first so concurrent set_window calls already admit
-  // under the new quota, then reclamp the remembered windows.
-  const int previous =
-      quota_scale_percent_.exchange(percent, std::memory_order_relaxed);
-  std::vector<std::pair<int, WindowDelta>> out;
-  if (previous == percent) return out;
-  const std::size_t quota = quota_steps();
-
-  OrderedMutexLock lock(mutex_);
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    Ledger& c = clients_[i];
-    if (!c.active || !c.has_window) continue;
-    auto [admitted, denied] = admit_center_out(c.window_lo, c.window_hi,
-                                               c.window_center, quota);
-    (void)denied;  // Reclamps are not hint-time refusals; see below.
-    WindowDelta delta;
-    std::set_difference(admitted.begin(), admitted.end(), c.admitted.begin(),
-                        c.admitted.end(), std::back_inserter(delta.pin));
-    std::set_difference(c.admitted.begin(), c.admitted.end(), admitted.begin(),
-                        admitted.end(), std::back_inserter(delta.unpin));
-    if (delta.pin.empty() && delta.unpin.empty()) continue;
-    c.admitted = std::move(admitted);
-    // Fairness accounting: a clamp's revocations are pressure_unpins, NOT
-    // denied_pins — the client asked for nothing new; the server took
-    // pins back. (Restores produce only pins and count nothing.)
-    c.stats.pressure_unpins += delta.unpin.size();
-    c.stats.pinned_steps = c.admitted.size();
-    c.stats.pinned_bytes = c.admitted.size() * step_bytes_;
-    out.emplace_back(static_cast<int>(i), std::move(delta));
-  }
-  return out;
-}
-
-IFET_HOT std::size_t AdmissionController::demanded_pin_steps() const {
-  const std::size_t base = quota_steps_base();
-  OrderedMutexLock lock(mutex_);
-  std::size_t demand = 0;
-  for (const Ledger& c : clients_) {
-    if (!c.active || !c.has_window) continue;
-    const std::size_t window =
-        static_cast<std::size_t>(c.window_hi - c.window_lo + 1);
-    demand += std::min(window, base);
-  }
-  return demand;
 }
 
 IFET_HOT void AdmissionController::note_access(int client, int step,

@@ -26,17 +26,15 @@
 // CacheManager rank, so the hot note_access() is legal on IFET_HOT fetch
 // paths, and deliberately never held across CacheManager calls: set_window
 // returns the pin/unpin delta for the *caller* to apply, which keeps the
-// 35 -> 30 inversion structurally impossible. Deltas computed in one order
-// must reach the cache in that order, or a pressure clamp could unpin a
-// step whose pin a window move admitted but had not applied yet; every
-// caller therefore holds delta_mutex() (MutexRank::kPinDelta, outside the
-// cache) from the admission call until its delta is applied.
+// 35 -> 30 inversion structurally impossible. A client's deltas reach the
+// cache in the order admission computed them because each StreamedSequence
+// computes and applies its own under its window mutex (or in its
+// destructor); the cache counts pins, so deltas of different clients
+// commute.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "util/hot_path.hpp"
@@ -51,8 +49,6 @@ struct AdmissionStats {
   std::uint64_t reloads = 0;      ///< Accesses that found a step this client
                                   ///< had loaded before evicted again — the
                                   ///< client's realized eviction cost.
-  std::uint64_t pressure_unpins = 0;  ///< Pins revoked by a pressure-driven
-                                      ///< quota clamp (set_quota_scale).
   std::size_t pinned_steps = 0;   ///< Gauge: steps currently pinned.
   std::size_t pinned_bytes = 0;   ///< Gauge: bytes currently pinned.
 };
@@ -95,68 +91,23 @@ class AdmissionController {
 
   AdmissionStats client_stats(int client) const IFET_EXCLUDES(mutex_);
 
-  /// Held by every caller of set_window / set_quota_scale /
-  /// release_client until the returned delta is applied to the cache.
-  OrderedMutex& delta_mutex() const IFET_RETURN_CAPABILITY(delta_mutex_) {
-    return delta_mutex_;
-  }
-
   std::size_t pin_quota_bytes() const { return pin_quota_bytes_; }
   std::size_t step_bytes() const { return step_bytes_; }
-
-  /// Steps the quota admits per client at the CURRENT pressure scale
-  /// (never below 1; num_steps when unlimited and unclamped).
-  std::size_t quota_steps() const;
-
-  /// The unscaled per-client quota in steps (what 100% restores to).
-  std::size_t quota_steps_base() const;
-
-  // --- Pressure coupling (stream/pressure.hpp) -----------------------------
-
-  /// Scale every client's effective quota to `percent` (clamped to
-  /// [1, 100]) and recompute each admitted set center-out against the
-  /// client's remembered window — the exact set_window order, so restoring
-  /// to 100 re-admits the same steps a fresh hint would (center first,
-  /// ties to the earlier step). Returns one delta per affected client for
-  /// the caller to apply to the CacheManager with the admission lock
-  /// released, as always. Idempotent (a repeated scale returns no deltas);
-  /// callers serialize scale changes (the one PressureMonitor does, under
-  /// its kPressure mutex).
-  std::vector<std::pair<int, WindowDelta>> set_quota_scale(int percent)
-      IFET_EXCLUDES(mutex_);
-
-  int quota_scale_percent() const {
-    return quota_scale_percent_.load(std::memory_order_relaxed);
-  }
-
-  /// Pin demand at FULL quota: the steps all remembered windows would pin
-  /// at 100%. This is the pressure signal — it deliberately ignores the
-  /// live clamp, so clamping can never argue itself back below the exit
-  /// threshold and oscillate the hysteresis. Alloc-free.
-  IFET_HOT std::size_t demanded_pin_steps() const IFET_EXCLUDES(mutex_);
 
  private:
   struct Ledger {
     bool active = false;
     std::vector<int> admitted;       ///< Currently admitted (pinned) steps.
     std::vector<std::uint8_t> seen;  ///< step -> this client loaded it once.
-    /// Last hinted window (set_window), so a quota rescale can replay the
-    /// center-out admission without a fresh hint.
-    bool has_window = false;
-    int window_lo = 0;
-    int window_hi = -1;
-    int window_center = 0;
     AdmissionStats stats;
   };
+
+  /// Steps the quota admits per client (num_steps when unlimited).
+  std::size_t quota_steps() const;
 
   const std::size_t step_bytes_;
   const std::size_t pin_quota_bytes_;
   const int num_steps_;
-  /// Pressure clamp in percent of the base quota (100 = unclamped).
-  /// Atomic so the hot fetch path and quota_steps() read it lock-free.
-  std::atomic<int> quota_scale_percent_{100};
-
-  mutable OrderedMutex delta_mutex_{MutexRank::kPinDelta};
   mutable OrderedMutex mutex_{MutexRank::kAdmission};
   std::vector<Ledger> clients_ IFET_GUARDED_BY(mutex_);
 };

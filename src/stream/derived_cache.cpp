@@ -84,29 +84,6 @@ std::size_t DerivedCache::invalidate(std::uint64_t params_hash) {
   return erased;
 }
 
-template <typename T>
-std::size_t DerivedCache::shed_in(MemoMap<T>& map,
-                                  std::uint64_t keep_params) {
-  std::size_t erased = 0;
-  for (auto it = map.begin(); it != map.end();) {
-    if (it->first.params != keep_params) {
-      it = map.erase(it);
-      ++erased;
-    } else {
-      ++it;
-    }
-  }
-  return erased;
-}
-
-std::size_t DerivedCache::shed_except(std::uint64_t keep_params) {
-  OrderedMutexLock lock(mutex_);
-  std::size_t erased = shed_in(hists_, keep_params);
-  erased += shed_in(cumhists_, keep_params);
-  erased += shed_in(tfs_, keep_params);
-  return erased;
-}
-
 std::size_t DerivedCache::size() const {
   OrderedMutexLock lock(mutex_);
   return hists_.size() + cumhists_.size() + tfs_.size();

@@ -76,14 +76,6 @@ class DerivedCache {
   /// cache's reference, not the product.
   std::size_t invalidate(std::uint64_t params_hash) IFET_EXCLUDES(mutex_);
 
-  /// Pressure relief (stream/pressure.hpp): drop every memoized product
-  /// EXCEPT those under `keep_params` — the tier histogram hash, whose
-  /// products every client shares and would all recompute at once.
-  /// Everything shed is recomputable from resident or reloadable data
-  /// (correctness never depends on this cache), so shedding trades
-  /// recompute time for bytes. Returns how many entries were erased.
-  std::size_t shed_except(std::uint64_t keep_params) IFET_EXCLUDES(mutex_);
-
   std::size_t size() const IFET_EXCLUDES(mutex_);
 
  private:
@@ -116,10 +108,6 @@ class DerivedCache {
 
   template <typename T>
   std::size_t invalidate_in(MemoMap<T>& map, std::uint64_t params_hash)
-      IFET_REQUIRES(mutex_);
-
-  template <typename T>
-  std::size_t shed_in(MemoMap<T>& map, std::uint64_t keep_params)
       IFET_REQUIRES(mutex_);
 
   StreamCounters& counters_;

@@ -32,11 +32,10 @@ std::string StreamStats::summary() const {
     }
   }
   if (commands_rejected != 0 || commands_shed != 0 ||
-      deadline_exceeded != 0 || pressure_transitions != 0) {
+      deadline_exceeded != 0) {
     os << ", overload: " << commands_rejected << " rejected, "
        << commands_shed << " shed, " << deadline_exceeded
-       << " deadline-exceeded, " << pressure_transitions
-       << " pressure transitions";
+       << " deadline-exceeded";
   }
   return os.str();
 }
@@ -63,7 +62,6 @@ StreamStats StreamCounters::snapshot() const {
   out.commands_rejected = commands_rejected.get();
   out.commands_shed = commands_shed.get();
   out.deadline_exceeded = deadline_exceeded.get();
-  out.pressure_transitions = pressure_transitions.get();
   return out;
 }
 

@@ -1,9 +1,9 @@
 // Counters surfaced by the out-of-core streaming subsystem.
 //
 // StreamCounters is the one live counter set of a scope: a stream tier has
-// exactly one, which VolumeStore, CacheManager, Prefetcher, DerivedCache,
-// PressureMonitor and SessionManager add into, and each StreamedSequence
-// keeps one more for its client view. StreamStats is the value snapshot:
+// exactly one, which VolumeStore, CacheManager, Prefetcher, DerivedCache
+// and SessionManager add into, and each StreamedSequence keeps one more
+// for its client view. StreamStats is the value snapshot:
 // the counters plus the residency gauges the cache and store hold. It
 // answers "is the budget sized right, is prefetch hiding the decode
 // latency, and how much is resident right now". ifet_tool prints the
@@ -75,8 +75,6 @@ struct StreamStats {
                                         ///< to admit newer work (kShedOldest).
   std::uint64_t deadline_exceeded = 0;  ///< Commands that ran out of budget
                                         ///< (typed DeadlineExceeded).
-  std::uint64_t pressure_transitions = 0;  ///< PressureMonitor enter+exit
-                                           ///< transitions applied.
 
   /// Fraction of accesses served without any load.
   double hit_rate() const {
@@ -126,7 +124,6 @@ struct StreamCounters {
   Total<std::uint64_t> checksum_failures;
   Total<std::uint64_t> skipped_fetches, nearest_good_substitutions;
   Total<std::uint64_t> commands_rejected, commands_shed, deadline_exceeded;
-  Total<std::uint64_t> pressure_transitions;
 
   /// Value copy of every counter; the gauges stay zero (the cache and the
   /// store fill theirs into their own stats()).

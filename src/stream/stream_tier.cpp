@@ -34,13 +34,6 @@ StreamTier::StreamTier(std::shared_ptr<const VolumeSource> source,
       hash_combine(static_cast<std::uint64_t>(config_.histogram_bins),
                    hash_double(lo)),
       hash_double(hi));
-  pressure_ = std::make_unique<PressureMonitor>(
-      store_->cache(), admission_, derived_, store_->counters(), hist_params_,
-      config_.budget_bytes, step_bytes(), config_.pressure);
-}
-
-std::size_t StreamTier::step_bytes() const {
-  return payload_bytes(store_->dims());
 }
 
 }  // namespace ifet

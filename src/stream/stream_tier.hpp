@@ -8,7 +8,7 @@
 // multi-tenant server (docs/SERVER.md) shares one tier among all its
 // sessions — so two clients at the same training state deduplicate each
 // other's work; a single-user sequence builds a private tier (unlimited
-// pin quota, pressure off) and is its only client.
+// pin quota) and is its only client.
 //
 // The tier is mechanism: a quarantined step answers its original typed
 // error, and the tier takes no position on what a missing step means.
@@ -27,7 +27,6 @@
 
 #include "stream/admission.hpp"
 #include "stream/derived_cache.hpp"
-#include "stream/pressure.hpp"
 #include "stream/stream_stats.hpp"
 #include "stream/volume_store.hpp"
 
@@ -46,9 +45,6 @@ struct StreamTierConfig {
   int max_retries = 2;
   double retry_backoff_ms = 0.0;
   int histogram_bins = 256;
-  /// Memory-pressure renegotiation (stream/pressure.hpp); disabled by
-  /// default — enabling it changes residency shape, never bytes.
-  PressureConfig pressure;
 };
 
 class StreamTier {
@@ -67,19 +63,10 @@ class StreamTier {
   int histogram_bins() const { return config_.histogram_bins; }
   const StreamTierConfig& config() const { return config_; }
 
-  /// Decoded payload bytes of one step (uniform across the sequence).
-  std::size_t step_bytes() const;
-
   VolumeStore& store() { return *store_; }
   const VolumeStore& store() const { return *store_; }
   DerivedCache& derived() { return derived_; }
   AdmissionController& admission() { return admission_; }
-  PressureMonitor& pressure() { return *pressure_; }
-
-  /// One pressure check + any indicated transition; the SessionManager
-  /// drain loop calls this after every command (cheap no-op when the
-  /// monitor is disabled or the state is steady).
-  void poll_pressure() { pressure_->poll(); }
 
   /// The tier's one counter set; each client keeps one more of its own.
   StreamCounters& counters() { return store_->counters(); }
@@ -98,10 +85,6 @@ class StreamTier {
   DerivedCache derived_;
   AdmissionController admission_;
   std::uint64_t hist_params_ = 0;
-  /// Constructed last (needs hist_params_ and references every sibling);
-  /// unique_ptr because the monitor is immovable and hist_params_ is only
-  /// known after the store opens.
-  std::unique_ptr<PressureMonitor> pressure_;
 };
 
 }  // namespace ifet

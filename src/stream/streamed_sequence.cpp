@@ -19,8 +19,7 @@ StreamedSequence::StreamedSequence(std::shared_ptr<const VolumeSource> source,
                                .async_prefetch = config.async_prefetch,
                                .max_retries = config.max_retries,
                                .retry_backoff_ms = config.retry_backoff_ms,
-                               .histogram_bins = config.histogram_bins,
-                               .pressure = {}}),  // off
+                               .histogram_bins = config.histogram_bins}),
           config.pin_radius, config.fail_policy) {}
 
 StreamedSequence::StreamedSequence(std::unique_ptr<StreamTier> owned,
@@ -39,7 +38,6 @@ StreamedSequence::StreamedSequence(StreamTier& tier, int pin_radius,
 StreamedSequence::~StreamedSequence() {
   // Give back everything this client pinned; the counted cache pins
   // compose, so a step another client also pinned stays pinned.
-  OrderedMutexLock order(tier_.admission().delta_mutex());
   for (int s : tier_.admission().release_client(client_)) {
     store().cache().unpin(s);
   }
@@ -128,7 +126,6 @@ std::vector<int> StreamedSequence::move_window_locked(
   }
   // Pins before unpins: an unpin evicts over budget, and the steps
   // entering the window must already be protected when it does.
-  OrderedMutexLock order(tier_.admission().delta_mutex());
   WindowDelta delta = tier_.admission().set_window(client_, lo, hi, center);
   CacheManager& cache = store().cache();
   for (int s : delta.pin) cache.pin(s);

@@ -5,7 +5,7 @@
 // histograms. Each StreamedSequence is one client of a StreamTier
 // (stream/stream_tier.hpp), in one of two set-ups that run the same code:
 //  * single user — StreamedSequence(source, config) builds a private tier
-//    (unlimited pin quota, pressure off) and is its only client; budget 0
+//    (unlimited pin quota) and is its only client; budget 0
 //    is the fully-resident path;
 //  * multi-tenant — StreamedSequence(tier, pin_radius, fail_policy) joins a
 //    shared tier; the server's SessionManager runs one per session.
@@ -35,7 +35,7 @@
 #include <utility>
 #include <vector>
 
-#include "stream/step_health.hpp"
+#include "stream/fail_policy.hpp"
 #include "stream/stream_tier.hpp"
 #include "util/ordered_mutex.hpp"
 #include "volume/sequence.hpp"

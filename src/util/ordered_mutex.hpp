@@ -17,11 +17,12 @@
 // strictly increase along every legal acquisition chain, and equal ranks
 // never nest — which also makes any re-entrant acquisition of the same
 // mutex (self-deadlock with std::mutex) a loud error instead of a hang.
-// After the PR-4 call-out fixes, every mutex below is a leaf: no ifet
-// mutex is held while user callbacks, loaders, or another class's locking
-// methods run. The distinct ranks keep the validator meaningful anyway —
-// if a future change reintroduces nesting it must follow the table's
-// order or fail immediately in checked builds.
+// No ifet mutex is held while user callbacks or loaders run, and only
+// kStreamedSequence is held across another class's locking methods (the
+// admission and cache calls of a window move, both ranked higher). The
+// distinct ranks keep the validator meaningful anyway — if a future change
+// adds nesting it must follow the table's order or fail immediately in
+// checked builds.
 #pragma once
 
 #include <mutex>
@@ -42,12 +43,6 @@ enum class MutexRank : int {
   kStreamedSequence = 10,  ///< StreamedSequence window/held-refs mutex
                            ///< (held across the admission and cache calls
                            ///< of a window move, both ranked higher)
-  kPressure = 15,          ///< PressureMonitor transition state (held across
-                           ///< admission/cache/derived calls, all ranked
-                           ///< higher, while a pressure transition applies)
-  kPinDelta = 18,          ///< AdmissionController delta order (held from
-                           ///< computing a pin delta until the cache has
-                           ///< applied it)
   kVolumeStore = 20,       ///< VolumeStore load counters
   kCacheManager = 30,      ///< CacheManager residency state
   kAdmission = 35,         ///< AdmissionController per-client pin ledger
@@ -68,9 +63,9 @@ namespace detail {
 /// registers a TLS destructor, which runs BEFORE atexit-time static
 /// destructors — and the global ThreadPool locks its OrderedMutex from
 /// exactly such a destructor. A POD thread_local has no destructor, so
-/// its storage stays valid through program teardown. Capacity 16 is far
+/// its storage stays valid through program teardown. Capacity 16 is
 /// above the deepest legal chain (ranks strictly increase and the rank
-/// table has 7 entries).
+/// table has 12 entries).
 struct HeldRanks {
   static constexpr int kCapacity = 16;
   int ranks[kCapacity];

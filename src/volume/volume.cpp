@@ -2,6 +2,13 @@
 
 namespace ifet {
 
+template <typename T>
+IFET_HOT double Volume<T>::sample(double x, double y, double z) const {
+  return sample_inline(x, y, z);
+}
+
+template double Volume<float>::sample(double, double, double) const;
+
 std::size_t mask_count(const Mask& mask) {
   constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
   constexpr std::uint64_t kOnes = 0x0101010101010101ull;

@@ -115,7 +115,16 @@ class Volume {
   }
 
   /// Trilinear sample at continuous voxel coordinates (clamp-to-edge).
-  IFET_HOT double sample(double x, double y, double z) const {
+  /// Defined once in volume.cpp (instantiated for float), so every
+  /// program links the one portable copy, never one an AVX2 kernel's
+  /// translation unit emitted.
+  IFET_HOT double sample(double x, double y, double z) const;
+
+  /// sample() expanded at the call site, for the render marches, which
+  /// take one per ray sample. Always inlined, so no translation unit emits
+  /// a copy of its own for the linker to pick.
+  [[gnu::always_inline]] IFET_HOT double sample_inline(double x, double y,
+                                                       double z) const {
     // Pre-clamp into the grid so the int casts below are defined for any
     // input, including NaN and values beyond int range; clamp-to-edge
     // already makes all out-of-range coordinates sample the boundary, so

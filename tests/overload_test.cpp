@@ -2,9 +2,7 @@
 // deadlines"): deadline tokens raise typed DeadlineExceeded instead of
 // hanging strands and never quarantine or poison a step; the strand
 // queue bound refuses work with typed kOverloaded results (reject-new
-// and shed-oldest, mutations never dropped once accepted); the pressure
-// monitor clamps quotas center-out and restores them hysteretically on a
-// signal that cannot argue itself back below the exit threshold; the
+// and shed-oldest, mutations never dropped once accepted); the
 // stuck-strand watchdog observes commands exceeding N x their budget
 // without holding any lock over the samples.
 #include <gtest/gtest.h>
@@ -21,14 +19,9 @@
 
 #include "parallel/thread_pool.hpp"
 #include "server/session_manager.hpp"
-#include "stream/admission.hpp"
 #include "stream/cache_manager.hpp"
-#include "stream/derived_cache.hpp"
 #include "stream/fault_injection.hpp"
 #include "stream/prefetcher.hpp"
-#include "stream/pressure.hpp"
-#include "stream/stream_tier.hpp"
-#include "stream/streamed_sequence.hpp"
 #include "stream/volume_store.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
@@ -39,8 +32,6 @@ namespace ifet {
 namespace {
 
 constexpr Dims kDims{8, 8, 8};
-constexpr std::size_t kStepBytes =
-    static_cast<std::size_t>(8 * 8 * 8) * sizeof(float);
 
 std::shared_ptr<CallbackSource> ramp_source(int steps) {
   return std::make_shared<CallbackSource>(
@@ -439,232 +430,6 @@ TEST(Overload, DefaultDeadlineAppliesAndExplicitOverrides) {
   query.deadline_ms = 60000.0;  // Explicit budget overrides the default.
   const ServerResult generous = manager.execute(id, query);
   EXPECT_EQ(generous.status, ServerStatus::kOk);
-}
-
-// --- Admission quota clamp / restore hysteresis ---------------------------
-
-TEST(Overload, QuotaClampReplaysCenterOutAndRestoresExactly) {
-  AdmissionController adm(kStepBytes, 4 * kStepBytes, 16);
-  const int c = adm.register_client();
-  WindowDelta delta = adm.set_window(c, 0, 9, 5);
-  // Center-out from 5 with quota 4: 5, then 4 (tie goes to the earlier
-  // step), 6, then 3.
-  EXPECT_EQ(delta.pin, (std::vector<int>{3, 4, 5, 6}));
-  EXPECT_TRUE(delta.unpin.empty());
-  EXPECT_EQ(delta.denied.size(), 6u);
-  const std::uint64_t denied_before = adm.client_stats(c).denied_pins;
-
-  // Clamp to 50%: quota 2 — the admitted set shrinks to the center-out
-  // prefix, and the revocations count as pressure_unpins, NOT denied_pins
-  // (a clamp is a revocation, not a hint-time refusal).
-  auto deltas = adm.set_quota_scale(50);
-  ASSERT_EQ(deltas.size(), 1u);
-  EXPECT_EQ(deltas[0].first, c);
-  EXPECT_EQ(deltas[0].second.unpin, (std::vector<int>{3, 6}));
-  EXPECT_TRUE(deltas[0].second.pin.empty());
-  EXPECT_EQ(adm.quota_steps(), 2u);
-  EXPECT_EQ(adm.quota_steps_base(), 4u);
-  EXPECT_EQ(adm.client_stats(c).pinned_steps, 2u);
-  EXPECT_EQ(adm.client_stats(c).pressure_unpins, 2u);
-  EXPECT_EQ(adm.client_stats(c).denied_pins, denied_before);
-
-  // The demand signal ignores the live clamp — clamping can never argue
-  // itself back below the exit threshold (the oscillation guard).
-  EXPECT_EQ(adm.demanded_pin_steps(), 4u);
-
-  // Idempotent: repeating the scale produces no deltas.
-  EXPECT_TRUE(adm.set_quota_scale(50).empty());
-
-  // Restore: exactly the revoked steps come back (center-out replay), and
-  // a fresh identical hint then has nothing to change.
-  deltas = adm.set_quota_scale(100);
-  ASSERT_EQ(deltas.size(), 1u);
-  EXPECT_EQ(deltas[0].second.pin, (std::vector<int>{3, 6}));
-  EXPECT_TRUE(deltas[0].second.unpin.empty());
-  EXPECT_EQ(adm.client_stats(c).pinned_steps, 4u);
-  delta = adm.set_window(c, 0, 9, 5);
-  EXPECT_TRUE(delta.pin.empty());
-  EXPECT_TRUE(delta.unpin.empty());
-}
-
-TEST(Overload, QuotaClampFairAcrossClientChurn) {
-  AdmissionController adm(kStepBytes, 2 * kStepBytes, 16);
-  const int a = adm.register_client();
-  const int b = adm.register_client();
-  adm.set_window(a, 0, 3, 1);
-  adm.set_window(b, 4, 7, 5);
-
-  auto deltas = adm.set_quota_scale(50);  // Quota 2 -> 1 for everyone.
-  ASSERT_EQ(deltas.size(), 2u);
-  EXPECT_EQ(adm.client_stats(a).pressure_unpins, 1u);
-  EXPECT_EQ(adm.client_stats(b).pressure_unpins, 1u);
-
-  // A client that leaves while clamped must not perturb the restore of
-  // the one that stays.
-  adm.release_client(b);
-  deltas = adm.set_quota_scale(100);
-  ASSERT_EQ(deltas.size(), 1u);
-  EXPECT_EQ(deltas[0].first, a);
-  EXPECT_EQ(deltas[0].second.pin.size(), 1u);
-  EXPECT_EQ(adm.client_stats(a).pinned_steps, 2u);
-  // New clients after the restore see the full quota immediately.
-  const int c = adm.register_client();
-  EXPECT_EQ(adm.set_window(c, 8, 11, 9).pin.size(), 2u);
-}
-
-// --- Pressure monitor hysteresis ------------------------------------------
-
-struct PressureRig {
-  StreamCounters counters;
-  CacheManager cache{counters, 4 * kStepBytes};
-  AdmissionController adm{kStepBytes, 2 * kStepBytes, 16};
-  DerivedCache derived{counters};
-  static constexpr std::uint64_t kKeepParams = 111;
-
-  void apply(const WindowDelta& delta) {
-    for (const int s : delta.unpin) cache.unpin(s);
-    for (const int s : delta.pin) cache.pin(s);
-  }
-  void apply_all(const std::vector<std::pair<int, WindowDelta>>& deltas) {
-    for (const auto& [client, delta] : deltas) apply(delta);
-  }
-};
-
-TEST(Overload, PressureEngagesShedsClampsAndReleases) {
-  PressureRig rig;
-  // Derived products under the tier hash (kept) and a client hash (shed).
-  rig.derived.histogram(0, PressureRig::kKeepParams,
-                        [] { return Histogram(4, 0.0, 1.0); });
-  rig.derived.histogram(0, 222, [] { return Histogram(4, 0.0, 1.0); });
-  rig.derived.transfer_function(1, 222, [] {
-    return TransferFunction1D(0.0, 1.0);
-  });
-  ASSERT_EQ(rig.derived.size(), 3u);
-
-  PressureConfig config;
-  config.enabled = true;
-  PressureMonitor monitor(rig.cache, rig.adm, rig.derived, rig.counters,
-                          PressureRig::kKeepParams, 4 * kStepBytes,
-                          kStepBytes, config);
-  EXPECT_EQ(monitor.sample(), 0);
-  monitor.poll();
-  EXPECT_FALSE(monitor.engaged());
-
-  // One client demands 2 of 4 budget steps (ratio 0.5): steady.
-  const int a = rig.adm.register_client();
-  rig.apply(rig.adm.set_window(a, 0, 3, 1));
-  EXPECT_EQ(monitor.sample(), 0);
-
-  // A second client doubles the demand (ratio 1.0 >= 0.85): engage.
-  const int b = rig.adm.register_client();
-  rig.apply(rig.adm.set_window(b, 4, 7, 5));
-  EXPECT_EQ(monitor.sample(), 1);
-  monitor.poll();
-  EXPECT_TRUE(monitor.engaged());
-  PressureReport report = monitor.report();
-  EXPECT_EQ(report.enters, 1u);
-  EXPECT_EQ(report.derived_shed, 2u);   // The 222 entries; 111 spared.
-  EXPECT_EQ(rig.derived.size(), 1u);
-  EXPECT_EQ(report.pins_clamped, 2u);   // One pin revoked per client.
-  EXPECT_EQ(rig.adm.quota_scale_percent(), 50);
-  EXPECT_EQ(rig.adm.quota_steps(), 1u);
-  EXPECT_EQ(rig.counters.snapshot().pressure_transitions, 1u);
-
-  // Demand at FULL quota is still 4 (the clamp does not relieve its own
-  // signal), so the monitor stays engaged — no oscillation.
-  EXPECT_EQ(monitor.sample(), 0);
-
-  // Client B leaves: demand 2 of 4 (ratio 0.5 <= 0.65): release, restore.
-  for (const int s : rig.adm.release_client(b)) rig.cache.unpin(s);
-  EXPECT_EQ(monitor.sample(), -1);
-  monitor.poll();
-  EXPECT_FALSE(monitor.engaged());
-  report = monitor.report();
-  EXPECT_EQ(report.exits, 1u);
-  EXPECT_EQ(report.pins_restored, 1u);  // Client A's revoked pin returns.
-  EXPECT_EQ(rig.adm.quota_scale_percent(), 100);
-  EXPECT_EQ(rig.adm.quota_steps(), 2u);
-  EXPECT_EQ(rig.counters.snapshot().pressure_transitions, 2u);
-}
-
-TEST(Overload, PressureHysteresisBandHolds) {
-  PressureRig rig;
-  PressureConfig config;
-  config.enabled = true;
-  PressureMonitor monitor(rig.cache, rig.adm, rig.derived, rig.counters,
-                          PressureRig::kKeepParams, 4 * kStepBytes,
-                          kStepBytes, config);
-
-  // Demand 3 of 4 steps (0.75): inside the band — engages nothing.
-  const int a = rig.adm.register_client();
-  rig.apply(rig.adm.set_window(a, 0, 3, 1));
-  const int b = rig.adm.register_client();
-  rig.apply(rig.adm.set_window(b, 4, 4, 4));
-  EXPECT_EQ(monitor.sample(), 0);
-  monitor.poll();
-  EXPECT_FALSE(monitor.engaged());
-
-  // Engage at 1.0, then drop back to 0.75: inside the band — stays
-  // engaged (release needs <= 0.65).
-  const int c = rig.adm.register_client();
-  rig.apply(rig.adm.set_window(c, 5, 5, 5));
-  monitor.poll();
-  ASSERT_TRUE(monitor.engaged());
-  for (const int s : rig.adm.release_client(c)) rig.cache.unpin(s);
-  EXPECT_EQ(monitor.sample(), 0);
-  monitor.poll();
-  EXPECT_TRUE(monitor.engaged());
-  EXPECT_EQ(monitor.report().exits, 0u);
-}
-
-// A window move computes its pin delta under the admission lock and
-// applies it to the cache after. A pressure clamp landing in between could
-// unpin a step the move had admitted but not pinned yet, and a restore
-// racing a move away could do the reverse; either throws "step is not
-// pinned" from CacheManager::unpin. One client flips between a wide and a
-// one-step window, which carries the demand across both hysteresis
-// thresholds, while a second thread polls the monitor.
-TEST(Pressure, RescalesNeverRaceWindowMoves) {
-  StreamTierConfig config;
-  config.budget_bytes = 4 * kStepBytes;
-  config.pin_quota_bytes = 3 * kStepBytes;
-  config.lookahead = 0;
-  config.async_prefetch = false;
-  config.pressure.enabled = true;
-  StreamTier tier(ramp_source(16), config);
-  StreamedSequence mover(tier);
-  StreamedSequence anchor(tier);
-  anchor.hint_window(15, 15);
-
-  std::atomic<bool> done{false};
-  std::atomic<int> poll_errors{0};
-  std::thread poller([&tier, &done, &poll_errors] {
-    while (!done.load(std::memory_order_relaxed)) {
-      try {
-        tier.poll_pressure();
-      } catch (const Error&) {
-        poll_errors.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
-  // Until the monitor has flipped often enough to have raced many moves.
-  int move_errors = 0;
-  for (int i = 0; i < 100000 && tier.pressure().report().exits < 1000; ++i) {
-    const int lo = 3 * (i % 4);
-    try {
-      mover.hint_window(lo, lo + 2);      // demand 3 + 1 of 4 steps: engage
-      mover.hint_window(lo + 1, lo + 1);  // demand 1 + 1: release
-    } catch (const Error&) {
-      ++move_errors;
-    }
-  }
-  done.store(true, std::memory_order_relaxed);
-  poller.join();
-  EXPECT_EQ(poll_errors.load(), 0);
-  EXPECT_EQ(move_errors, 0);
-  const PressureReport report = tier.pressure().report();
-  EXPECT_GT(report.enters, 0u);
-  EXPECT_GT(report.exits, 0u);
 }
 
 // --- Stuck-strand watchdog ------------------------------------------------

@@ -370,14 +370,13 @@ TEST(StreamTier, OverlappingClientPinsCompose) {
 }
 
 // A hint window that misses the sequence is refused like an inverted one:
-// the command fails and the pressure signal does not move.
+// the command fails and the session pins nothing.
 TEST(SessionManager, OutOfRangeHintWindowIsRefused) {
   const int steps = 10;
   SessionManagerConfig config;
   config.tier.pin_quota_bytes = 3 * kStepBytes;
   SessionManager manager(blob_source(steps), config);
   const int id = manager.create_session();
-  const std::size_t demand = manager.tier().admission().demanded_pin_steps();
 
   Command hint;
   hint.kind = CommandKind::kHintWindow;
@@ -386,7 +385,6 @@ TEST(SessionManager, OutOfRangeHintWindowIsRefused) {
     hint.window_hi = hi;
     const ServerResult result = manager.execute(id, hint);
     EXPECT_FALSE(result.ok);
-    EXPECT_EQ(manager.tier().admission().demanded_pin_steps(), demand);
     EXPECT_EQ(manager.session_admission(id).pinned_steps, 0u);
   }
 }

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/dataspace.hpp"
@@ -472,7 +474,59 @@ TEST(StreamedSequence, RejectsInvertedWindowHint) {
     EXPECT_THROW(seq->hint_window(-3, -1), Error);
     EXPECT_EQ(seq->admission_stats().pinned_steps, 0u);
   }
-  EXPECT_EQ(tier.admission().demanded_pin_steps(), 0u);
+  EXPECT_EQ(tier.stats().pinned_steps, 0u);
+}
+
+// Window pins are admitted nearest the center first, ties to the earlier
+// step, until the quota is spent; the rest of the window is denied a pin.
+TEST(AdmissionController, AdmitsCenterOutUntilTheQuota) {
+  AdmissionController admission(kStepBytes, 4 * kStepBytes, 16);
+  const int client = admission.register_client();
+  const WindowDelta delta = admission.set_window(client, 0, 9, 5);
+  EXPECT_EQ(delta.pin, (std::vector<int>{3, 4, 5, 6}));
+  EXPECT_TRUE(delta.unpin.empty());
+  EXPECT_EQ(delta.denied, (std::vector<int>{0, 1, 2, 7, 8, 9}));
+  EXPECT_EQ(admission.client_stats(client).denied_pins, 6u);
+}
+
+// Two clients move their windows over shared steps at once, on a tier whose
+// budget is below their joint windows. Each client applies its own pin
+// deltas under its window mutex, and the cache counts pins, so the two
+// clients' deltas may reach the cache in any order: no unpin finds its step
+// unpinned, and once both clients are gone no step is pinned.
+TEST(StreamedSequence, CrossClientWindowMovesKeepPinsBalanced) {
+  const int steps = 8;
+  StreamTierConfig config;
+  config.budget_bytes = 4 * kStepBytes;
+  config.pin_quota_bytes = 3 * kStepBytes;
+  config.lookahead = 0;
+  config.async_prefetch = false;
+  StreamTier tier(counter_source(steps), config);
+  std::atomic<int> errors{0};
+  {
+    const StreamedSequence a(tier);
+    const StreamedSequence b(tier);
+    auto flip = [&errors](const StreamedSequence& seq, int phase) {
+      for (int i = 0; i < 2000; ++i) {
+        const int lo = (i + phase) % (steps - 2);
+        try {
+          seq.hint_window(lo, lo + 2);      // 3 + 3 pins on a 4-step budget
+          seq.hint_window(lo + 1, lo + 1);
+        } catch (const Error&) {
+          errors.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    };
+    std::thread first([&] { flip(a, 0); });
+    std::thread second([&] { flip(b, 1); });
+    first.join();
+    second.join();
+  }
+  EXPECT_EQ(errors.load(), 0);
+  // Load every step: a pin left on a step that was not resident applies
+  // at insert, so it would show here too.
+  for (int s = 0; s < steps; ++s) (void)tier.store().fetch(s);
+  EXPECT_EQ(tier.stats().pinned_steps, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -515,13 +569,11 @@ void expect_counters(const StreamStats& got, const StreamStats& want) {
   EXPECT_EQ(got.commands_rejected, want.commands_rejected);
   EXPECT_EQ(got.commands_shed, want.commands_shed);
   EXPECT_EQ(got.deadline_exceeded, want.deadline_exceeded);
-  EXPECT_EQ(got.pressure_transitions, want.pressure_transitions);
 }
 
 void expect_admission(const AdmissionStats& got, const AdmissionStats& want) {
   EXPECT_EQ(got.denied_pins, want.denied_pins);
   EXPECT_EQ(got.reloads, want.reloads);
-  EXPECT_EQ(got.pressure_unpins, want.pressure_unpins);
   EXPECT_EQ(got.pinned_steps, want.pinned_steps);
   EXPECT_EQ(got.pinned_bytes, want.pinned_bytes);
 }

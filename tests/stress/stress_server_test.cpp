@@ -131,9 +131,9 @@ TEST(StressServer, ConcurrentSessionStorm) {
 // ---------------------------------------------------------------------------
 // Overload flood (docs/ROBUSTNESS.md, "Overload and deadlines"): the
 // canonical script on four clients over a uniformly slow device, with
-// bounded kShedOldest strand queues, the pressure monitor and the watchdog
-// live, while one open-loop thread per session floods it with read-only
-// commands, a quarter of them carrying an impossible deadline. Script
+// bounded kShedOldest strand queues and the watchdog live, while one
+// open-loop thread per session floods it with read-only commands, a
+// quarter of them carrying an impossible deadline. Script
 // clients resubmit on kOverloaded (a shed command never ran, so the retry
 // keeps exactly-once); the flood never resubmits, which keeps it finite.
 
@@ -243,7 +243,6 @@ TEST(StressServer, OverloadFloodShedsWorkNeverData) {
   config.tier.budget_bytes = 4 * step_bytes;
   config.tier.pin_quota_bytes = 2 * step_bytes;
   config.tier.async_prefetch = true;
-  config.tier.pressure.enabled = true;
   config.max_queue_depth = kQueueBound;
   config.backpressure = BackpressurePolicy::kShedOldest;
   config.watchdog_interval_ms = 5.0;
@@ -251,7 +250,6 @@ TEST(StressServer, OverloadFloodShedsWorkNeverData) {
   std::vector<FloodClient> clients(kClients);
   std::vector<SessionQueueStats> queues;
   StreamStats storm_stats;
-  PressureReport pressure;
   WatchdogReport watchdog;
   std::uint64_t script_submits = 0, script_callbacks = 0;
   std::uint64_t flood_submits = 0, flood_callbacks = 0;
@@ -288,7 +286,6 @@ TEST(StressServer, OverloadFloodShedsWorkNeverData) {
     flood_callbacks = run.flood_callbacks.load();
     retry_hint_seen = run.retry_hint_seen.load();
     storm_stats = manager.tier().stats();
-    pressure = manager.tier().pressure().report();
     watchdog = manager.watchdog_report();
     for (const FloodClient& client : clients) {
       queues.push_back(manager.session_queue(client.id));
@@ -318,15 +315,13 @@ TEST(StressServer, OverloadFloodShedsWorkNeverData) {
                          client.flood_latency_ms.end());
   }
 
-  // Bounded queues, and visible shedding, deadlines, pressure and watchdog.
+  // Bounded queues, and visible shedding, deadlines and watchdog.
   for (const SessionQueueStats& q : queues) {
     EXPECT_LE(q.peak_depth, kQueueBound);
   }
   EXPECT_GT(storm_stats.commands_shed, 0u);
   EXPECT_GT(storm_stats.deadline_exceeded, 0u);
   EXPECT_TRUE(retry_hint_seen) << "no kOverloaded refusal carried a hint";
-  EXPECT_GT(storm_stats.pressure_transitions, 0u);
-  EXPECT_GT(pressure.enters, 0u);
   EXPECT_GT(watchdog.scans, 0u);
 
   // No command waited unboundedly behind the flood.

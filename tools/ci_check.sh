@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-command tier-1 verification (docs/CORRECTNESS.md):
-#   1. default preset: configure, build, full ctest (includes ifet_lint
+#   1. default preset: configure, build, check that no AVX2 hot-kernel
+#      object defines Volume<float>::sample, full ctest (includes ifet_lint
 #      and the lint fixture regressions), then the shape of the committed
 #      benchmark trajectory (BENCH_<workload>.json)
 #   2. fault injection: the fault_injection_test binary, then ifet_tool
@@ -72,8 +73,30 @@ run_stage() {  # run_stage <name> <command...>
 stage_default() {
   cmake --preset default &&
     cmake --build --preset default -j "$JOBS" &&
+    check_hot_kernel_objects &&
     ctest --preset default -j "$JOBS" &&
     check_bench_trajectory
+}
+
+check_hot_kernel_objects() {
+  # The objects built with IFET_HOT_KERNEL_OPTIONS (-mavx2) must not define
+  # Volume<float>::sample: the linker keeps the first copy it meets, so an
+  # AVX2 copy there would become the one every caller in the program runs.
+  # volume.cpp defines the one portable copy.
+  local objects found=0 obj
+  objects=$(find "$ROOT/build" -name ray_packet.cpp.o -o \
+    -name feature_vector.cpp.o -o -name flat_mlp.cpp.o)
+  if [ "$(echo "$objects" | grep -c .)" -ne 3 ]; then
+    echo "hot-kernel objects: expected 3 under build/, found: $objects"
+    return 1
+  fi
+  for obj in $objects; do
+    if nm -C --defined-only "$obj" | grep -q 'ifet::Volume<float>::sample'; then
+      echo "hot-kernel object defines ifet::Volume<float>::sample: $obj"
+      found=1
+    fi
+  done
+  return "$found"
 }
 
 check_bench_trajectory() {
